@@ -7,21 +7,21 @@ of exact lattice-point counts in fibre polytopes.  A symmetric-group
 character oracle provides independent verification.
 """
 
-from .diamonds import (GluedQuiver, HiveSpec, build_bar, build_tilde,
-                       canonical_vertex, hive, twist_sequence)
+from .diamonds import (HiveSpec, build_bar, build_tilde, canonical_vertex,
+                       hive, twist_sequence)
 from .kron import kronecker, kronecker_oracle, mn_character
 from .pathmods import PathModule, boundary_path, diagonal_module, submodule_dims
-from .polyhedra import Cone, FibreQuery, build_cone, count_lattice_points, lp_extent
+from .polyhedra import Cone, FibreQuery, build_cone, count_lattice_points
 from .quiver import (BMatrix, IceQuiver, VertexId, b_matrix, det_vertex,
                      hive_vertex, mutate_quiver, mutate_weights)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BMatrix", "Cone", "FibreQuery", "GluedQuiver", "HiveSpec", "IceQuiver",
+    "BMatrix", "Cone", "FibreQuery", "HiveSpec", "IceQuiver",
     "PathModule", "VertexId", "b_matrix", "boundary_path", "build_bar",
     "build_cone", "build_tilde", "canonical_vertex", "count_lattice_points",
     "det_vertex", "diagonal_module", "hive", "hive_vertex", "kronecker",
-    "kronecker_oracle", "lp_extent", "mn_character", "mutate_quiver",
+    "kronecker_oracle", "mn_character", "mutate_quiver",
     "mutate_weights", "submodule_dims", "twist_sequence",
 ]

@@ -2,8 +2,8 @@
 
 All integers in emitted JSON are decimal strings.  The cone cache lives
 under $HIVEKRON_CACHE_DIR (or --cache-dir); files are content-hashed and
-rewritten atomically, so a corrupt cache entry triggers a rebuild rather
-than a wrong answer.
+rewritten atomically, so a corrupt cache entry, or one holding another
+(l, m), triggers a rebuild rather than a wrong answer.
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 from . import __version__
 from .diamonds import build_bar, build_tilde
-from .errors import (HivekronError, SizeTooLargeForOracle,
+from .errors import (HivekronError, OutOfRange, SizeTooLargeForOracle,
                      UnboundedFibre)
 from .kron import kronecker, kronecker_oracle, partition
 from .polyhedra import (Cone, FibreQuery, build_cone, cone_from_json,
                         cone_to_json, count_lattice_points)
+from .quiver import make_quiver, vertex_from_json, vertex_to_json
 
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
@@ -41,7 +42,7 @@ class RunConfig:
 
     def __post_init__(self):
         if self.workers < 1:
-            raise ValueError("worker count must be >= 1")
+            raise OutOfRange(f"worker count must be >= 1, got {self.workers}")
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
@@ -59,42 +60,28 @@ def _parse_partition(text: str):
         raise SystemExit(f"bad partition {text!r}: {exc}")
 
 
-def _vertex_key(v):
-    if v.kind == "det":
-        return ["det", str(v.n)]
-    return ["hive", str(v.n), str(v.i), str(v.j), "1" if v.dual else "0"]
-
-
 def quiver_to_json(Q, sigma) -> str:
     doc = {
-        "vertices": [_vertex_key(v) for v in Q.vertices],
-        "frozen": [_vertex_key(v) for v in sorted(Q.frozen, key=lambda v: v.sort_key())],
+        "vertices": [vertex_to_json(v) for v in Q.vertices],
+        "frozen": [vertex_to_json(v) for v in sorted(Q.frozen, key=lambda v: v.sort_key())],
         "arrows": sorted(
-            [_vertex_key(s), _vertex_key(t), str(mult)]
+            [vertex_to_json(s), vertex_to_json(t), str(mult)]
             for (s, t), mult in Q.arrows.items()),
-        "weights": {json.dumps(_vertex_key(v)): [str(x) for x in sigma[v]]
+        "weights": {json.dumps(vertex_to_json(v)): [str(x) for x in sigma[v]]
                     for v in Q.vertices},
     }
     return json.dumps(doc, indent=1, sort_keys=True)
 
 
-def _vertex_read(item):
-    from .quiver import det_vertex, hive_vertex
-    if item[0] == "det":
-        return det_vertex(int(item[1]))
-    return hive_vertex(int(item[1]), int(item[2]), int(item[3]), item[4] == "1")
-
-
 def quiver_from_json(text: str):
-    from .quiver import make_quiver
     doc = json.loads(text)
-    verts = [_vertex_read(v) for v in doc["vertices"]]
-    frozen = {_vertex_read(v) for v in doc["frozen"]}
+    verts = [vertex_from_json(v) for v in doc["vertices"]]
+    frozen = {vertex_from_json(v) for v in doc["frozen"]}
     arrows = {}
     for s, t, mult in doc["arrows"]:
-        arrows[(_vertex_read(s), _vertex_read(t))] = int(mult)
+        arrows[(vertex_from_json(s), vertex_from_json(t))] = int(mult)
     Q = make_quiver(verts, frozen, arrows)
-    sigma = {_vertex_read(json.loads(k)): tuple(int(x) for x in w)
+    sigma = {vertex_from_json(json.loads(k)): tuple(int(x) for x in w)
              for k, w in doc["weights"].items()}
     return Q, sigma
 
@@ -139,7 +126,9 @@ def cached_cone(l: int, m: int, cdir=None) -> Cone:
     if os.path.exists(path):
         try:
             with open(path) as fh:
-                return cone_from_json(_unwrap_hash(fh.read()))
+                cone = cone_from_json(_unwrap_hash(fh.read()))
+            if (cone.l, cone.m) == (l, m):
+                return cone
         except (ValueError, KeyError, json.JSONDecodeError):
             pass  # fall through to rebuild
     cone = build_cone(l, m)
@@ -237,8 +226,8 @@ def cmd_cone(args) -> int:
 
 def cmd_count(args) -> int:
     cfg = RunConfig.from_args(args)
-    theta = tuple(int(x) for x in args.theta.split(","))
     try:
+        theta = tuple(int(x) for x in args.theta.split(","))
         cone = cached_cone(args.l, args.m, cfg.cache_dir)
         n = count_lattice_points(cone, FibreQuery(theta), workers=cfg.workers)
     except UnboundedFibre as exc:

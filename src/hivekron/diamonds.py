@@ -34,28 +34,6 @@ class HiveSpec:
     dual: bool = False
 
 
-@dataclass(frozen=True)
-class GluedQuiver:
-    """A glued quiver with its grading and the raw-label dictionary."""
-    quiver: IceQuiver
-    weights: dict
-    l: int
-    m: int
-
-    def canonical(self, n: int, i: int, j: int, dual: bool) -> VertexId:
-        return canonical_vertex(n, i, j, dual, self.l, self.m)
-
-    @classmethod
-    def tilde(cls, l: int, m: int) -> "GluedQuiver":
-        Q, sigma = build_tilde(l, m)
-        return cls(Q, sigma, l, m)
-
-    @classmethod
-    def bar(cls, l: int, m: int) -> "GluedQuiver":
-        Q, sigma = build_bar(l, m)
-        return cls(Q, sigma, l, m)
-
-
 def hive_grid(l: int):
     """All hive coordinates (i,j) with 1 <= i+j <= l minus the two corners."""
     return [(i, j) for i in range(l + 1) for j in range(l + 1)

@@ -3,6 +3,9 @@
 Small dense problems only; every pivot is done in Fraction arithmetic
 with Bland-style anti-cycling.  Variables are nonnegative by default;
 ``free=True`` splits each variable into a difference of nonnegatives.
+``float_basis`` runs the same method in floating point; it only
+suggests a basis, and whatever a caller derives from it must be
+certified exactly before use.
 """
 
 from __future__ import annotations
@@ -157,3 +160,80 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, free=True,
             x[k - n] -= T[r][-1]
     val = sum(Fraction(f) * v for f, v in zip(c, x))
     return OPTIMAL, val, x
+
+
+# ---------------------------------------------------------------------------
+# floating-point guess of an optimal basis
+
+
+_FLOAT_TOL = 1e-9
+
+
+def _float_pivot(T, basis, r, c):
+    import numpy as np
+
+    T[r] /= T[r, c]
+    f = T[:, c].copy()
+    f[r] = 0
+    T -= np.outer(f, T[r])
+    basis[r] = c
+
+
+def _float_simplex(T, basis, ncols, maxit):
+    """Float twin of ``_simplex`` (Dantzig's rule, ratio ties to the lowest
+    basic column); None when ``maxit`` pivots are used up."""
+    import numpy as np
+
+    for _ in range(maxit):
+        red = T[-1, :ncols]
+        c = int(np.argmin(red)) if ncols else 0
+        if not ncols or red[c] >= -_FLOAT_TOL:
+            return OPTIMAL
+        col = T[:-1, c]
+        rows = np.flatnonzero(col > _FLOAT_TOL)
+        if not rows.size:
+            return UNBOUNDED
+        ratios = T[rows, -1] / col[rows]
+        ties = rows[ratios <= ratios.min() + _FLOAT_TOL]
+        _float_pivot(T, basis, min(ties, key=lambda k: basis[k]), c)
+    return None
+
+
+def float_basis(c, A_eq, b_eq, maxit):
+    """Suggest an optimal basis of min c.x s.t. A_eq.x = b_eq, x >= 0.
+
+    Dense two-phase simplex in floats, each phase capped at ``maxit``
+    pivots.  Returns {basic column: its float value}, or None when the
+    float search finds the problem infeasible or unbounded or hits the
+    cap: only an exact method may conclude anything from that.
+    """
+    import numpy as np
+
+    A = np.array(A_eq, dtype=float).reshape(len(A_eq), len(c))
+    b = np.array(b_eq, dtype=float)
+    m, n = A.shape
+    flip = b < 0
+    A[flip] = -A[flip]
+    b[flip] = -b[flip]
+    # tableau [A | I | b]: the artificials start basic
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A
+    T[:m, n:n + m] = np.eye(m)
+    T[:m, -1] = b
+    T[m, :n] = -A.sum(axis=0)
+    T[m, -1] = -b.sum()
+    basis = list(range(n, n + m))
+    if _float_simplex(T, basis, n, maxit) != OPTIMAL \
+            or T[m, -1] < -_FLOAT_TOL:
+        return None
+    for r in range(m):
+        if basis[r] >= n:
+            nonzero = np.flatnonzero(np.abs(T[r, :n]) > _FLOAT_TOL)
+            if nonzero.size:
+                _float_pivot(T, basis, r, int(nonzero[0]))
+    cost = np.zeros(n + m + 1)
+    cost[:n] = c
+    T[m] = cost - cost[basis] @ T[:m]
+    if _float_simplex(T, basis, n, maxit) != OPTIMAL:
+        return None
+    return {k: float(T[r, -1]) for r, k in enumerate(basis) if k < n}

@@ -55,10 +55,7 @@ def boundary_path(l: int, m: int, v: VertexId, quiver=None) -> PathModule:
     from .diamonds import _bar_label  # the position -> label dictionary
     label_of = _bar_label(l, m)
     s0 = v.dual
-    if m % 2 == 0:
-        j0 = v.j
-    else:
-        j0 = v.j
+    j0 = v.j
     if not (1 <= j0 <= l - 1):
         raise NotBoundaryFrozen(f"{v} has no boundary column")
 

@@ -16,9 +16,9 @@ from functools import lru_cache
 
 from .diamonds import build_bar
 from .errors import UnboundedFibre
-from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, float_basis, solve_lp
 from .pathmods import boundary_path, diagonal_module, submodule_dims
-from .quiver import VertexId, det_vertex, hive_vertex
+from .quiver import VertexId, vertex_from_json, vertex_to_json
 
 
 @dataclass(frozen=True)
@@ -380,45 +380,67 @@ def _size_reduce(rows, passes=3):
 
     Each pass sorts by norm and reduces every row against the
     Gram-Schmidt directions of the shorter ones (nearest-integer
-    coefficients).  All row operations are unimodular, so the spanned
-    lattice is unchanged.
+    coefficients, ties rounded down).  Gram-Schmidt is kept integral
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.6.7):
+    dets[j] is the Gram determinant of rows 0..j and lam[i][j] equals
+    dets[j] * mu_ij.  All row operations are unimodular, so the spanned
+    lattice is unchanged.  The rows must be linearly independent.
     """
     n = len(rows)
     b = [list(r) for r in rows]
     if n <= 1:
         return b
 
-    def norm2(v):
-        return sum(x * x for x in v)
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    def gram_step(u, k, x, y):
+        # exact: Cohen's recursion divides by the previous Gram determinant
+        return (dets[k] * u - x * y) // (dets[k - 1] if k else 1)
 
     for _ in range(passes):
-        b.sort(key=norm2)
-        star = []
-        norms = []
+        b.sort(key=lambda v: dot(v, v))
+        dets, lam = [], []
         changed = False
         for i in range(n):
-            for j in range(len(star) - 1, -1, -1):
-                if norms[j] == 0:
-                    continue
-                mu = sum(Fraction(x) * y
-                         for x, y in zip(b[i], star[j])) / norms[j]
-                r = mu.numerator // mu.denominator
-                if 2 * (mu - r) > 1:
+            li = []
+            for j in range(i):
+                u = dot(b[i], b[j])
+                for k in range(j):
+                    u = gram_step(u, k, li[k], lam[j][k])
+                li.append(u)
+            for j in range(i - 1, -1, -1):
+                r, rem = divmod(li[j], dets[j])
+                if 2 * rem > dets[j]:
                     r += 1
                 if r:
                     b[i] = [x - r * y for x, y in zip(b[i], b[j])]
+                    li[j] -= r * dets[j]
+                    for k in range(j):
+                        li[k] -= r * lam[j][k]
                     changed = True
-            v = [Fraction(x) for x in b[i]]
-            for j in range(len(star)):
-                if norms[j]:
-                    mu = sum(Fraction(x) * y
-                             for x, y in zip(b[i], star[j])) / norms[j]
-                    v = [a - mu * c for a, c in zip(v, star[j])]
-            star.append(v)
-            norms.append(norm2(v))
+            u = dot(b[i], b[i])
+            for k in range(i):
+                u = gram_step(u, k, li[k], li[k])
+            dets.append(u)
+            lam.append(li)
         if not changed:
             break
     return b
+
+
+# largest denominator a float certificate entry is rationalized to
+_CERT_DENOMINATOR = 10 ** 6
+
+
+def _is_certificate(A_eq, b, y):
+    """Exact check, in integers, that y >= 0 and A_eq . y = b."""
+    if any(v < 0 for v in y):
+        return False
+    D = math.lcm(*(v.denominator for v in y))
+    Y = [v.numerator * (D // v.denominator) for v in y]
+    return all(sum(a * w for a, w in zip(row, Y)) == D * t
+               for row, t in zip(A_eq, b))
 
 
 class _FibreGeometry:
@@ -427,7 +449,7 @@ class _FibreGeometry:
     The kernel lattice of the grading and the reduced facet matrix do not
     depend on the target weight; dual certificates turn per-fibre
     coordinate bounds into integer dot products.  The kernel basis is
-    LLL-reduced against the facet image to keep coefficients small (a
+    size-reduced against the facet image to keep coefficients small (a
     unimodular change, so lattice-point counts are unaffected).
     """
 
@@ -450,58 +472,15 @@ class _FibreGeometry:
                    for kv in self.kernel] for f in c.facets]
         self.up_cert, self.dn_cert = self._certificates()
 
-    def _combinatorial_certificate(self, j, sign):
-        """Search a 1- or 2-row nonneg combination of -R equal to sign*e_j."""
-        F, d = len(self.R), self.d
-        rows = [[-x for x in self.R[f]] for f in range(F)]
-        for f in range(F):
-            u = rows[f]
-            if sign * u[j] > 0 and all(u[t] == 0 for t in range(d) if t != j):
-                y = [Fraction(0)] * F
-                y[f] = Fraction(sign, u[j])
-                return y
-        for f in range(F):
-            u = rows[f]
-            for g in range(f + 1, F):
-                v = rows[g]
-                # alpha*u + beta*v = target with alpha, beta > 0
-                ratio = None  # beta/alpha
-                ok = True
-                for t in range(d):
-                    if t == j:
-                        continue
-                    if u[t] == 0 and v[t] == 0:
-                        continue
-                    if v[t] == 0:
-                        ok = False
-                        break
-                    r = Fraction(-u[t], v[t])
-                    if r <= 0 or (ratio is not None and r != ratio):
-                        ok = False
-                        break
-                    ratio = r
-                if not ok or ratio is None:
-                    continue
-                denom = u[j] + ratio * v[j]
-                if denom == 0:
-                    continue
-                alpha = Fraction(sign) / denom
-                if alpha <= 0:
-                    continue
-                y = [Fraction(0)] * F
-                y[f] = alpha
-                y[g] = alpha * ratio
-                return y
-        return None
-
     def _certificates(self):
         """Dual vectors bounding each reduced coordinate on every fibre.
 
         y >= 0 with (-R)^T y = e_j gives z_j <= y . r0 on {Rz + r0 >= 0};
-        the certificate is theta-independent.  Dual infeasibility means
-        the coordinate is unbounded over some fibre.  Small-support
-        certificates are searched combinatorially before falling back to
-        an exact LP.
+        the certificate is theta-independent.  A float simplex suggests an
+        optimal basis of min 1.y; y read on that basis and rationalized is
+        used only once it passes the exact check.  Anything else goes to
+        the exact simplex, whose dual infeasibility alone means the
+        coordinate is unbounded over some fibre.
         """
         F, d = len(self.R), self.d
         A_eq = [[-self.R[f][j] for f in range(F)] for j in range(d)]
@@ -510,9 +489,16 @@ class _FibreGeometry:
         for j in range(d):
             out = []
             for sign in (1, -1):
-                y = self._combinatorial_certificate(j, sign)
+                b = [sign if k == j else 0 for k in range(d)]
+                y = None
+                guess = float_basis([1] * F, A_eq, b, maxit=cap)
+                if guess:
+                    y = [Fraction(0)] * F
+                    for k, v in guess.items():
+                        y[k] = Fraction(v).limit_denominator(_CERT_DENOMINATOR)
+                    if not _is_certificate(A_eq, b, y):
+                        y = None
                 if y is None:
-                    b = [sign if k == j else 0 for k in range(d)]
                     st, _, y = solve_lp([1] * F, A_eq=A_eq, b_eq=b,
                                         free=False, phase2_maxit=cap)
                     y = [Fraction(v) for v in y] if st == OPTIMAL else None
@@ -655,14 +641,10 @@ def _count_parallel(r0, Rcols, free, lo, hi, workers: int) -> int:
 
 
 def cone_to_json(c: Cone) -> str:
-    def vkey(v):
-        if v.kind == "det":
-            return ["det", str(v.n)]
-        return ["hive", str(v.n), str(v.i), str(v.j), "1" if v.dual else "0"]
     doc = {
         "l": str(c.l),
         "m": str(c.m),
-        "vertices": [vkey(v) for v in c.vertices],
+        "vertices": [vertex_to_json(v) for v in c.vertices],
         "facets": [[str(x) for x in f] for f in c.facets],
         "grading": [[str(x) for x in g] for g in c.grading],
     }
@@ -671,13 +653,7 @@ def cone_to_json(c: Cone) -> str:
 
 def cone_from_json(text: str) -> Cone:
     doc = json.loads(text)
-
-    def vread(item):
-        if item[0] == "det":
-            return det_vertex(int(item[1]))
-        return hive_vertex(int(item[1]), int(item[2]), int(item[3]),
-                           item[4] == "1")
     return Cone(int(doc["l"]), int(doc["m"]),
-                tuple(vread(v) for v in doc["vertices"]),
+                tuple(vertex_from_json(v) for v in doc["vertices"]),
                 tuple(tuple(int(x) for x in f) for f in doc["facets"]),
                 tuple(tuple(int(x) for x in g) for g in doc["grading"]))

@@ -38,6 +38,21 @@ def det_vertex(n: int) -> VertexId:
     return VertexId("det", n, 0, 0, False)
 
 
+def vertex_to_json(v: VertexId) -> list:
+    """The JSON form of a vertex label, all fields as decimal strings."""
+    if v.kind == "det":
+        return ["det", str(v.n)]
+    return ["hive", str(v.n), str(v.i), str(v.j), "1" if v.dual else "0"]
+
+
+def vertex_from_json(item) -> VertexId:
+    """Inverse of ``vertex_to_json``."""
+    if item[0] == "det":
+        return det_vertex(int(item[1]))
+    return hive_vertex(int(item[1]), int(item[2]), int(item[3]),
+                       item[4] == "1")
+
+
 Arrow = tuple[VertexId, VertexId]
 Weight = tuple[int, ...]
 
@@ -81,9 +96,6 @@ class IceQuiver:
 
     def has_arrow(self, s: VertexId, t: VertexId) -> bool:
         return (s, t) in self.arrows
-
-    def two_cycle_free(self) -> bool:
-        return all((t, s) not in self.arrows for (s, t) in self.arrows)
 
 
 def make_quiver(vertices: Iterable[VertexId], frozen: Iterable[VertexId],

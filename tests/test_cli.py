@@ -1,8 +1,9 @@
 import json
 import os
 
-from hivekron.cli import main, quiver_from_json, quiver_to_json
+from hivekron.cli import cached_cone, main, quiver_from_json, quiver_to_json
 from hivekron.diamonds import build_bar, build_tilde
+from hivekron.polyhedra import build_cone, cone_to_json
 
 
 def run(capsys, *argv):
@@ -133,3 +134,64 @@ def test_validate_quick(capsys, small_builds):
 def test_validate_bad_size(capsys):
     code, _, _ = run(capsys, "validate", "--l", "1", "--m", "3")
     assert code == 1
+
+
+def test_coeff_zero_workers_usage_error(capsys):
+    code, out, err = run(capsys, "coeff", "--mu", "2,1", "--nu", "2,1",
+                         "--lam", "2,1", "--workers", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_count_bad_theta_literal(capsys):
+    code, out, err = run(capsys, "count", "--l", "2", "--m", "2",
+                         "--theta", "1,x,0,0,0,0")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_cone_cache_rebuilds_for_other_size(capsys, tmp_path):
+    # an l2-m2 file served under the l2-m3 name must not answer for (2,3)
+    cache = tmp_path / "cache"
+    run(capsys, "cone", "--l", "2", "--m", "2", "--cache-dir", str(cache))
+    (name,) = os.listdir(cache)
+    wrong = cache / name.replace("-m2", "-m3")
+    wrong.write_text((cache / name).read_text())
+    code, out, _ = run(capsys, "cone", "--l", "2", "--m", "3",
+                       "--cache-dir", str(cache))
+    assert code == 0
+    assert out.strip() == cone_to_json(build_cone(2, 3))
+    assert cached_cone(2, 3, str(cache)) == build_cone(2, 3)
+
+
+COLD_PROBE = """
+import sys
+import hivekron.polyhedra as P
+from hivekron.cli import main
+
+def refuse(self, cone):
+    raise AssertionError("fibre geometry built")
+
+P._FibreGeometry.__init__ = refuse
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print("numpy" in sys.modules, code, file=sys.stderr)
+"""
+
+
+def test_cold_commands_skip_numpy_and_geometry(tmp_path):
+    import subprocess
+    import sys
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    for argv in (["--version"], ["cone", "--l", "3", "--m", "3"],
+                 ["cone", "--l", "3", "--m", "3",
+                  "--cache-dir", str(tmp_path)]):
+        proc = subprocess.run([sys.executable, "-c", COLD_PROBE] + argv,
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.stderr.strip().splitlines()[-1] == "False 0", proc.stderr

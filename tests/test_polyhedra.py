@@ -204,3 +204,150 @@ def test_count_matches_known_kronecker(small_builds):
     theta = FibreQuery(sigma_of((1,), (1,), 2) + tuple(
         lambda_shifts((1,), 2)[0][1]))
     assert count_lattice_points(c, theta) == 1
+
+
+# ---------------------------------------------------------------------------
+# per-cone geometry: certificates and size reduction
+
+
+GEOMETRY_CONES = ((2, 2), (2, 3), (3, 2), (3, 3), (3, 4))
+
+
+def assert_certificates_valid(geo):
+    """Every certificate is y >= 0 with (-R)^T y = +-e_j, checked exactly."""
+    from fractions import Fraction
+    F = len(geo.R)
+    for j in range(geo.d):
+        for sign, y in ((1, geo.up_cert[j]), (-1, geo.dn_cert[j])):
+            assert len(y) == F
+            assert all(isinstance(v, Fraction) and v >= 0 for v in y)
+            for k in range(geo.d):
+                assert sum(-geo.R[f][k] * y[f] for f in range(F)) == \
+                    (sign if k == j else 0)
+
+
+def counting_solve_lp(monkeypatch):
+    import hivekron.polyhedra as P
+    calls = []
+    real = P.solve_lp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(P, "solve_lp", counted)
+    return calls
+
+
+def test_certificates_certified_from_float_guess(monkeypatch):
+    import hivekron.polyhedra as P
+    calls = counting_solve_lp(monkeypatch)
+    for lm in GEOMETRY_CONES:
+        geo = P._FibreGeometry(build_cone(*lm))
+        assert_certificates_valid(geo)
+    assert not calls
+
+
+@pytest.mark.parametrize("guess", ["none", "wrong"])
+def test_certificates_fall_back_to_exact_lp(monkeypatch, guess):
+    import hivekron.polyhedra as P
+    c = build_cone(2, 3)
+    rng = random.Random(23)
+    thetas = [FibreQuery(tuple(rng.randint(-2, 2) for _ in range(7)))
+              for _ in range(10)]
+    thetas.append(FibreQuery(sigma_of((2, 1), (2, 1), 2) + (2, 1, 0)))
+    thetas.append(FibreQuery(sigma_of((3, 1), (2, 2), 2) + (2, 2, 0)))
+    monkeypatch.setattr(P, "_GEOMETRY_CACHE", {})
+    expected = [count_lattice_points(c, th) for th in thetas]
+    calls = counting_solve_lp(monkeypatch)
+    if guess == "none":
+        monkeypatch.setattr(P, "float_basis", lambda *a, **k: None)
+    else:
+        # one basic column cannot carry every +-e_j: the check must refuse
+        monkeypatch.setattr(P, "float_basis", lambda *a, **k: {0: 1.0})
+    monkeypatch.setattr(P, "_GEOMETRY_CACHE", {})
+    assert [count_lattice_points(c, th) for th in thetas] == expected
+    geo = P._GEOMETRY_CACHE[c]
+    assert_certificates_valid(geo)
+    if guess == "none":
+        assert len(calls) == 2 * geo.d
+    assert calls
+
+
+def fraction_size_reduce(rows, passes=3):
+    """Reference: size reduction against Fraction Gram-Schmidt vectors."""
+    from fractions import Fraction
+    n = len(rows)
+    b = [list(r) for r in rows]
+    if n <= 1:
+        return b
+
+    def norm2(v):
+        return sum(x * x for x in v)
+
+    for _ in range(passes):
+        b.sort(key=norm2)
+        star = []
+        norms = []
+        changed = False
+        for i in range(n):
+            for j in range(len(star) - 1, -1, -1):
+                if norms[j] == 0:
+                    continue
+                mu = sum(Fraction(x) * y
+                         for x, y in zip(b[i], star[j])) / norms[j]
+                r = mu.numerator // mu.denominator
+                if 2 * (mu - r) > 1:
+                    r += 1
+                if r:
+                    b[i] = [x - r * y for x, y in zip(b[i], b[j])]
+                    changed = True
+            v = [Fraction(x) for x in b[i]]
+            for j in range(len(star)):
+                if norms[j]:
+                    mu = sum(Fraction(x) * y
+                             for x, y in zip(b[i], star[j])) / norms[j]
+                    v = [a - mu * c for a, c in zip(v, star[j])]
+            star.append(v)
+            norms.append(norm2(v))
+        if not changed:
+            break
+    return b
+
+
+def test_size_reduce_matches_fraction_reference():
+    from hivekron.polyhedra import _size_reduce
+    for lm in GEOMETRY_CONES:
+        c = build_cone(*lm)
+        rows = [[c.grading[v][t] for v in range(c.ambient_dim)]
+                for t in range(len(c.grading[0]))]
+        kernel = _hnf_solve(rows, [0] * len(rows))[1]
+        embedded = [list(kv) + [sum(f[v] * kv[v] for v in range(len(kv)))
+                                for f in c.facets] for kv in kernel]
+        assert _size_reduce(embedded) == fraction_size_reduce(embedded)
+    # small random bases hit exact half-integer coefficients (ties)
+    rng = random.Random(5)
+    tried = 0
+    while tried < 40:
+        n = rng.randint(2, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(n + 1)] for _ in range(n)]
+        if rank(rows) < n:
+            continue
+        tried += 1
+        embedded = [r + [2 * x for x in r] for r in rows]
+        assert _size_reduce(embedded) == fraction_size_reduce(embedded)
+
+
+def rank(rows):
+    from fractions import Fraction
+    m = [[Fraction(x) for x in r] for r in rows]
+    rk = 0
+    for col in range(len(m[0])):
+        piv = next((r for r in range(rk, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rk], m[piv] = m[piv], m[rk]
+        for r in range(rk + 1, len(m)):
+            f = m[r][col] / m[rk][col]
+            m[r] = [a - f * b for a, b in zip(m[r], m[rk])]
+        rk += 1
+    return rk

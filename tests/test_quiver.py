@@ -135,3 +135,18 @@ def test_frozen_weights_never_altered():
     w2 = mutate_weights(Q, w, V(1))
     assert w2[V(2)] == (5,) and w2[V(3)] == (5,)
     assert not weight_defect(mutate_quiver(Q, V(1)), w2)
+
+
+def test_vertex_json_codec_roundtrip():
+    from hivekron.diamonds import build_bar, build_tilde
+    from hivekron.quiver import det_vertex, vertex_from_json, vertex_to_json
+    # the form cone and quiver files (and the cone cache) are written in
+    assert vertex_to_json(det_vertex(3)) == ["det", "3"]
+    assert vertex_to_json(hive_vertex(2, 1, 0, True)) == \
+        ["hive", "2", "1", "0", "1"]
+    for builder in (build_tilde, build_bar):
+        Q, _ = builder(3, 3)
+        for v in Q.vertices:
+            item = vertex_to_json(v)
+            assert all(isinstance(x, str) for x in item)
+            assert vertex_from_json(item) == v
