@@ -14,13 +14,11 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 from . import __version__
 from .diamonds import build_bar, build_tilde
-from .errors import (HivekronError, OutOfRange, SizeTooLargeForOracle,
-                     UnboundedFibre)
-from .kron import kronecker, kronecker_oracle, partition
+from .errors import HivekronError, SizeTooLargeForOracle, UnboundedFibre
+from .kron import ORACLE_BOUND, kronecker, kronecker_oracle, partition
 from .polyhedra import (Cone, FibreQuery, build_cone, cone_from_json,
                         cone_to_json, count_lattice_points)
 from .quiver import make_quiver, vertex_from_json, vertex_to_json
@@ -31,26 +29,6 @@ EXIT_UNBOUNDED = 3
 
 CACHE_ENV = "HIVEKRON_CACHE_DIR"
 CACHE_VERSION = "1"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    cache_dir: str = None
-    workers: int = 1
-    oracle_bound: int = 12
-    level: str = "quick"
-
-    def __post_init__(self):
-        if self.workers < 1:
-            raise OutOfRange(f"worker count must be >= 1, got {self.workers}")
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        return cls(cache_dir=getattr(args, "cache_dir", None)
-                   or os.environ.get(CACHE_ENV),
-                   workers=getattr(args, "workers", 1),
-                   oracle_bound=getattr(args, "oracle_bound", 12),
-                   level=getattr(args, "level", "quick"))
 
 
 def _parse_partition(text: str):
@@ -141,12 +119,11 @@ def cached_cone(l: int, m: int, cdir=None) -> Cone:
 
 
 def cmd_coeff(args) -> int:
-    cfg = RunConfig.from_args(args)
     mu = _parse_partition(args.mu)
     nu = _parse_partition(args.nu)
     lam = _parse_partition(args.lam)
     try:
-        res = kronecker(mu, nu, lam, l=args.l, m=args.m, workers=cfg.workers)
+        res = kronecker(mu, nu, lam, l=args.l, m=args.m, workers=args.workers)
     except UnboundedFibre as exc:
         print(f"unbounded fibre: {exc}", file=sys.stderr)
         return EXIT_UNBOUNDED
@@ -168,10 +145,10 @@ def cmd_coeff(args) -> int:
         print(res.value)
     if args.verify:
         try:
-            expected = kronecker_oracle(mu, nu, lam, bound=cfg.oracle_bound)
+            expected = kronecker_oracle(mu, nu, lam, bound=args.oracle_bound)
         except SizeTooLargeForOracle:
             print(f"warning: |mu| exceeds the oracle bound "
-                  f"{cfg.oracle_bound}; result is unverified",
+                  f"{args.oracle_bound}; result is unverified",
                   file=sys.stderr)
             return 0
         if expected != res.value:
@@ -186,7 +163,7 @@ def cmd_oracle(args) -> int:
     nu = _parse_partition(args.nu)
     lam = _parse_partition(args.lam)
     try:
-        print(kronecker_oracle(mu, nu, lam, bound=RunConfig.from_args(args).oracle_bound))
+        print(kronecker_oracle(mu, nu, lam, bound=args.oracle_bound))
     except HivekronError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -212,7 +189,7 @@ def cmd_build_quiver(args) -> int:
 
 def cmd_cone(args) -> int:
     try:
-        cone = cached_cone(args.l, args.m, RunConfig.from_args(args).cache_dir)
+        cone = cached_cone(args.l, args.m, args.cache_dir)
     except HivekronError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -225,11 +202,10 @@ def cmd_cone(args) -> int:
 
 
 def cmd_count(args) -> int:
-    cfg = RunConfig.from_args(args)
     try:
         theta = tuple(int(x) for x in args.theta.split(","))
-        cone = cached_cone(args.l, args.m, cfg.cache_dir)
-        n = count_lattice_points(cone, FibreQuery(theta), workers=cfg.workers)
+        cone = cached_cone(args.l, args.m, args.cache_dir)
+        n = count_lattice_points(cone, FibreQuery(theta), workers=args.workers)
     except UnboundedFibre as exc:
         print(f"unbounded fibre: {exc}", file=sys.stderr)
         return EXIT_UNBOUNDED
@@ -242,9 +218,8 @@ def cmd_count(args) -> int:
 
 def cmd_validate(args) -> int:
     from .validate import run_validation
-    cfg = RunConfig.from_args(args)
     try:
-        report = run_validation(args.l, args.m, level=cfg.level,
+        report = run_validation(args.l, args.m, level=args.level,
                                 seed=args.seed)
     except HivekronError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -262,7 +237,7 @@ def make_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_cache(q):
-        q.add_argument("--cache-dir", default=None,
+        q.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV),
                        help=f"cone cache directory (default ${CACHE_ENV})")
 
     q = sub.add_parser("coeff", help="compute a Kronecker coefficient")
@@ -272,7 +247,7 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--l", type=int, default=None)
     q.add_argument("--m", type=int, default=None)
     q.add_argument("--workers", type=int, default=1)
-    q.add_argument("--oracle-bound", type=int, default=12)
+    q.add_argument("--oracle-bound", type=int, default=ORACLE_BOUND)
     q.add_argument("--verify", action="store_true",
                    help="cross-check against the character oracle")
     q.add_argument("--json", action="store_true")
@@ -282,7 +257,7 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--mu", required=True)
     q.add_argument("--nu", required=True)
     q.add_argument("--lam", required=True)
-    q.add_argument("--oracle-bound", type=int, default=12)
+    q.add_argument("--oracle-bound", type=int, default=ORACLE_BOUND)
     q.set_defaults(func=cmd_oracle)
 
     q = sub.add_parser("build-quiver", help="emit a quiver + weights as JSON")

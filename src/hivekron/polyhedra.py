@@ -3,7 +3,7 @@
 The cone is cut out by the submodule dimension vectors of the boundary
 and diagonal modules; its fibres under the weight grading are enumerated
 by a depth-first search over an integral parametrization of the fibre
-lattice, pruned by exact interval propagation with LP tightening.
+lattice, pruned by exact interval propagation.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .diamonds import build_bar
-from .errors import UnboundedFibre
-from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, float_basis, solve_lp
+from .errors import OutOfRange, UnboundedFibre
+from .lp import OPTIMAL, float_basis, solve_lp
 from .pathmods import boundary_path, diagonal_module, submodule_dims
 from .quiver import VertexId, vertex_from_json, vertex_to_json
 
@@ -83,46 +83,6 @@ def build_cone(l: int, m: int) -> Cone:
                 facets.append(vec)
     grading = tuple(tuple(sigma[v]) for v in vorder)
     return Cone(l, m, vorder, tuple(facets), grading)
-
-
-# ---------------------------------------------------------------------------
-# exact LP over a fibre
-
-
-@dataclass(frozen=True)
-class LpExtent:
-    status: str            # "interval", "infeasible", "unbounded"
-    lo: Fraction = None
-    hi: Fraction = None
-
-
-def lp_extent(c: Cone, theta: FibreQuery, coord: VertexId,
-              fixed: dict = None) -> LpExtent:
-    """Exact min/max of one coordinate over the fibre polyhedron."""
-    fixed = fixed or {}
-    n = c.ambient_dim
-    k = c.vertices.index(coord)
-    A_ub = [[-x for x in f] for f in c.facets]          # facets: f.g >= 0
-    b_ub = [0] * len(c.facets)
-    A_eq = [[c.grading[v][t] for v in range(n)] for t in range(len(theta.theta))]
-    b_eq = list(theta.theta)
-    for v, val in fixed.items():
-        row = [0] * n
-        row[c.vertices.index(v)] = 1
-        A_eq.append(row)
-        b_eq.append(int(val))
-    obj = [0] * n
-    obj[k] = 1
-    st_lo, lo, _ = solve_lp(obj, A_ub, b_ub, A_eq, b_eq)
-    if st_lo == INFEASIBLE:
-        return LpExtent("infeasible")
-    obj[k] = -1
-    st_hi, hi, _ = solve_lp(obj, A_ub, b_ub, A_eq, b_eq)
-    if st_lo == UNBOUNDED or st_hi == UNBOUNDED:
-        return LpExtent("unbounded",
-                        lo if st_lo == OPTIMAL else None,
-                        -hi if st_hi == OPTIMAL else None)
-    return LpExtent("interval", lo, -hi)
 
 
 # ---------------------------------------------------------------------------
@@ -197,46 +157,58 @@ def _hnf_solve(rows, target):
 # counting
 
 
-_I64_MIN = -(2 ** 63)
-_I64_MAX = 2 ** 63 - 1
+# int64 magnitude below which the DFS arithmetic cannot overflow
+_INT64_SAFE = 2 ** 61
+
+
+def _tighten(R, Rpos, Rneg, res, lo, hi, idx):
+    """Propagate the facets over the free coordinates idx to a fixpoint.
+
+    Facet f gives c_j z_j >= -res_f - (best case of the other free
+    coordinates over their boxes); exact floor division tightens lo and hi
+    in place.  Returns False when the box is empty.
+    """
+    import numpy as np
+
+    sub = R[:, idx]
+    pos = sub > 0
+    neg = sub < 0
+    if bool((res[~(pos | neg).any(axis=1)] < 0).any()):
+        return False
+    has_pos, has_neg = bool(pos.any()), bool(neg.any())
+    pos_div = np.where(pos, sub, 1)
+    neg_div = np.where(neg, sub, 1)
+    Rp, Rn = Rpos[:, idx], Rneg[:, idx]
+    while True:
+        lo_i, hi_i = lo[idx], hi[idx]
+        maxc = Rp * hi_i + Rn * lo_i
+        rest = (res + maxc.sum(axis=1))[:, None] - maxc
+        changed = False
+        if has_pos:
+            new_lo = np.where(pos, -(rest // pos_div), lo_i).max(axis=0)
+            if bool((new_lo > lo_i).any()):
+                lo[idx] = new_lo
+                changed = True
+        if has_neg:
+            new_hi = np.where(neg, (-rest) // neg_div, hi_i).min(axis=0)
+            if bool((new_hi < hi_i).any()):
+                hi[idx] = new_hi
+                changed = True
+        if bool((lo[idx] > hi[idx]).any()):
+            return False
+        if not changed:
+            return True
 
 
 def _np_rec(R, Rpos, Rneg, res, lo, hi, free):
-    """Exact int64 DFS: propagate boxes, fix singletons, branch narrowest."""
+    """Exact DFS: propagate boxes, fix singletons, branch narrowest."""
     import numpy as np
 
-    while True:
-        if not free:
-            return 1 if bool((res >= 0).all()) else 0
-        idx = np.array(free, dtype=np.intp)
-        sub = R[:, idx]
-        maxc = Rpos[:, idx] * hi[idx] + Rneg[:, idx] * lo[idx]
-        slack = res + maxc.sum(axis=1)
-        pos = sub > 0
-        neg = sub < 0
-        untouched = ~(pos | neg).any(axis=1)
-        if bool((slack[untouched] < 0).any()):
-            return 0
-        rest = slack[:, None] - maxc
-        changed = False
-        if bool(pos.any()):
-            cand = np.where(pos, -(rest // np.where(pos, sub, 1)), _I64_MIN)
-            new_lo = cand.max(axis=0)
-            upd = new_lo > lo[idx]
-            if bool(upd.any()):
-                lo[idx[upd]] = new_lo[upd]
-                changed = True
-        if bool(neg.any()):
-            cand = np.where(neg, (-rest) // np.where(neg, sub, 1), _I64_MAX)
-            new_hi = cand.min(axis=0)
-            upd = new_hi < hi[idx]
-            if bool(upd.any()):
-                hi[idx[upd]] = new_hi[upd]
-                changed = True
-        if bool((lo[idx] > hi[idx]).any()):
-            return 0
-        if not changed:
-            break
+    if not free:
+        return 1 if bool((res >= 0).all()) else 0
+    idx = np.array(free, dtype=np.intp)
+    if not _tighten(R, Rpos, Rneg, res, lo, hi, idx):
+        return 0
     widths = hi[idx] - lo[idx]
     singles = widths == 0
     if bool(singles.any()):
@@ -260,119 +232,43 @@ def _np_rec(R, Rpos, Rneg, res, lo, hi, free):
 
 
 def _np_count(Rrows, r0, lo, hi, workers: int = 1):
-    """Vectorized exact count; None when int64 magnitude cannot be assured."""
+    """Exact count by the vectorized DFS, on int64 or on Python integers.
+
+    Boxes only shrink, so the bound taken on the initial boxes covers every
+    intermediate value; int64 runs when it is below _INT64_SAFE, object
+    arrays of Python integers otherwise.
+    """
     import numpy as np
 
-    F = len(Rrows)
-    d = len(Rrows[0]) if F else 0
+    d = len(lo)
     max_r = max((abs(x) for row in Rrows for x in row), default=0)
     max_b = max([abs(x) for x in lo] + [abs(x) for x in hi] + [1])
     max_res = max((abs(x) for x in r0), default=0)
-    # boxes only shrink, so every intermediate int64 stays below this bound
-    if max_res + (2 * d + 2) * max_r * max_b >= 2 ** 61:
-        return None
-    R = np.array(Rrows, dtype=np.int64)
+    safe = max_res + (2 * d + 2) * max_r * max_b < _INT64_SAFE
+    dtype = np.int64 if safe else object
+    R = np.array(Rrows, dtype=dtype)
     Rpos = np.maximum(R, 0)
     Rneg = np.minimum(R, 0)
-    res0 = np.array(r0, dtype=np.int64)
-    lo0 = np.array(lo, dtype=np.int64)
-    hi0 = np.array(hi, dtype=np.int64)
+    res0 = np.array(r0, dtype=dtype)
+    lo0 = np.array(lo, dtype=dtype)
+    hi0 = np.array(hi, dtype=dtype)
     free0 = list(range(d))
-    if workers <= 1:
-        return _np_rec(R, Rpos, Rneg, res0, lo0, hi0, free0)
-    widths = hi0 - lo0
-    j = int(np.argmax(widths))
-    if int(widths[j]) == 0:
-        return _np_rec(R, Rpos, Rneg, res0, lo0, hi0, free0)
-    col = R[:, j]
-    rest_free = [i for i in free0 if i != j]
-    branches = [(R, Rpos, Rneg, res0 + v * col, lo0.copy(), hi0.copy(),
-                 rest_free) for v in range(int(lo0[j]), int(hi0[j]) + 1)]
-    import multiprocessing as mp
-    ctx = mp.get_context("fork")
-    with ctx.Pool(processes=min(workers, len(branches))) as pool:
-        parts = pool.starmap(_np_rec, branches)
-    return sum(parts)
-
-
-def _propagate(res, Rcols, lo, hi, free, rounds=2):
-    """Tighten the boxes of the free coordinates; None when infeasible.
-
-    Each facet f gives c_j z_j >= -res_f - (best case of the other free
-    coordinates over their boxes); exact integer ceil/floor division.
-    Returns updated (lo, hi) copies.
-    """
-    lo = dict(lo)
-    hi = dict(hi)
-    F = len(res)
-    for _ in range(rounds):
-        changed = False
-        # optimistic slack per facet under the current boxes
-        slack = list(res)
-        for i in free:
-            ci_col = Rcols[i]
-            li, hi_i = lo[i], hi[i]
-            for f in range(F):
-                ci = ci_col[f]
-                if ci > 0:
-                    slack[f] += ci * hi_i
-                elif ci < 0:
-                    slack[f] += ci * li
-        for f in range(F):
-            if slack[f] >= 0:
-                continue
-            # some coordinate must move; derive bounds from this facet
-            deficit = slack[f]
-            fixable = False
-            for j in free:
-                cj = Rcols[j][f]
-                if cj == 0:
-                    continue
-                # remove j's optimistic contribution, bound c_j z_j
-                rest = deficit - (cj * hi[j] if cj > 0 else cj * lo[j])
-                if cj > 0:
-                    cand = -(rest // cj)          # ceil(-rest / cj)
-                    if cand > lo[j]:
-                        lo[j] = cand
-                        changed = True
-                    if lo[j] > hi[j]:
-                        return None
-                    fixable = True
-                else:
-                    cand = (-rest) // cj          # floor(-rest / cj)
-                    if cand < hi[j]:
-                        hi[j] = cand
-                        changed = True
-                    if lo[j] > hi[j]:
-                        return None
-                    fixable = True
-            if not fixable:
-                return None
-        if not changed:
-            break
-    return lo, hi
-
-
-def _dfs_count(res, Rcols, free, lo, hi):
-    """Count integer points; res holds facet residuals for the fixed prefix."""
-    if not free:
-        return 1 if all(x >= 0 for x in res) else 0
-    prop = _propagate(res, Rcols, lo, hi, free)
-    if prop is None:
-        return 0
-    lo, hi = prop
-    j = min(free, key=lambda i: (hi[i] - lo[i], i))
-    rest = [i for i in free if i != j]
-    col = Rcols[j]
-    a, b = lo[j], hi[j]
-    total = 0
-    base = [res[f] + a * col[f] for f in range(len(res))]
-    for val in range(a, b + 1):
-        total += _dfs_count(base, Rcols, rest, lo, hi)
-        if val < b:
-            for f in range(len(base)):
-                base[f] += col[f]
-    return total
+    if workers > 1:
+        # split the widest coordinate of the tightened root box
+        if not _tighten(R, Rpos, Rneg, res0, lo0, hi0, np.arange(d)):
+            return 0
+        j = int(np.argmax(hi0 - lo0))
+        if hi0[j] > lo0[j]:
+            col = R[:, j]
+            rest_free = [i for i in free0 if i != j]
+            branches = [(R, Rpos, Rneg, res0 + v * col, lo0.copy(),
+                         hi0.copy(), rest_free)
+                        for v in range(int(lo0[j]), int(hi0[j]) + 1)]
+            import multiprocessing as mp
+            ctx = mp.get_context("fork")
+            with ctx.Pool(processes=min(workers, len(branches))) as pool:
+                return sum(pool.starmap(_np_rec, branches))
+    return _np_rec(R, Rpos, Rneg, res0, lo0, hi0, free0)
 
 
 def _size_reduce(rows, passes=3):
@@ -526,41 +422,6 @@ class _FibreGeometry:
         return lo, hi
 
 
-def _root_tighten(r0, Rcols, lo, hi, d):
-    """Strong fixpoint propagation of the root boxes (all facets)."""
-    F = len(r0)
-    for _ in range(3 * d):
-        changed = False
-        for f in range(F):
-            slack = r0[f]
-            for i in range(d):
-                ci = Rcols[i][f]
-                if ci > 0:
-                    slack += ci * hi[i]
-                elif ci < 0:
-                    slack += ci * lo[i]
-            for j in range(d):
-                cj = Rcols[j][f]
-                if cj == 0:
-                    continue
-                rest = slack - (cj * hi[j] if cj > 0 else cj * lo[j])
-                if cj > 0:
-                    cand = -(rest // cj)
-                    if cand > lo[j]:
-                        lo[j] = cand
-                        changed = True
-                else:
-                    cand = (-rest) // cj
-                    if cand < hi[j]:
-                        hi[j] = cand
-                        changed = True
-                if lo[j] > hi[j]:
-                    return None
-        if not changed:
-            break
-    return lo, hi
-
-
 _GEOMETRY_CACHE: dict = {}
 
 
@@ -574,6 +435,8 @@ def _geometry(c: Cone) -> "_FibreGeometry":
 
 def count_lattice_points(c: Cone, theta, workers: int = 1) -> int:
     """Exact number of integer points of the fibre polytope at theta."""
+    if workers < 1:
+        raise OutOfRange(f"worker count must be >= 1, got {workers}")
     if not isinstance(theta, FibreQuery):
         theta = FibreQuery(tuple(theta))
     if len(theta.theta) != 2 * c.l + c.m:
@@ -582,58 +445,10 @@ def count_lattice_points(c: Cone, theta, workers: int = 1) -> int:
     r0 = geo.solve_theta(theta.theta)
     if r0 is None:
         return 0
-    d = geo.d
-    if d == 0:
+    if geo.d == 0:
         return 1 if all(x >= 0 for x in r0) else 0
     lo, hi = geo.boxes(r0)
-    if any(a > b for a, b in zip(lo, hi)):
-        return 0
-    Rcols = [[geo.R[f][j] for f in range(len(geo.R))] for j in range(d)]
-    tightened = _root_tighten(r0, Rcols, lo, hi, d)
-    if tightened is None:
-        return 0
-    lo, hi = tightened
-    fast = _np_count(geo.R, r0, lo, hi, workers=workers)
-    if fast is not None:
-        return fast
-    free = list(range(d))
-    lo = {j: lo[j] for j in free}
-    hi = {j: hi[j] for j in free}
-    if workers <= 1:
-        return _dfs_count(list(r0), Rcols, free, lo, hi)
-    return _count_parallel(r0, Rcols, free, lo, hi, workers)
-
-
-def _branch_args(r0, Rcols, free, lo, hi):
-    prop = _propagate(r0, Rcols, lo, hi, free)
-    if prop is None:
-        return []
-    lo, hi = prop
-    j = max(free, key=lambda i: (hi[i] - lo[i], i))  # widest: balanced split
-    rest = [i for i in free if i != j]
-    col = Rcols[j]
-    out = []
-    for val in range(lo[j], hi[j] + 1):
-        res = [r0[f] + val * col[f] for f in range(len(r0))]
-        out.append((res, Rcols, rest, lo, hi))
-    return out
-
-
-def _worker(args):
-    return _dfs_count(args[0], args[1], args[2], args[3], args[4])
-
-
-def _count_parallel(r0, Rcols, free, lo, hi, workers: int) -> int:
-    import multiprocessing as mp
-    branches = _branch_args(list(r0), Rcols, free, lo, hi)
-    if not branches:
-        return 0
-    if len(branches) == 1 or workers <= 1:
-        return sum(_worker(b) for b in branches)
-    ctx = mp.get_context("fork")
-    with ctx.Pool(processes=min(workers, len(branches))) as pool:
-        parts = pool.map(_worker, branches)
-    return sum(parts)
+    return _np_count(geo.R, r0, lo, hi, workers=workers)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 import itertools
 import random
+from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hivekron.kron import lambda_shifts, sigma_of
+from hivekron.kron import lambda_shifts, partitions_of, sigma_of
+from hivekron.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 from hivekron.polyhedra import (Cone, FibreQuery, _hnf_solve, build_cone,
                                 cone_from_json, cone_to_json,
-                                count_lattice_points, lp_extent)
-from hivekron.quiver import hive_vertex
+                                count_lattice_points)
+from hivekron.quiver import VertexId, hive_vertex
 
 
 def test_cone_333_facets(small_builds):
@@ -51,6 +54,46 @@ def test_cone_json_roundtrip(small_builds):
     again = cone_from_json(cone_to_json(c))
     assert again == c
     assert cone_to_json(again) == cone_to_json(c)
+
+
+# ---------------------------------------------------------------------------
+# exact LP extent of one coordinate over a fibre (oracle for brute force)
+
+
+@dataclass(frozen=True)
+class LpExtent:
+    status: str            # "interval", "infeasible", "unbounded"
+    lo: Fraction = None
+    hi: Fraction = None
+
+
+def lp_extent(c: Cone, theta: FibreQuery, coord: VertexId,
+              fixed: dict = None) -> LpExtent:
+    """Exact min/max of one coordinate over the fibre polyhedron."""
+    fixed = fixed or {}
+    n = c.ambient_dim
+    k = c.vertices.index(coord)
+    A_ub = [[-x for x in f] for f in c.facets]          # facets: f.g >= 0
+    b_ub = [0] * len(c.facets)
+    A_eq = [[c.grading[v][t] for v in range(n)] for t in range(len(theta.theta))]
+    b_eq = list(theta.theta)
+    for v, val in fixed.items():
+        row = [0] * n
+        row[c.vertices.index(v)] = 1
+        A_eq.append(row)
+        b_eq.append(int(val))
+    obj = [0] * n
+    obj[k] = 1
+    st_lo, lo, _ = solve_lp(obj, A_ub, b_ub, A_eq, b_eq)
+    if st_lo == INFEASIBLE:
+        return LpExtent("infeasible")
+    obj[k] = -1
+    st_hi, hi, _ = solve_lp(obj, A_ub, b_ub, A_eq, b_eq)
+    if st_lo == UNBOUNDED or st_hi == UNBOUNDED:
+        return LpExtent("unbounded",
+                        lo if st_lo == OPTIMAL else None,
+                        -hi if st_hi == OPTIMAL else None)
+    return LpExtent("interval", lo, -hi)
 
 
 def test_lp_extent_statuses(small_builds):
@@ -125,6 +168,24 @@ def test_worker_count_invariance(small_builds):
             count_lattice_points(c, theta, workers=4)
 
 
+def test_worker_count_invariance_33(small_builds):
+    # root boxes 3 and 4 wide after propagation: the split forks a pool
+    c = build_cone(3, 3)
+    thetas = [sigma_of(lam, lam, 3) + shifted
+              for lam in ((3, 2, 1), (4, 2, 2))
+              for _, shifted, _ in lambda_shifts(lam, 3)]
+    for theta in thetas:
+        assert count_lattice_points(c, theta, workers=2) == \
+            count_lattice_points(c, theta, workers=1)
+
+
+def test_zero_workers_rejected(small_builds):
+    from hivekron.errors import OutOfRange
+    from hivekron.kron import kronecker
+    with pytest.raises(OutOfRange):
+        kronecker((2, 1), (2, 1), (2, 1), workers=0)
+
+
 def test_facet_essentiality_22(small_builds):
     """Removing any facet enlarges the cone (checked by exact LP)."""
     from hivekron.lp import OPTIMAL, solve_lp
@@ -151,18 +212,40 @@ def test_facet_essentiality_22(small_builds):
         assert val < 0, f"facet {drop} is not essential"
 
 
+def fibres_33(k, seed):
+    """k distinct (3,3) fibres sigma + lambda shift of three-row shapes, n <= 6."""
+    shapes = [p for n in range(1, 7) for p in partitions_of(n, 3)]
+    thetas = sorted({sigma_of(mu, nu, 3) + shifted
+                     for mu in shapes for nu in shapes if sum(mu) == sum(nu)
+                     for lam in shapes if sum(lam) == sum(mu)
+                     for _, shifted, _ in lambda_shifts(lam, 3)})
+    return random.Random(seed).sample(thetas, k)
+
+
 def test_python_fallback_matches_numpy(small_builds, monkeypatch):
-    # the pure-Python DFS must agree with the vectorized path
+    # the DFS on Python integers (dtype=object) must agree with int64
     import hivekron.polyhedra as P
-    c = build_cone(2, 3)
+    c23, c33 = build_cone(2, 3), build_cone(3, 3)
     rng = random.Random(99)
-    thetas = [FibreQuery(tuple(rng.randint(-2, 2) for _ in range(7)))
+    fibres = [(c23, FibreQuery(tuple(rng.randint(-2, 2) for _ in range(7))))
               for _ in range(10)]
-    thetas.append(FibreQuery(sigma_of((2, 1), (2, 1), 2) + (2, 1, 0)))
-    fast = [count_lattice_points(c, th) for th in thetas]
-    monkeypatch.setattr(P, "_np_count", lambda *a, **k: None)
-    slow = [count_lattice_points(c, th) for th in thetas]
+    fibres.append((c23, FibreQuery(sigma_of((2, 1), (2, 1), 2) + (2, 1, 0))))
+    fibres += [(c33, FibreQuery(th)) for th in fibres_33(30, 33)]
+    dtypes = set()
+    real = P._np_rec
+
+    def spy(R, *args):
+        dtypes.add(R.dtype.name)
+        return real(R, *args)
+    monkeypatch.setattr(P, "_np_rec", spy)
+    fast = [count_lattice_points(c, th) for c, th in fibres]
+    assert dtypes == {"int64"}
+    dtypes.clear()
+    monkeypatch.setattr(P, "_INT64_SAFE", 0)
+    slow = [count_lattice_points(c, th) for c, th in fibres]
+    assert dtypes == {"object"}
     assert fast == slow
+    assert sum(1 for n in fast[11:] if n > 1) >= 10
 
 
 def test_unbounded_fibre_detected():

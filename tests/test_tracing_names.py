@@ -1,0 +1,20 @@
+"""The names the benchmark's tracer wraps must exist in the program.
+
+A name that is missing is reported by the tracer as absent and its layer
+silently drops out of the per-layer metrics, so pin them here.
+"""
+
+import importlib
+import os
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
+
+
+def test_wrapped_names_resolve(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    assert tracing.WRAPPED
+    for modname, attr, _layer in tracing.WRAPPED:
+        module = importlib.import_module(modname)
+        assert callable(getattr(module, attr, None)), f"{modname}.{attr}"
