@@ -11,14 +11,14 @@ from .diamonds import (HiveSpec, build_bar, build_tilde, canonical_vertex,
                        hive, twist_sequence)
 from .kron import kronecker, kronecker_oracle, mn_character
 from .pathmods import PathModule, boundary_path, diagonal_module, submodule_dims
-from .polyhedra import Cone, FibreQuery, build_cone, count_lattice_points
+from .polyhedra import Cone, build_cone, count_lattice_points
 from .quiver import (BMatrix, IceQuiver, VertexId, b_matrix, det_vertex,
                      hive_vertex, mutate_quiver, mutate_weights)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BMatrix", "Cone", "FibreQuery", "HiveSpec", "IceQuiver",
+    "BMatrix", "Cone", "HiveSpec", "IceQuiver",
     "PathModule", "VertexId", "b_matrix", "boundary_path", "build_bar",
     "build_cone", "build_tilde", "canonical_vertex", "count_lattice_points",
     "det_vertex", "diagonal_module", "hive", "hive_vertex", "kronecker",

@@ -3,7 +3,8 @@
 All integers in emitted JSON are decimal strings.  The cone cache lives
 under $HIVEKRON_CACHE_DIR (or --cache-dir); files are content-hashed and
 rewritten atomically, so a corrupt cache entry, or one holding another
-(l, m), triggers a rebuild rather than a wrong answer.
+(l, m), triggers a rebuild rather than a wrong answer.  Commands raise;
+`main` turns an error into one stderr line and an exit code.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ import tempfile
 
 from . import __version__
 from .diamonds import build_bar, build_tilde
-from .errors import HivekronError, SizeTooLargeForOracle, UnboundedFibre
+from .errors import (HivekronError, OutOfRange, SizeTooLargeForOracle,
+                     UnboundedFibre)
 from .kron import ORACLE_BOUND, kronecker, kronecker_oracle, partition
-from .polyhedra import (Cone, FibreQuery, build_cone, cone_from_json,
-                        cone_to_json, count_lattice_points)
+from .polyhedra import (Cone, build_cone, cone_from_json, cone_to_json,
+                        count_lattice_points)
 from .quiver import make_quiver, vertex_from_json, vertex_to_json
 
 EXIT_USAGE = 1
@@ -31,11 +33,16 @@ CACHE_ENV = "HIVEKRON_CACHE_DIR"
 CACHE_VERSION = "1"
 
 
-def _parse_partition(text: str):
+def _parse_ints(text: str, convert=tuple):
+    """Comma-separated integers passed to convert; OutOfRange if bad."""
     try:
-        return partition(int(x) for x in text.split(",") if x.strip() != "")
-    except (ValueError, HivekronError) as exc:
-        raise SystemExit(f"bad partition {text!r}: {exc}")
+        return convert(int(x) for x in text.split(",") if x.strip() != "")
+    except ValueError as exc:
+        raise OutOfRange(f"bad integer list {text!r}: {exc}") from None
+
+
+def _parse_partition(text: str):
+    return _parse_ints(text, partition)
 
 
 def quiver_to_json(Q, sigma) -> str:
@@ -122,14 +129,7 @@ def cmd_coeff(args) -> int:
     mu = _parse_partition(args.mu)
     nu = _parse_partition(args.nu)
     lam = _parse_partition(args.lam)
-    try:
-        res = kronecker(mu, nu, lam, l=args.l, m=args.m, workers=args.workers)
-    except UnboundedFibre as exc:
-        print(f"unbounded fibre: {exc}", file=sys.stderr)
-        return EXIT_UNBOUNDED
-    except HivekronError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    res = kronecker(mu, nu, lam, l=args.l, m=args.m, workers=args.workers)
     if args.json:
         doc = {
             "value": str(res.value),
@@ -162,23 +162,13 @@ def cmd_oracle(args) -> int:
     mu = _parse_partition(args.mu)
     nu = _parse_partition(args.nu)
     lam = _parse_partition(args.lam)
-    try:
-        print(kronecker_oracle(mu, nu, lam, bound=args.oracle_bound))
-    except HivekronError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    print(kronecker_oracle(mu, nu, lam, bound=args.oracle_bound))
     return 0
 
 
 def cmd_build_quiver(args) -> int:
-    try:
-        if args.stage == "tilde":
-            Q, sigma = build_tilde(args.l, args.m)
-        else:
-            Q, sigma = build_bar(args.l, args.m)
-    except HivekronError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    build = build_tilde if args.stage == "tilde" else build_bar
+    Q, sigma = build(args.l, args.m)
     text = quiver_to_json(Q, sigma)
     if args.out:
         _atomic_write(args.out, text)
@@ -188,12 +178,7 @@ def cmd_build_quiver(args) -> int:
 
 
 def cmd_cone(args) -> int:
-    try:
-        cone = cached_cone(args.l, args.m, args.cache_dir)
-    except HivekronError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    text = cone_to_json(cone)
+    text = cone_to_json(cached_cone(args.l, args.m, args.cache_dir))
     if args.out:
         _atomic_write(args.out, text)
     else:
@@ -202,28 +187,15 @@ def cmd_cone(args) -> int:
 
 
 def cmd_count(args) -> int:
-    try:
-        theta = tuple(int(x) for x in args.theta.split(","))
-        cone = cached_cone(args.l, args.m, args.cache_dir)
-        n = count_lattice_points(cone, FibreQuery(theta), workers=args.workers)
-    except UnboundedFibre as exc:
-        print(f"unbounded fibre: {exc}", file=sys.stderr)
-        return EXIT_UNBOUNDED
-    except (HivekronError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    print(n)
+    theta = _parse_ints(args.theta)
+    cone = cached_cone(args.l, args.m, args.cache_dir)
+    print(count_lattice_points(cone, theta, workers=args.workers))
     return 0
 
 
 def cmd_validate(args) -> int:
     from .validate import run_validation
-    try:
-        report = run_validation(args.l, args.m, level=args.level,
-                                seed=args.seed)
-    except HivekronError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = run_validation(args.l, args.m, level=args.level, seed=args.seed)
     print(json.dumps(report.as_json(), indent=1))
     return 0 if report.ok else EXIT_VERIFY
 
@@ -293,10 +265,14 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; map its errors to one stderr line and an exit code."""
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except HivekronError as exc:
+    except UnboundedFibre as exc:
+        print(f"unbounded fibre: {exc}", file=sys.stderr)
+        return EXIT_UNBOUNDED
+    except (HivekronError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .errors import (LengthExceedsL, LengthExceedsM, SizeMismatch,
                      SizeTooLargeForOracle)
-from .polyhedra import FibreQuery, build_cone, count_lattice_points
+from .polyhedra import build_cone, count_lattice_points
 
 ORACLE_BOUND = 12
 
@@ -126,8 +126,7 @@ def kronecker(mu, nu, lam, l: int = None, m: int = None,
     breakdown = []
     total = 0
     for omega, shifted, sign in lambda_shifts(lam, m):
-        theta = FibreQuery(sigma + shifted)
-        cnt = count_lattice_points(cone, theta, workers=workers)
+        cnt = count_lattice_points(cone, sigma + shifted, workers=workers)
         breakdown.append((omega, shifted, sign, cnt))
         total += sign * cnt
     return KroneckerResult(total, l, m, tuple(breakdown))

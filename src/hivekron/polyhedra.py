@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .diamonds import build_bar
 from .errors import OutOfRange, UnboundedFibre
@@ -32,14 +33,6 @@ class Cone:
     @property
     def ambient_dim(self) -> int:
         return len(self.vertices)
-
-
-@dataclass(frozen=True)
-class FibreQuery:
-    theta: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", tuple(int(x) for x in self.theta))
 
 
 def _normalize_normal(vec):
@@ -89,38 +82,35 @@ def build_cone(l: int, m: int) -> Cone:
 # integral parametrization of a fibre: solve grading^T g = theta over Z
 
 
-def _hnf_solve(rows, target):
-    """All integer solutions of rows . g = target.
+def _hnf(rows):
+    """Column reduction rows . U = M of an integer matrix, U unimodular.
 
-    rows: list of integer row vectors (the transposed grading), target the
-    right-hand side.  Returns (g0, kernel_basis) or None if no integral
-    solution exists.  kernel_basis is a list of integer vectors.
+    Returns (M, U, pivots, rank).  M is in column echelon form: pivots[row]
+    is the column of that row's positive pivot, or None, pivot columns are
+    0..rank-1 in row order, and columns rank.. of M are zero, so columns
+    rank.. of U are a basis of the integer kernel of rows.  The column
+    operations act on M stacked over U, which starts as the identity.
     """
     R = len(rows)
     C = len(rows[0]) if rows else 0
-    M = [list(r) for r in rows]
-    U = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
+    MU = [list(r) for r in rows] + [[int(i == j) for j in range(C)]
+                                    for i in range(C)]
 
     def colop_swap(a, b):
-        for r in range(R):
-            M[r][a], M[r][b] = M[r][b], M[r][a]
-        for r in range(C):
-            U[r][a], U[r][b] = U[r][b], U[r][a]
+        for r in MU:
+            r[a], r[b] = r[b], r[a]
 
     def colop_addmul(dst, src, f):
-        for r in range(R):
-            M[r][dst] += f * M[r][src]
-        for r in range(C):
-            U[r][dst] += f * U[r][src]
+        for r in MU:
+            r[dst] += f * r[src]
 
     def colop_negate(a):
-        for r in range(R):
-            M[r][a] = -M[r][a]
-        for r in range(C):
-            U[r][a] = -U[r][a]
+        for r in MU:
+            r[a] = -r[a]
 
+    M = MU[:R]
     rank = 0
-    pivot_of_row = {}
+    pivots = [None] * R
     for row in range(R):
         piv = next((c for c in range(rank, C) if M[row][c] != 0), None)
         if piv is None:
@@ -133,23 +123,42 @@ def _hnf_solve(rows, target):
                 colop_swap(rank, c)
         if M[row][rank] < 0:
             colop_negate(rank)
-        pivot_of_row[row] = rank
+        pivots[row] = rank
         rank += 1
-    # sequential solve: pivot columns of earlier rows are the only ones with
-    # nonzero entries in the current row besides its own pivot
-    w = [0] * C
-    for row in range(R):
-        acc = sum(M[row][c] * w[c] for c in range(rank))
-        if row in pivot_of_row:
-            p = pivot_of_row[row]
-            num = target[row] - acc
-            if num % M[row][p] != 0:
+    return M, MU[R:], pivots, rank
+
+
+def _back_solve(M, pivots, target):
+    """The integer w with M[:, :rank] . w = target, or None if there is none.
+
+    Row by row, only the pivot columns of earlier rows and the row's own
+    pivot are nonzero, so each pivot fixes one entry of w.
+    """
+    w = []
+    for row, p, t in zip(M, pivots, target):
+        num = t - sum(map(mul, row, w))
+        if p is not None:
+            if num % row[p] != 0:
                 return None
-            w[p] = num // M[row][p]
-        elif acc != target[row]:
+            w.append(num // row[p])
+        elif num != 0:
             return None
-    g0 = [sum(U[r][c] * w[c] for c in range(rank)) for r in range(C)]
-    kernel = [[U[r][c] for r in range(C)] for c in range(rank, C)]
+    return w
+
+
+def _hnf_solve(rows, target):
+    """All integer solutions of rows . g = target.
+
+    rows: list of integer row vectors (the transposed grading), target the
+    right-hand side.  Returns (g0, kernel_basis) or None if no integral
+    solution exists.  kernel_basis is a list of integer vectors.
+    """
+    M, U, pivots, rank = _hnf(rows)
+    w = _back_solve(M, pivots, target)
+    if w is None:
+        return None
+    g0 = [sum(map(mul, u, w)) for u in U]
+    kernel = [[u[c] for u in U] for c in range(rank, len(U))]
     return g0, kernel
 
 
@@ -330,123 +339,112 @@ _CERT_DENOMINATOR = 10 ** 6
 
 
 def _is_certificate(A_eq, b, y):
-    """Exact check, in integers, that y >= 0 and A_eq . y = b."""
+    """(Y, D) with y = Y / D, D the least common denominator, if y >= 0
+    and A_eq . y = b (checked in integers); None otherwise."""
     if any(v < 0 for v in y):
-        return False
+        return None
     D = math.lcm(*(v.denominator for v in y))
     Y = [v.numerator * (D // v.denominator) for v in y]
-    return all(sum(a * w for a, w in zip(row, Y)) == D * t
-               for row, t in zip(A_eq, b))
+    if all(sum(map(mul, row, Y)) == D * t for row, t in zip(A_eq, b)):
+        return Y, D
+    return None
 
 
 class _FibreGeometry:
-    """Per-cone data shared by every fibre query.
+    """Per-cone integer data shared by every fibre query.
 
-    The kernel lattice of the grading and the reduced facet matrix do not
-    depend on the target weight; dual certificates turn per-fibre
-    coordinate bounds into integer dot products.  The kernel basis is
-    size-reduced against the facet image to keep coefficients small (a
-    unimodular change, so lattice-point counts are unaffected).
+    The grading's echelon form M = rows . U is computed once; a target
+    weight theta then costs one back-substitution w and the facet residuals
+    r0 = (facets . U) w.  R is the facet matrix on a kernel basis that is
+    size-reduced against the facet image (a unimodular change, so counts
+    are unaffected).  Dual certificates, integer rows Y with one
+    denominator D each, bound every reduced coordinate by a floor division
+    of Y . r0, so no rational arithmetic runs per fibre.
     """
 
     def __init__(self, c: Cone):
-        self.cone = c
-        rows = [[c.grading[v][t] for v in range(c.ambient_dim)]
-                for t in range(len(c.grading[0]))]
-        zero = _hnf_solve(rows, [0] * len(rows))
-        self.rows = rows
-        kernel = zero[1]
+        n = c.ambient_dim
+        rows = [[g[t] for g in c.grading] for t in range(len(c.grading[0]))]
+        self.M, U, self.pivots, rank = _hnf(rows)
+        self.FU = [[sum(f[v] * U[v][k] for v in range(n)) for k in range(rank)]
+                   for f in c.facets]
+        kernel = [[u[k] for u in U] for k in range(rank, n)]
         if kernel:
-            embedded = [list(kv) + [sum(f[v] * kv[v]
-                                        for v in range(c.ambient_dim))
-                                    for f in c.facets] for kv in kernel]
-            reduced = _size_reduce(embedded)
-            kernel = [row[:c.ambient_dim] for row in reduced]
-        self.kernel = kernel
-        self.d = len(self.kernel)
-        self.R = [[sum(f[v] * kv[v] for v in range(c.ambient_dim))
-                   for kv in self.kernel] for f in c.facets]
+            embedded = [list(kv) + [sum(map(mul, f, kv)) for f in c.facets]
+                        for kv in kernel]
+            kernel = [row[:n] for row in _size_reduce(embedded)]
+        self.d = len(kernel)
+        self.R = [[sum(map(mul, f, kv)) for kv in kernel] for f in c.facets]
         self.up_cert, self.dn_cert = self._certificates()
 
     def _certificates(self):
-        """Dual vectors bounding each reduced coordinate on every fibre.
+        """Dual certificates (Y, D) bounding each reduced coordinate.
 
-        y >= 0 with (-R)^T y = e_j gives z_j <= y . r0 on {Rz + r0 >= 0};
-        the certificate is theta-independent.  A float simplex suggests an
-        optimal basis of min 1.y; y read on that basis and rationalized is
-        used only once it passes the exact check.  Anything else goes to
-        the exact simplex, whose dual infeasibility alone means the
-        coordinate is unbounded over some fibre.
+        y = Y / D >= 0 with (-R)^T y = e_j gives z_j <= y . r0 on
+        {Rz + r0 >= 0}; the certificate is theta-independent.  A float
+        simplex suggests an optimal basis of min 1.y; y read on that basis
+        and rationalized is used only once it passes the exact check.
+        Anything else goes to the exact simplex, whose dual infeasibility
+        alone means the coordinate is unbounded over some fibre (None).
         """
         F, d = len(self.R), self.d
         A_eq = [[-self.R[f][j] for f in range(F)] for j in range(d)]
         ups, dns = [], []
         cap = 3 * (F + d)
         for j in range(d):
-            out = []
-            for sign in (1, -1):
+            for sign, out in ((1, ups), (-1, dns)):
                 b = [sign if k == j else 0 for k in range(d)]
-                y = None
+                cert = None
                 guess = float_basis([1] * F, A_eq, b, maxit=cap)
                 if guess:
                     y = [Fraction(0)] * F
                     for k, v in guess.items():
                         y[k] = Fraction(v).limit_denominator(_CERT_DENOMINATOR)
-                    if not _is_certificate(A_eq, b, y):
-                        y = None
-                if y is None:
+                    cert = _is_certificate(A_eq, b, y)
+                if cert is None:
                     st, _, y = solve_lp([1] * F, A_eq=A_eq, b_eq=b,
                                         free=False, phase2_maxit=cap)
-                    y = [Fraction(v) for v in y] if st == OPTIMAL else None
-                out.append(y)
-            ups.append(out[0])
-            dns.append(out[1])
+                    if st == OPTIMAL:
+                        cert = _is_certificate(A_eq, b, y)
+                        if cert is None:
+                            raise ArithmeticError("exact optimum fails check")
+                out.append(cert)
         return ups, dns
 
     def solve_theta(self, theta):
-        sol = _hnf_solve(self.rows, list(theta))
-        if sol is None:
+        """Facet residuals r0 of an integer point of the grading at theta."""
+        w = _back_solve(self.M, self.pivots, theta)
+        if w is None:
             return None
-        g0, _ = sol
-        return [sum(f[v] * g0[v] for v in range(self.cone.ambient_dim))
-                for f in self.cone.facets]
+        return [sum(map(mul, row, w)) for row in self.FU]
 
     def boxes(self, r0):
-        lo, hi = [None] * self.d, [None] * self.d
-        for j in range(self.d):
-            if self.up_cert[j] is None or self.dn_cert[j] is None:
+        lo, hi = [], []
+        for j, (up, dn) in enumerate(zip(self.up_cert, self.dn_cert)):
+            if up is None or dn is None:
                 raise UnboundedFibre(
                     f"the grading fibres are unbounded in direction {j}")
-            hi[j] = math.floor(sum(y * r for y, r in zip(self.up_cert[j], r0)))
-            lo[j] = math.ceil(-sum(y * r for y, r in zip(self.dn_cert[j], r0)))
+            hi.append(sum(map(mul, up[0], r0)) // up[1])
+            lo.append(-(sum(map(mul, dn[0], r0)) // dn[1]))
         return lo, hi
 
 
-_GEOMETRY_CACHE: dict = {}
-
-
-def _geometry(c: Cone) -> "_FibreGeometry":
-    geo = _GEOMETRY_CACHE.get(c)
-    if geo is None:
-        geo = _FibreGeometry(c)
-        _GEOMETRY_CACHE[c] = geo
-    return geo
+@lru_cache(maxsize=None)
+def _geometry(c: Cone) -> _FibreGeometry:
+    return _FibreGeometry(c)
 
 
 def count_lattice_points(c: Cone, theta, workers: int = 1) -> int:
-    """Exact number of integer points of the fibre polytope at theta."""
+    """Exact number of integer points of the fibre at theta (2l+m ints)."""
     if workers < 1:
         raise OutOfRange(f"worker count must be >= 1, got {workers}")
-    if not isinstance(theta, FibreQuery):
-        theta = FibreQuery(tuple(theta))
-    if len(theta.theta) != 2 * c.l + c.m:
-        raise ValueError(f"theta must have length {2 * c.l + c.m}")
+    theta = tuple(int(x) for x in theta)
+    if len(theta) != 2 * c.l + c.m:
+        raise OutOfRange(f"theta must have length {2 * c.l + c.m}")
     geo = _geometry(c)
-    r0 = geo.solve_theta(theta.theta)
+    r0 = geo.solve_theta(theta)
     if r0 is None:
         return 0
-    if geo.d == 0:
-        return 1 if all(x >= 0 for x in r0) else 0
     lo, hi = geo.boxes(r0)
     return _np_count(geo.R, r0, lo, hi, workers=workers)
 

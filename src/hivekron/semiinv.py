@@ -21,10 +21,6 @@ Matrix = list  # list of rows, each a list of ints
 # weight formulas
 
 
-def weight_dim(l: int, m: int) -> int:
-    return 2 * l + m
-
-
 def _e(l: int, m: int) -> list:
     return [0] * (2 * l + m)
 

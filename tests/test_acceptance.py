@@ -11,7 +11,7 @@ import time
 from hivekron.diamonds import build_bar, build_tilde, expected_vertex_count
 from hivekron.kron import kronecker, kronecker_oracle, partitions_of
 from hivekron.pathmods import boundary_path, diagonal_module, submodule_dims
-from hivekron.polyhedra import FibreQuery, build_cone, count_lattice_points
+from hivekron.polyhedra import build_cone, count_lattice_points
 from hivekron.quiver import b_matrix_rank, hive_vertex, weight_defect
 from hivekron.semiinv import Representation, check_exchange_relations
 
@@ -131,7 +131,7 @@ def test_criterion_6_counting_soundness(capsys, small_builds):
     rng = random.Random(606)
     bad = 0
     for _ in range(20):
-        theta = FibreQuery(tuple(rng.randint(-2, 2) for _ in range(6)))
+        theta = tuple(rng.randint(-2, 2) for _ in range(6))
         a = count_lattice_points(cone, theta, workers=1)
         b = brute_force_count(cone, theta)
         c = count_lattice_points(cone, theta, workers=4)

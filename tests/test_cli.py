@@ -164,6 +164,28 @@ def test_cone_cache_rebuilds_for_other_size(capsys, tmp_path):
     assert cached_cone(2, 3, str(cache)) == build_cone(2, 3)
 
 
+def assert_one_error_line(code, out, err):
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_coeff_bad_partition_literal(capsys):
+    assert_one_error_line(*run(capsys, "coeff", "--mu", "2,x", "--nu", "2,1",
+                               "--lam", "2,1"))
+
+
+def test_coeff_increasing_partition(capsys):
+    assert_one_error_line(*run(capsys, "coeff", "--mu", "1,2", "--nu", "2,1",
+                               "--lam", "2,1"))
+
+
+def test_build_quiver_out_under_a_file(capsys, tmp_path):
+    blocker = tmp_path / "plain"
+    blocker.write_text("")
+    assert_one_error_line(*run(capsys, "build-quiver", "--l", "2", "--m", "2",
+                               "--out", str(blocker / "x.json")))
+
+
 COLD_PROBE = """
 import sys
 import hivekron.polyhedra as P

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from hivekron.kron import lambda_shifts, partitions_of, sigma_of
 from hivekron.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
-from hivekron.polyhedra import (Cone, FibreQuery, _hnf_solve, build_cone,
-                                cone_from_json, cone_to_json,
-                                count_lattice_points)
+from hivekron.polyhedra import (Cone, _hnf_solve, build_cone, cone_from_json,
+                                cone_to_json, count_lattice_points)
 from hivekron.quiver import VertexId, hive_vertex
 
 
@@ -67,7 +66,7 @@ class LpExtent:
     hi: Fraction = None
 
 
-def lp_extent(c: Cone, theta: FibreQuery, coord: VertexId,
+def lp_extent(c: Cone, theta: tuple, coord: VertexId,
               fixed: dict = None) -> LpExtent:
     """Exact min/max of one coordinate over the fibre polyhedron."""
     fixed = fixed or {}
@@ -75,8 +74,8 @@ def lp_extent(c: Cone, theta: FibreQuery, coord: VertexId,
     k = c.vertices.index(coord)
     A_ub = [[-x for x in f] for f in c.facets]          # facets: f.g >= 0
     b_ub = [0] * len(c.facets)
-    A_eq = [[c.grading[v][t] for v in range(n)] for t in range(len(theta.theta))]
-    b_eq = list(theta.theta)
+    A_eq = [[c.grading[v][t] for v in range(n)] for t in range(len(theta))]
+    b_eq = list(theta)
     for v, val in fixed.items():
         row = [0] * n
         row[c.vertices.index(v)] = 1
@@ -98,17 +97,17 @@ def lp_extent(c: Cone, theta: FibreQuery, coord: VertexId,
 
 def test_lp_extent_statuses(small_builds):
     c = build_cone(2, 2)
-    zero = FibreQuery((0,) * 6)
+    zero = (0,) * 6
     for v in c.vertices:
         e = lp_extent(c, zero, v)
         assert e.status == "interval" and e.lo == 0 and e.hi == 0
-    bad = FibreQuery((1, 0, 0, 0, 0, 0))
+    bad = (1, 0, 0, 0, 0, 0)
     assert lp_extent(c, bad, c.vertices[0]).status == "infeasible"
 
 
 def test_lp_extent_fixed_prefix(small_builds):
     c = build_cone(2, 2)
-    theta = FibreQuery(sigma_of((1,), (1,), 2) + (1, 0))
+    theta = sigma_of((1,), (1,), 2) + (1, 0)
     v0 = c.vertices[0]
     base = lp_extent(c, theta, v0)
     clamped = lp_extent(c, theta, v0, fixed={v0: base.lo})
@@ -119,16 +118,16 @@ def test_lp_extent_fixed_prefix(small_builds):
 def test_count_zero_fibre(small_builds):
     for lm, built in small_builds.items():
         c = built["cone"]
-        assert count_lattice_points(c, FibreQuery((0,) * (2 * c.l + c.m))) == 1
+        assert count_lattice_points(c, (0,) * (2 * c.l + c.m)) == 1
 
 
 def test_count_negative_lambda_is_empty(small_builds):
     c = build_cone(2, 2)
-    theta = FibreQuery((0, 0, 0, 0, -1, 1))
+    theta = (0, 0, 0, 0, -1, 1)
     assert count_lattice_points(c, theta) == 0
 
 
-def brute_force_count(c: Cone, theta: FibreQuery) -> int:
+def brute_force_count(c: Cone, theta: tuple) -> int:
     """Naive enumeration over the lp_extent bounding box (test oracle)."""
     box = []
     for v in c.vertices:
@@ -139,12 +138,12 @@ def brute_force_count(c: Cone, theta: FibreQuery) -> int:
         import math
         box.append(range(math.ceil(e.lo), math.floor(e.hi) + 1))
     n = 0
-    dim = len(theta.theta)
+    dim = len(theta)
     for g in itertools.product(*box):
         if any(sum(f[k] * g[k] for k in range(len(g))) < 0 for f in c.facets):
             continue
         if all(sum(c.grading[k][t] * g[k] for k in range(len(g))) ==
-               theta.theta[t] for t in range(dim)):
+               theta[t] for t in range(dim)):
             n += 1
     return n
 
@@ -153,16 +152,16 @@ def test_dfs_equals_brute_force_22(small_builds):
     c = build_cone(2, 2)
     rng = random.Random(22)
     for _ in range(20):
-        theta = FibreQuery(tuple(rng.randint(-2, 2) for _ in range(6)))
+        theta = tuple(rng.randint(-2, 2) for _ in range(6))
         assert count_lattice_points(c, theta) == brute_force_count(c, theta)
 
 
 def test_worker_count_invariance(small_builds):
     c = build_cone(2, 2)
     rng = random.Random(7)
-    thetas = [FibreQuery(tuple(rng.randint(-2, 2) for _ in range(6)))
+    thetas = [tuple(rng.randint(-2, 2) for _ in range(6))
               for _ in range(8)]
-    thetas.append(FibreQuery(sigma_of((2, 1), (2, 1), 2) + (2, 1)))
+    thetas.append(sigma_of((2, 1), (2, 1), 2) + (2, 1))
     for theta in thetas:
         assert count_lattice_points(c, theta, workers=1) == \
             count_lattice_points(c, theta, workers=4)
@@ -212,14 +211,15 @@ def test_facet_essentiality_22(small_builds):
         assert val < 0, f"facet {drop} is not essential"
 
 
-def fibres_33(k, seed):
-    """k distinct (3,3) fibres sigma + lambda shift of three-row shapes, n <= 6."""
-    shapes = [p for n in range(1, 7) for p in partitions_of(n, 3)]
-    thetas = sorted({sigma_of(mu, nu, 3) + shifted
-                     for mu in shapes for nu in shapes if sum(mu) == sum(nu)
-                     for lam in shapes if sum(lam) == sum(mu)
-                     for _, shifted, _ in lambda_shifts(lam, 3)})
-    return random.Random(seed).sample(thetas, k)
+def real_fibres(l, m, k, seed):
+    """k distinct (l,m) fibres sigma + lambda shift of real triples, n <= 6."""
+    shapes = [p for n in range(1, 7) for p in partitions_of(n)]
+    thetas = sorted({sigma_of(mu, nu, l) + shifted
+                     for mu in shapes if len(mu) <= l
+                     for nu in shapes if sum(nu) == sum(mu) and len(nu) <= l
+                     for lam in shapes if sum(lam) == sum(mu) and len(lam) <= m
+                     for _, shifted, _ in lambda_shifts(lam, m)})
+    return random.Random(seed).sample(thetas, min(k, len(thetas)))
 
 
 def test_python_fallback_matches_numpy(small_builds, monkeypatch):
@@ -227,10 +227,10 @@ def test_python_fallback_matches_numpy(small_builds, monkeypatch):
     import hivekron.polyhedra as P
     c23, c33 = build_cone(2, 3), build_cone(3, 3)
     rng = random.Random(99)
-    fibres = [(c23, FibreQuery(tuple(rng.randint(-2, 2) for _ in range(7))))
+    fibres = [(c23, tuple(rng.randint(-2, 2) for _ in range(7)))
               for _ in range(10)]
-    fibres.append((c23, FibreQuery(sigma_of((2, 1), (2, 1), 2) + (2, 1, 0))))
-    fibres += [(c33, FibreQuery(th)) for th in fibres_33(30, 33)]
+    fibres.append((c23, sigma_of((2, 1), (2, 1), 2) + (2, 1, 0)))
+    fibres += [(c33, th) for th in real_fibres(3, 3, 30, 33)]
     dtypes = set()
     real = P._np_rec
 
@@ -255,7 +255,7 @@ def test_unbounded_fibre_detected():
     verts = (hive_vertex(1, 0, 1), hive_vertex(1, 0, 2))
     fake = Cone(1, 1, verts, ((1, 1),), ((1, 0, 0), (1, 0, 0)))
     with pytest.raises(UnboundedFibre):
-        count_lattice_points(fake, FibreQuery((2, 0, 0)))
+        count_lattice_points(fake, (2, 0, 0))
 
 
 def test_hnf_solve_simple():
@@ -284,8 +284,8 @@ def test_hnf_solve_random(a, b, c, d, t1, t2):
 def test_count_matches_known_kronecker(small_builds):
     # single surviving shift: the count itself is the coefficient
     c = build_cone(2, 2)
-    theta = FibreQuery(sigma_of((1,), (1,), 2) + tuple(
-        lambda_shifts((1,), 2)[0][1]))
+    theta = sigma_of((1,), (1,), 2) + tuple(
+        lambda_shifts((1,), 2)[0][1])
     assert count_lattice_points(c, theta) == 1
 
 
@@ -297,16 +297,26 @@ GEOMETRY_CONES = ((2, 2), (2, 3), (3, 2), (3, 3), (3, 4))
 
 
 def assert_certificates_valid(geo):
-    """Every certificate is y >= 0 with (-R)^T y = +-e_j, checked exactly."""
-    from fractions import Fraction
+    """Every certificate is an integer row Y >= 0 with a denominator D > 0
+    and (-R)^T Y = +-D e_j, that is y = Y / D certifies, checked exactly."""
     F = len(geo.R)
     for j in range(geo.d):
-        for sign, y in ((1, geo.up_cert[j]), (-1, geo.dn_cert[j])):
-            assert len(y) == F
-            assert all(isinstance(v, Fraction) and v >= 0 for v in y)
+        for sign, (Y, D) in ((1, geo.up_cert[j]), (-1, geo.dn_cert[j])):
+            assert len(Y) == F
+            assert isinstance(D, int) and D > 0
+            assert all(isinstance(v, int) and v >= 0 for v in Y)
             for k in range(geo.d):
-                assert sum(-geo.R[f][k] * y[f] for f in range(F)) == \
-                    (sign if k == j else 0)
+                assert sum(-geo.R[f][k] * Y[f] for f in range(F)) == \
+                    (sign * D if k == j else 0)
+
+
+@pytest.fixture
+def fresh_geometry():
+    """The polyhedra module with an empty geometry cache, emptied after."""
+    import hivekron.polyhedra as P
+    P._geometry.cache_clear()
+    yield P
+    P._geometry.cache_clear()
 
 
 def counting_solve_lp(monkeypatch):
@@ -331,15 +341,15 @@ def test_certificates_certified_from_float_guess(monkeypatch):
 
 
 @pytest.mark.parametrize("guess", ["none", "wrong"])
-def test_certificates_fall_back_to_exact_lp(monkeypatch, guess):
-    import hivekron.polyhedra as P
+def test_certificates_fall_back_to_exact_lp(monkeypatch, fresh_geometry,
+                                            guess):
+    P = fresh_geometry
     c = build_cone(2, 3)
     rng = random.Random(23)
-    thetas = [FibreQuery(tuple(rng.randint(-2, 2) for _ in range(7)))
+    thetas = [tuple(rng.randint(-2, 2) for _ in range(7))
               for _ in range(10)]
-    thetas.append(FibreQuery(sigma_of((2, 1), (2, 1), 2) + (2, 1, 0)))
-    thetas.append(FibreQuery(sigma_of((3, 1), (2, 2), 2) + (2, 2, 0)))
-    monkeypatch.setattr(P, "_GEOMETRY_CACHE", {})
+    thetas.append(sigma_of((2, 1), (2, 1), 2) + (2, 1, 0))
+    thetas.append(sigma_of((3, 1), (2, 2), 2) + (2, 2, 0))
     expected = [count_lattice_points(c, th) for th in thetas]
     calls = counting_solve_lp(monkeypatch)
     if guess == "none":
@@ -347,13 +357,89 @@ def test_certificates_fall_back_to_exact_lp(monkeypatch, guess):
     else:
         # one basic column cannot carry every +-e_j: the check must refuse
         monkeypatch.setattr(P, "float_basis", lambda *a, **k: {0: 1.0})
-    monkeypatch.setattr(P, "_GEOMETRY_CACHE", {})
+    P._geometry.cache_clear()
     assert [count_lattice_points(c, th) for th in thetas] == expected
-    geo = P._GEOMETRY_CACHE[c]
+    geo = P._geometry(c)
     assert_certificates_valid(geo)
     if guess == "none":
         assert len(calls) == 2 * geo.d
     assert calls
+
+
+def fraction_fibre(geo, c, theta):
+    """Reference (r0, lo, hi) by rational formulas: r0 = facets . g0 with g0
+    from a full _hnf_solve, and the boxes floor(sum y r0), ceil(-sum y' r0)
+    over y = Fraction(Y_k, D).  None when theta has no integer solution."""
+    import math
+    rows = [[g[t] for g in c.grading] for t in range(len(theta))]
+    sol = _hnf_solve(rows, list(theta))
+    if sol is None:
+        return None
+    assert [sum(x * y for x, y in zip(row, sol[0])) for row in rows] == \
+        list(theta)
+    r0 = [sum(x * y for x, y in zip(f, sol[0])) for f in c.facets]
+    lo, hi = [], []
+    for (Y, D), (Yn, Dn) in zip(geo.up_cert, geo.dn_cert):
+        hi.append(math.floor(sum(Fraction(y, D) * r for y, r in zip(Y, r0))))
+        lo.append(math.ceil(-sum(Fraction(y, Dn) * r for y, r in zip(Yn, r0))))
+    return r0, lo, hi
+
+
+def test_integer_fibre_map_matches_fraction_reference():
+    import hivekron.polyhedra as P
+    rng = random.Random(40)
+    for lm in GEOMETRY_CONES:
+        c = build_cone(*lm)
+        geo, n, k = P._geometry(c), c.ambient_dim, 2 * c.l + c.m
+        image, uniform = [], []
+        for _ in range(20):
+            g = [rng.randint(-2, 2) for _ in range(n)]
+            image.append(tuple(sum(c.grading[v][t] * g[v] for v in range(n))
+                               for t in range(k)))
+            uniform.append(tuple(rng.randint(-2, 2) for _ in range(k)))
+        # the image of an integer point and a real triple are solvable
+        solvable = image + real_fibres(c.l, c.m, 40, sum(lm))
+        for theta in solvable + uniform:
+            ref = fraction_fibre(geo, c, theta)
+            r0 = geo.solve_theta(theta)
+            if ref is None:
+                assert theta in uniform and r0 is None
+                continue
+            assert (r0, *geo.boxes(r0)) == ref
+
+
+def fibres_23_33():
+    rng = random.Random(12)
+    fibres = [(build_cone(2, 3), tuple(rng.randint(-2, 2) for _ in range(7)))
+              for _ in range(10)]
+    c33 = build_cone(3, 3)
+    return fibres + [(c33, th) for th in real_fibres(3, 3, 20, 12)]
+
+
+def test_counting_a_fibre_creates_no_fraction(monkeypatch):
+    import hivekron.polyhedra as P
+    fibres = fibres_23_33()
+    expected = [count_lattice_points(c, th) for c, th in fibres]
+    assert sum(1 for n in expected if n > 1) >= 5
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was created while counting")
+    monkeypatch.setattr(P, "Fraction", refuse)
+    assert [count_lattice_points(c, th) for c, th in fibres] == expected
+
+
+def test_one_column_reduction_per_cone(monkeypatch, fresh_geometry):
+    P = fresh_geometry
+    calls = []
+    real = P._hnf
+
+    def spy(rows):
+        calls.append(len(rows[0]))
+        return real(rows)
+    monkeypatch.setattr(P, "_hnf", spy)
+    for c, th in fibres_23_33():
+        count_lattice_points(c, th)
+    assert calls == [build_cone(*lm).ambient_dim for lm in ((2, 3), (3, 3))]
 
 
 def fraction_size_reduce(rows, passes=3):
