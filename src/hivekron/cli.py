@@ -1,16 +1,13 @@
 """Command-line surface: coefficients, oracle, builds, cones, validation.
 
-All integers in emitted JSON are decimal strings.  The cone cache lives
-under $HIVEKRON_CACHE_DIR (or --cache-dir); files are content-hashed and
-rewritten atomically, so a corrupt cache entry, or one holding another
-(l, m), triggers a rebuild rather than a wrong answer.  Commands raise;
-`main` turns an error into one stderr line and an exit code.
+All integers in emitted JSON are decimal strings.  `--out` files are
+written atomically.  Commands raise; `main` turns an error, and the parser
+a bad command line, into one stderr line and an exit code.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -21,24 +18,21 @@ from .diamonds import build_bar, build_tilde
 from .errors import (HivekronError, OutOfRange, SizeTooLargeForOracle,
                      UnboundedFibre)
 from .kron import ORACLE_BOUND, kronecker, kronecker_oracle, partition
-from .polyhedra import (Cone, build_cone, cone_from_json, cone_to_json,
-                        count_lattice_points)
+from .polyhedra import build_cone, cone_to_json, count_lattice_points
 from .quiver import make_quiver, vertex_from_json, vertex_to_json
 
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_UNBOUNDED = 3
 
-CACHE_ENV = "HIVEKRON_CACHE_DIR"
-CACHE_VERSION = "1"
-
 
 def _parse_ints(text: str, convert=tuple):
     """Comma-separated integers passed to convert; OutOfRange if bad."""
     try:
-        return convert(int(x) for x in text.split(",") if x.strip() != "")
+        ints = [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
         raise OutOfRange(f"bad integer list {text!r}: {exc}") from None
+    return convert(ints)
 
 
 def _parse_partition(text: str):
@@ -71,14 +65,6 @@ def quiver_from_json(text: str):
     return Q, sigma
 
 
-# ---------------------------------------------------------------------------
-# cone cache
-
-
-def _cache_path(cdir, l, m):
-    return os.path.join(cdir, f"cone-v{CACHE_VERSION}-l{l}-m{m}.json")
-
-
 def _atomic_write(path: str, text: str):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
@@ -89,36 +75,6 @@ def _atomic_write(path: str, text: str):
     except BaseException:
         os.unlink(tmp)
         raise
-
-
-def _wrap_hash(payload: str) -> str:
-    digest = hashlib.sha256(payload.encode()).hexdigest()
-    return json.dumps({"sha256": digest, "payload": payload})
-
-
-def _unwrap_hash(text: str):
-    doc = json.loads(text)
-    payload = doc["payload"]
-    if hashlib.sha256(payload.encode()).hexdigest() != doc["sha256"]:
-        raise ValueError("cache content hash mismatch")
-    return payload
-
-
-def cached_cone(l: int, m: int, cdir=None) -> Cone:
-    if not cdir:
-        return build_cone(l, m)
-    path = _cache_path(cdir, l, m)
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                cone = cone_from_json(_unwrap_hash(fh.read()))
-            if (cone.l, cone.m) == (l, m):
-                return cone
-        except (ValueError, KeyError, json.JSONDecodeError):
-            pass  # fall through to rebuild
-    cone = build_cone(l, m)
-    _atomic_write(path, _wrap_hash(cone_to_json(cone)))
-    return cone
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +134,7 @@ def cmd_build_quiver(args) -> int:
 
 
 def cmd_cone(args) -> int:
-    text = cone_to_json(cached_cone(args.l, args.m, args.cache_dir))
+    text = cone_to_json(build_cone(args.l, args.m))
     if args.out:
         _atomic_write(args.out, text)
     else:
@@ -188,7 +144,7 @@ def cmd_cone(args) -> int:
 
 def cmd_count(args) -> int:
     theta = _parse_ints(args.theta)
-    cone = cached_cone(args.l, args.m, args.cache_dir)
+    cone = build_cone(args.l, args.m)
     print(count_lattice_points(cone, theta, workers=args.workers))
     return 0
 
@@ -200,17 +156,21 @@ def cmd_validate(args) -> int:
     return 0 if report.ok else EXIT_VERIFY
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad command line is a usage error (exit 1), not exit 2, which
+    belongs to failed verification."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="hivekron",
         description="Kronecker coefficients via lattice points in the "
                     "g-vector cone of a twisted glued hive quiver.")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add_cache(q):
-        q.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV),
-                       help=f"cone cache directory (default ${CACHE_ENV})")
 
     q = sub.add_parser("coeff", help="compute a Kronecker coefficient")
     q.add_argument("--mu", required=True)
@@ -239,11 +199,10 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--out", default=None)
     q.set_defaults(func=cmd_build_quiver)
 
-    q = sub.add_parser("cone", help="emit (and cache) the g-vector cone")
+    q = sub.add_parser("cone", help="emit the g-vector cone as JSON")
     q.add_argument("--l", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--out", default=None)
-    add_cache(q)
     q.set_defaults(func=cmd_cone)
 
     q = sub.add_parser("count", help="count lattice points of one fibre")
@@ -252,7 +211,6 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--theta", required=True,
                    help="comma-separated target weight of length 2l+m")
     q.add_argument("--workers", type=int, default=1)
-    add_cache(q)
     q.set_defaults(func=cmd_count)
 
     q = sub.add_parser("validate", help="run the structural invariant suite")

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import (LengthExceedsL, LengthExceedsM, SizeMismatch,
-                     SizeTooLargeForOracle)
+from .errors import (LengthExceedsL, LengthExceedsM, OutOfRange,
+                     SizeMismatch, SizeTooLargeForOracle)
 from .polyhedra import build_cone, count_lattice_points
 
 ORACLE_BOUND = 12
@@ -24,9 +24,9 @@ def partition(parts) -> tuple:
     """Normalize to a weakly decreasing tuple without trailing zeros."""
     p = tuple(int(x) for x in parts)
     if any(a < b for a, b in zip(p, p[1:])):
-        raise ValueError(f"not weakly decreasing: {p}")
+        raise OutOfRange(f"not weakly decreasing: {p}")
     if any(x < 0 for x in p):
-        raise ValueError(f"negative part: {p}")
+        raise OutOfRange(f"negative part: {p}")
     while p and p[-1] == 0:
         p = p[:-1]
     return p

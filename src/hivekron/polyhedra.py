@@ -170,7 +170,7 @@ def _hnf_solve(rows, target):
 _INT64_SAFE = 2 ** 61
 
 
-def _tighten(R, Rpos, Rneg, res, lo, hi, idx):
+def _tighten(R, res, lo, hi, idx):
     """Propagate the facets over the free coordinates idx to a fixpoint.
 
     Facet f gives c_j z_j >= -res_f - (best case of the other free
@@ -187,7 +187,7 @@ def _tighten(R, Rpos, Rneg, res, lo, hi, idx):
     has_pos, has_neg = bool(pos.any()), bool(neg.any())
     pos_div = np.where(pos, sub, 1)
     neg_div = np.where(neg, sub, 1)
-    Rp, Rn = Rpos[:, idx], Rneg[:, idx]
+    Rp, Rn = np.maximum(sub, 0), np.minimum(sub, 0)
     while True:
         lo_i, hi_i = lo[idx], hi[idx]
         maxc = Rp * hi_i + Rn * lo_i
@@ -209,75 +209,67 @@ def _tighten(R, Rpos, Rneg, res, lo, hi, idx):
             return True
 
 
-def _np_rec(R, Rpos, Rneg, res, lo, hi, free):
-    """Exact DFS: propagate boxes, fix singletons, branch narrowest."""
+def _np_rec(R, res, lo, hi, idx):
+    """Exact DFS over the free coordinates idx: propagate, branch narrowest."""
     import numpy as np
 
-    if not free:
-        return 1 if bool((res >= 0).all()) else 0
-    idx = np.array(free, dtype=np.intp)
-    if not _tighten(R, Rpos, Rneg, res, lo, hi, idx):
+    if not _tighten(R, res, lo, hi, idx):
         return 0
     widths = hi[idx] - lo[idx]
-    singles = widths == 0
-    if bool(singles.any()):
-        fixed = idx[singles]
+    free = widths > 0
+    if np.count_nonzero(free) <= 1:
+        # at the fixpoint every facet holds at the fixed coordinates, and the
+        # bounds of the one remaining coordinate are exactly its 1-D fibre
+        return int(widths.sum()) + 1
+    fixed = idx[~free]
+    if fixed.size:
         res = res + R[:, fixed] @ lo[fixed]
-        free = [int(i) for i in idx[~singles]]
-        if not free:
-            return 1 if bool((res >= 0).all()) else 0
-        idx = np.array(free, dtype=np.intp)
-        widths = hi[idx] - lo[idx]
-    j = int(idx[int(np.argmin(widths))])
-    rest_free = [i for i in free if i != j]
+    idx, widths = idx[free], widths[free]
+    k = int(np.argmin(widths))
+    j = int(idx[k])
+    rest = np.delete(idx, k)
     col = R[:, j]
     total = 0
     base = res + int(lo[j]) * col
     for _ in range(int(lo[j]), int(hi[j]) + 1):
-        total += _np_rec(R, Rpos, Rneg, base.copy(), lo.copy(), hi.copy(),
-                         rest_free)
+        total += _np_rec(R, base, lo.copy(), hi.copy(), rest)
         base = base + col
     return total
 
 
-def _np_count(Rrows, r0, lo, hi, workers: int = 1):
+def _np_count(geo, r0, lo, hi, workers: int = 1):
     """Exact count by the vectorized DFS, on int64 or on Python integers.
 
     Boxes only shrink, so the bound taken on the initial boxes covers every
-    intermediate value; int64 runs when it is below _INT64_SAFE, object
-    arrays of Python integers otherwise.
+    intermediate value; the geometry's int64 matrix is used when it is
+    below _INT64_SAFE, object arrays of Python integers otherwise.
     """
     import numpy as np
 
-    d = len(lo)
-    max_r = max((abs(x) for row in Rrows for x in row), default=0)
     max_b = max([abs(x) for x in lo] + [abs(x) for x in hi] + [1])
     max_res = max((abs(x) for x in r0), default=0)
-    safe = max_res + (2 * d + 2) * max_r * max_b < _INT64_SAFE
+    safe = max_res + (2 * geo.d + 2) * geo.max_r * max_b < _INT64_SAFE
     dtype = np.int64 if safe else object
-    R = np.array(Rrows, dtype=dtype)
-    Rpos = np.maximum(R, 0)
-    Rneg = np.minimum(R, 0)
+    R = geo.R64 if safe else np.array(geo.R, dtype=object)
     res0 = np.array(r0, dtype=dtype)
     lo0 = np.array(lo, dtype=dtype)
     hi0 = np.array(hi, dtype=dtype)
-    free0 = list(range(d))
+    idx = np.arange(geo.d)
     if workers > 1:
         # split the widest coordinate of the tightened root box
-        if not _tighten(R, Rpos, Rneg, res0, lo0, hi0, np.arange(d)):
+        if not _tighten(R, res0, lo0, hi0, idx):
             return 0
         j = int(np.argmax(hi0 - lo0))
         if hi0[j] > lo0[j]:
             col = R[:, j]
-            rest_free = [i for i in free0 if i != j]
-            branches = [(R, Rpos, Rneg, res0 + v * col, lo0.copy(),
-                         hi0.copy(), rest_free)
+            rest = np.delete(idx, j)
+            branches = [(R, res0 + v * col, lo0.copy(), hi0.copy(), rest)
                         for v in range(int(lo0[j]), int(hi0[j]) + 1)]
             import multiprocessing as mp
             ctx = mp.get_context("fork")
             with ctx.Pool(processes=min(workers, len(branches))) as pool:
                 return sum(pool.starmap(_np_rec, branches))
-    return _np_rec(R, Rpos, Rneg, res0, lo0, hi0, free0)
+    return _np_rec(R, res0, lo0, hi0, idx)
 
 
 def _size_reduce(rows, passes=3):
@@ -357,9 +349,11 @@ class _FibreGeometry:
     weight theta then costs one back-substitution w and the facet residuals
     r0 = (facets . U) w.  R is the facet matrix on a kernel basis that is
     size-reduced against the facet image (a unimodular change, so counts
-    are unaffected).  Dual certificates, integer rows Y with one
-    denominator D each, bound every reduced coordinate by a floor division
-    of Y . r0, so no rational arithmetic runs per fibre.
+    are unaffected), kept as Python-int rows for the exact certificate
+    checks and once as the int64 matrix R64 with max|R| for the DFS.  Dual
+    certificates, integer rows Y with one denominator D each, bound every
+    reduced coordinate by a floor division of Y . r0, so no rational
+    arithmetic runs per fibre.
     """
 
     def __init__(self, c: Cone):
@@ -375,6 +369,11 @@ class _FibreGeometry:
             kernel = [row[:n] for row in _size_reduce(embedded)]
         self.d = len(kernel)
         self.R = [[sum(map(mul, f, kv)) for kv in kernel] for f in c.facets]
+        self.max_r = max((abs(x) for row in self.R for x in row), default=0)
+        import numpy as np
+        # an R past int64 never passes _np_count's guard
+        self.R64 = (np.array(self.R, dtype=np.int64) if self.max_r < 2 ** 63
+                    else None)
         self.up_cert, self.dn_cert = self._certificates()
 
     def _certificates(self):
@@ -446,7 +445,7 @@ def count_lattice_points(c: Cone, theta, workers: int = 1) -> int:
     if r0 is None:
         return 0
     lo, hi = geo.boxes(r0)
-    return _np_count(geo.R, r0, lo, hi, workers=workers)
+    return _np_count(geo, r0, lo, hi, workers=workers)
 
 
 # ---------------------------------------------------------------------------

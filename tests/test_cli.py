@@ -1,7 +1,9 @@
 import json
 import os
 
-from hivekron.cli import cached_cone, main, quiver_from_json, quiver_to_json
+import pytest
+
+from hivekron.cli import main, quiver_from_json, quiver_to_json
 from hivekron.diamonds import build_bar, build_tilde
 from hivekron.polyhedra import build_cone, cone_to_json
 
@@ -82,27 +84,15 @@ def test_quiver_json_roundtrip():
         assert Q2 == Q and s2 == s
 
 
-def test_cone_command_and_cache(capsys, tmp_path):
-    cache = tmp_path / "cache"
-    code, out1, _ = run(capsys, "cone", "--l", "2", "--m", "2",
-                        "--cache-dir", str(cache))
-    assert code == 0
-    files = os.listdir(cache)
-    assert len(files) == 1
-    # corrupt the cache: the command must rebuild, not fail or lie
-    target = cache / files[0]
-    target.write_text(target.read_text().replace('"payload"', '"payloax"', 1))
-    code, out2, _ = run(capsys, "cone", "--l", "2", "--m", "2",
-                        "--cache-dir", str(cache))
-    assert code == 0
-    assert out1 == out2
-
-
-def test_cone_cache_env(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("HIVEKRON_CACHE_DIR", str(tmp_path / "envcache"))
-    code, _, _ = run(capsys, "cone", "--l", "2", "--m", "3")
-    assert code == 0
-    assert os.listdir(tmp_path / "envcache")
+def test_cone_command(capsys, tmp_path):
+    expected = cone_to_json(build_cone(2, 3))
+    code, out, _ = run(capsys, "cone", "--l", "2", "--m", "3")
+    assert code == 0 and out == expected + "\n"
+    path = tmp_path / "sub" / "cone.json"
+    code, out, _ = run(capsys, "cone", "--l", "2", "--m", "3",
+                       "--out", str(path))
+    assert code == 0 and out == ""
+    assert path.read_text() == expected
 
 
 def test_count_command(capsys, small_builds):
@@ -150,20 +140,6 @@ def test_count_bad_theta_literal(capsys):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
-def test_cone_cache_rebuilds_for_other_size(capsys, tmp_path):
-    # an l2-m2 file served under the l2-m3 name must not answer for (2,3)
-    cache = tmp_path / "cache"
-    run(capsys, "cone", "--l", "2", "--m", "2", "--cache-dir", str(cache))
-    (name,) = os.listdir(cache)
-    wrong = cache / name.replace("-m2", "-m3")
-    wrong.write_text((cache / name).read_text())
-    code, out, _ = run(capsys, "cone", "--l", "2", "--m", "3",
-                       "--cache-dir", str(cache))
-    assert code == 0
-    assert out.strip() == cone_to_json(build_cone(2, 3))
-    assert cached_cone(2, 3, str(cache)) == build_cone(2, 3)
-
-
 def assert_one_error_line(code, out, err):
     assert code == 1 and out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
@@ -184,6 +160,27 @@ def test_build_quiver_out_under_a_file(capsys, tmp_path):
     blocker.write_text("")
     assert_one_error_line(*run(capsys, "build-quiver", "--l", "2", "--m", "2",
                                "--out", str(blocker / "x.json")))
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeff", "--mu", "2,1", "--nu", "2,1"],
+    ["cone", "--l", "x", "--m", "3"],
+    ["frobnicate"],
+    ["cone", "--l", "2", "--m", "2", "--cache-dir", "d"],
+])
+def test_bad_command_line_is_a_usage_error(capsys, argv):
+    # exit 2 belongs to failed verification, so argparse's own 2 is replaced
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert_one_error_line(exc.value.code, out.out, out.err)
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0 and capsys.readouterr().out
 
 
 COLD_PROBE = """
@@ -212,7 +209,7 @@ def test_cold_commands_skip_numpy_and_geometry(tmp_path):
         [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p])
     for argv in (["--version"], ["cone", "--l", "3", "--m", "3"],
                  ["cone", "--l", "3", "--m", "3",
-                  "--cache-dir", str(tmp_path)]):
+                  "--out", str(tmp_path / "cone.json")]):
         proc = subprocess.run([sys.executable, "-c", COLD_PROBE] + argv,
                               env=env, capture_output=True, text=True,
                               timeout=120)

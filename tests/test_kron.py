@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hivekron.errors import (LengthExceedsM, SizeMismatch,
-                             SizeTooLargeForOracle)
+from hivekron.errors import (HivekronError, LengthExceedsM, OutOfRange,
+                             SizeMismatch, SizeTooLargeForOracle)
 from hivekron.kron import (class_size_inverse, kronecker, kronecker_oracle,
                            lambda_shifts, mn_character, partition,
                            partitions_of, sigma_of, transpose)
@@ -14,8 +14,15 @@ from hivekron.kron import (class_size_inverse, kronecker, kronecker_oracle,
 
 def test_partition_normalization():
     assert partition((3, 2, 0, 0)) == (3, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         partition((1, 2))
+
+
+@pytest.mark.parametrize("bad", [(1, 2), (2, -1)])
+def test_bad_partition_is_a_package_error(bad):
+    for compute in (kronecker, kronecker_oracle):
+        with pytest.raises(HivekronError):
+            compute(bad, (2, 1), (2, 1))
 
 
 def test_transpose_involution():

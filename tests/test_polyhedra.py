@@ -428,6 +428,51 @@ def test_counting_a_fibre_creates_no_fraction(monkeypatch):
     assert [count_lattice_points(c, th) for c, th in fibres] == expected
 
 
+def test_int64_count_reads_no_python_rows(monkeypatch):
+    # the int64 DFS runs on the geometry's matrix, built once per cone
+    import hivekron.polyhedra as P
+    fibres = fibres_23_33()
+    expected = [count_lattice_points(c, th) for c, th in fibres]
+    for c in {c for c, _ in fibres}:
+        monkeypatch.delattr(P._geometry(c), "R")
+    assert [count_lattice_points(c, th) for c, th in fibres] == expected
+
+
+def test_np_rec_equals_brute_force():
+    # _np_rec takes a box that holds every integer point of R z + res >= 0,
+    # as a certificate box does: the facets include the box's own, and every
+    # other trial passes the tighter bounding box of the points instead
+    import numpy as np
+    import hivekron.polyhedra as P
+    rng = random.Random(200)
+    counts = []
+    for trial in range(200):
+        F, d = rng.randint(1, 6), trial % 4
+        lo = [rng.randint(-4, 1) for _ in range(d)]
+        hi = [rng.randint(a - 1, 4) for a in lo]
+        R = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(F)]
+        res = [rng.randint(-1, 4) for _ in range(F)]
+        for j in range(d):
+            unit = [int(k == j) for k in range(d)]
+            R += [unit, [-x for x in unit]]
+            res += [-lo[j], hi[j]]
+        box = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+        points = [z for z in box
+                  if all(r + sum(x * y for x, y in zip(row, z)) >= 0
+                         for row, r in zip(R, res))]
+        if points and trial // 4 % 2:
+            lo = [min(c) for c in zip(*points)]
+            hi = [max(c) for c in zip(*points)]
+        for dtype in (np.int64, object):
+            got = P._np_rec(np.array(R, dtype=dtype).reshape(len(R), d),
+                            np.array(res, dtype=dtype),
+                            np.array(lo, dtype=dtype),
+                            np.array(hi, dtype=dtype), np.arange(d))
+            assert got == len(points), (R, res, lo, hi, dtype)
+        counts.append(len(points))
+    assert counts.count(0) >= 20 and sum(1 for n in counts if n > 5) >= 20
+
+
 def test_one_column_reduction_per_cone(monkeypatch, fresh_geometry):
     P = fresh_geometry
     calls = []

@@ -140,7 +140,7 @@ def test_frozen_weights_never_altered():
 def test_vertex_json_codec_roundtrip():
     from hivekron.diamonds import build_bar, build_tilde
     from hivekron.quiver import det_vertex, vertex_from_json, vertex_to_json
-    # the form cone and quiver files (and the cone cache) are written in
+    # the form cone and quiver files are written in
     assert vertex_to_json(det_vertex(3)) == ["det", "3"]
     assert vertex_to_json(hive_vertex(2, 1, 0, True)) == \
         ["hive", "2", "1", "0", "1"]

@@ -19,7 +19,6 @@ def readme_commands():
 
 def test_readme_commands_run(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("HIVEKRON_CACHE_DIR", raising=False)
     commands = readme_commands()
     assert len(commands) == 7
     outputs = {}

@@ -11,10 +11,17 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
 
 
+# the CLI's cone cache is deleted; the tracer reports the name as absent
+GONE = {("hivekron.cli", "cached_cone")}
+
+
 def test_wrapped_names_resolve(monkeypatch):
     monkeypatch.syspath_prepend(PERFBENCH)
     tracing = importlib.import_module("tracing")
     assert tracing.WRAPPED
     for modname, attr, _layer in tracing.WRAPPED:
         module = importlib.import_module(modname)
-        assert callable(getattr(module, attr, None)), f"{modname}.{attr}"
+        if (modname, attr) in GONE:
+            assert not hasattr(module, attr), f"{modname}.{attr}"
+        else:
+            assert callable(getattr(module, attr, None)), f"{modname}.{attr}"
