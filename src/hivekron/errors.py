@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer input check."""
+
+import operator
 
 
 class HivekronError(Exception):
@@ -23,6 +25,16 @@ class SizeTooSmall(HivekronError):
 
 class OutOfRange(HivekronError):
     pass
+
+
+def as_ints(values, what: str) -> tuple:
+    """values as a tuple of ints; OutOfRange for a float, a string or any
+    other non-integer, which is never truncated."""
+    values = tuple(values)
+    try:
+        return tuple(operator.index(x) for x in values)
+    except TypeError:
+        raise OutOfRange(f"{what} must be integers, got {values}") from None
 
 
 class IndexOutOfRange(HivekronError):

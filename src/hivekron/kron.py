@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (LengthExceedsL, LengthExceedsM, OutOfRange,
-                     SizeMismatch, SizeTooLargeForOracle)
+                     SizeMismatch, SizeTooLargeForOracle, as_ints)
 from .polyhedra import build_cone, count_lattice_points
 
 ORACLE_BOUND = 12
@@ -22,7 +22,7 @@ ORACLE_BOUND = 12
 
 def partition(parts) -> tuple:
     """Normalize to a weakly decreasing tuple without trailing zeros."""
-    p = tuple(int(x) for x in parts)
+    p = as_ints(parts, "partition parts")
     if any(a < b for a, b in zip(p, p[1:])):
         raise OutOfRange(f"not weakly decreasing: {p}")
     if any(x < 0 for x in p):

@@ -16,7 +16,7 @@ from functools import lru_cache
 from operator import mul
 
 from .diamonds import build_bar
-from .errors import OutOfRange, UnboundedFibre
+from .errors import OutOfRange, UnboundedFibre, as_ints
 from .lp import OPTIMAL, float_basis, solve_lp
 from .pathmods import boundary_path, diagonal_module, submodule_dims
 from .quiver import VertexId, vertex_from_json, vertex_to_json
@@ -255,7 +255,7 @@ def _np_count(geo, r0, lo, hi, workers: int = 1):
     lo0 = np.array(lo, dtype=dtype)
     hi0 = np.array(hi, dtype=dtype)
     idx = np.arange(geo.d)
-    if workers > 1:
+    if workers > 1 and geo.d:
         # split the widest coordinate of the tightened root box
         if not _tighten(R, res0, lo0, hi0, idx):
             return 0
@@ -380,9 +380,9 @@ class _FibreGeometry:
         """Dual certificates (Y, D) bounding each reduced coordinate.
 
         y = Y / D >= 0 with (-R)^T y = e_j gives z_j <= y . r0 on
-        {Rz + r0 >= 0}; the certificate is theta-independent.  A float
-        simplex suggests an optimal basis of min 1.y; y read on that basis
-        and rationalized is used only once it passes the exact check.
+        {Rz + r0 >= 0}; the certificate is theta-independent.  The simplex
+        run in floats suggests an optimal basis of min 1.y; y read on that
+        basis and rationalized is used only once it passes the exact check.
         Anything else goes to the exact simplex, whose dual infeasibility
         alone means the coordinate is unbounded over some fibre (None).
         """
@@ -437,7 +437,7 @@ def count_lattice_points(c: Cone, theta, workers: int = 1) -> int:
     """Exact number of integer points of the fibre at theta (2l+m ints)."""
     if workers < 1:
         raise OutOfRange(f"worker count must be >= 1, got {workers}")
-    theta = tuple(int(x) for x in theta)
+    theta = as_ints(theta, "theta")
     if len(theta) != 2 * c.l + c.m:
         raise OutOfRange(f"theta must have length {2 * c.l + c.m}")
     geo = _geometry(c)

@@ -16,9 +16,11 @@ def test_partition_normalization():
     assert partition((3, 2, 0, 0)) == (3, 2)
     with pytest.raises(OutOfRange):
         partition((1, 2))
+    with pytest.raises(OutOfRange):
+        partition((2.5, 1))
 
 
-@pytest.mark.parametrize("bad", [(1, 2), (2, -1)])
+@pytest.mark.parametrize("bad", [(1, 2), (2, -1), (2.9, 1)])
 def test_bad_partition_is_a_package_error(bad):
     for compute in (kronecker, kronecker_oracle):
         with pytest.raises(HivekronError):

@@ -258,6 +258,23 @@ def test_unbounded_fibre_detected():
         count_lattice_points(fake, (2, 0, 0))
 
 
+def test_fibre_without_free_coordinate_on_two_workers():
+    from hivekron.quiver import hive_vertex
+    # the grading has full rank, so the fibre is one point and d = 0
+    verts = (hive_vertex(1, 0, 1), hive_vertex(1, 0, 2))
+    point = Cone(2, 2, verts, ((1, 0), (0, 1)),
+                 ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)))
+    for workers in (1, 2):
+        assert count_lattice_points(point, (2, 3, 0, 0, 0, 0),
+                                    workers=workers) == 1
+
+
+def test_non_integer_theta_rejected(small_builds):
+    from hivekron.errors import HivekronError
+    with pytest.raises(HivekronError):
+        count_lattice_points(build_cone(2, 2), (0.7,) * 6)
+
+
 def test_hnf_solve_simple():
     g0, ker = _hnf_solve([[2, 0, 0], [0, 3, 0]], [4, 6])
     assert g0[0] == 2 and g0[1] == 2
