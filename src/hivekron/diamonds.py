@@ -11,13 +11,14 @@ edges carry arrows once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import (OutOfRange, SizeTooSmall, UnderdeterminedWeights,
                      UnsupportedDiamond, WeightConfigInconsistent,
                      WeightRoutesDisagree)
-from .quiver import (IceQuiver, VertexId, det_vertex, hive_vertex,
+from .intlin import back_solve, hnf
+from .quiver import (IceQuiver, VertexId, b_matrix, det_vertex, hive_vertex,
                      make_quiver, mutate_weights_seq, weight_defect)
 from .semiinv import det_weight, normalize_label, sigma_lambda_weight
 
@@ -255,68 +256,34 @@ def bar_known_weight(v: VertexId, l: int, m: int):
 
 
 def _solve_interior_weights(Q: IceQuiver, known: dict, dim: int) -> dict:
-    """Solve B*sigma = 0 for the unknown rows, exactly and per coordinate."""
-    unknown = [v for v in Q.vertices if v not in known]
+    """Solve B*sigma = 0 for the unknown weights, exactly and per coordinate.
+
+    B's unknown columns are put in column echelon form B_u . U = M once;
+    each coordinate of the right-hand side -B_k . sigma_k then costs one
+    back-substitution w, and the unknown weights are U . w.
+    """
+    B = b_matrix(Q)
+    unknown = [k for k, v in enumerate(B.cols) if v not in known]
     if not unknown:
         return {}
-    idx = {v: k for k, v in enumerate(unknown)}
-    rows = []
-    rhs = []
-    for u in Q.mutable:
-        coef = [0] * len(unknown)
-        acc = [0] * dim
-        touched = False
-        for v, mult in Q.arrows_in(u):
-            if v in idx:
-                coef[idx[v]] += mult
-                touched = True
-            else:
-                w = known[v]
-                for k in range(dim):
-                    acc[k] += mult * w[k]
-        for v, mult in Q.arrows_out(u):
-            if v in idx:
-                coef[idx[v]] -= mult
-                touched = True
-            else:
-                w = known[v]
-                for k in range(dim):
-                    acc[k] -= mult * w[k]
-        if touched or any(acc):
-            rows.append(coef)
-            rhs.append([-a for a in acc])
-    # Gaussian elimination over the rationals, all coordinates at once
-    nr, nu = len(rows), len(unknown)
-    A = [[Fraction(x) for x in row] + [Fraction(x) for x in rhs[r]]
-         for r, row in enumerate(rows)]
-    pivots = []
-    r = 0
-    for c in range(nu):
-        piv = next((k for k in range(r, nr) if A[k][c] != 0), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        pv = A[r][c]
-        A[r] = [x / pv for x in A[r]]
-        for k in range(nr):
-            if k != r and A[k][c] != 0:
-                f = A[k][c]
-                A[k] = [x - f * y for x, y in zip(A[k], A[r])]
-        pivots.append(c)
-        r += 1
-    if len(pivots) < nu:
+    fixed = [(k, known[v]) for k, v in enumerate(B.cols) if v in known]
+    M, U, pivots, rank = hnf([[row[k] for k in unknown] for row in B.entries])
+    if rank < len(unknown):
         raise UnderdeterminedWeights(
-            f"{nu - len(pivots)} interior weight rows undetermined")
-    for k in range(r, nr):
-        if any(A[k][nu:]):
-            raise WeightRoutesDisagree("interior weight system inconsistent")
-    out = {}
-    for rr, c in enumerate(pivots):
-        vals = A[rr][nu:]
-        if any(x.denominator != 1 for x in vals):
-            raise WeightRoutesDisagree("non-integral interior weight")
-        out[unknown[c]] = tuple(int(x) for x in vals)
-    return out
+            f"{len(unknown) - rank} interior weight rows undetermined")
+    rhs = []
+    for row in B.entries:
+        terms = [(row[k], w) for k, w in fixed if row[k]]
+        rhs.append([-sum(b * w[t] for b, w in terms) for t in range(dim)])
+    x = []
+    for target in zip(*rhs):
+        # a unique rational solution that is not integral, or none at all
+        w = back_solve(M, pivots, target)
+        if w is None:
+            raise WeightRoutesDisagree(
+                "interior weight system inconsistent or non-integral")
+        x.append([sum(map(mul, u, w)) for u in U])
+    return {B.cols[k]: tuple(xt[i] for xt in x) for i, k in enumerate(unknown)}
 
 
 @lru_cache(maxsize=None)

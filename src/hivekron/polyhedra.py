@@ -17,6 +17,7 @@ from operator import mul
 
 from .diamonds import build_bar
 from .errors import OutOfRange, UnboundedFibre, as_ints
+from .intlin import back_solve, hnf
 from .lp import OPTIMAL, float_basis, solve_lp
 from .pathmods import boundary_path, diagonal_module, submodule_dims
 from .quiver import VertexId, vertex_from_json, vertex_to_json
@@ -76,90 +77,6 @@ def build_cone(l: int, m: int) -> Cone:
                 facets.append(vec)
     grading = tuple(tuple(sigma[v]) for v in vorder)
     return Cone(l, m, vorder, tuple(facets), grading)
-
-
-# ---------------------------------------------------------------------------
-# integral parametrization of a fibre: solve grading^T g = theta over Z
-
-
-def _hnf(rows):
-    """Column reduction rows . U = M of an integer matrix, U unimodular.
-
-    Returns (M, U, pivots, rank).  M is in column echelon form: pivots[row]
-    is the column of that row's positive pivot, or None, pivot columns are
-    0..rank-1 in row order, and columns rank.. of M are zero, so columns
-    rank.. of U are a basis of the integer kernel of rows.  The column
-    operations act on M stacked over U, which starts as the identity.
-    """
-    R = len(rows)
-    C = len(rows[0]) if rows else 0
-    MU = [list(r) for r in rows] + [[int(i == j) for j in range(C)]
-                                    for i in range(C)]
-
-    def colop_swap(a, b):
-        for r in MU:
-            r[a], r[b] = r[b], r[a]
-
-    def colop_addmul(dst, src, f):
-        for r in MU:
-            r[dst] += f * r[src]
-
-    def colop_negate(a):
-        for r in MU:
-            r[a] = -r[a]
-
-    M = MU[:R]
-    rank = 0
-    pivots = [None] * R
-    for row in range(R):
-        piv = next((c for c in range(rank, C) if M[row][c] != 0), None)
-        if piv is None:
-            continue
-        colop_swap(rank, piv)
-        for c in range(rank + 1, C):
-            while M[row][c] != 0:
-                q = M[row][rank] // M[row][c]
-                colop_addmul(rank, c, -q)
-                colop_swap(rank, c)
-        if M[row][rank] < 0:
-            colop_negate(rank)
-        pivots[row] = rank
-        rank += 1
-    return M, MU[R:], pivots, rank
-
-
-def _back_solve(M, pivots, target):
-    """The integer w with M[:, :rank] . w = target, or None if there is none.
-
-    Row by row, only the pivot columns of earlier rows and the row's own
-    pivot are nonzero, so each pivot fixes one entry of w.
-    """
-    w = []
-    for row, p, t in zip(M, pivots, target):
-        num = t - sum(map(mul, row, w))
-        if p is not None:
-            if num % row[p] != 0:
-                return None
-            w.append(num // row[p])
-        elif num != 0:
-            return None
-    return w
-
-
-def _hnf_solve(rows, target):
-    """All integer solutions of rows . g = target.
-
-    rows: list of integer row vectors (the transposed grading), target the
-    right-hand side.  Returns (g0, kernel_basis) or None if no integral
-    solution exists.  kernel_basis is a list of integer vectors.
-    """
-    M, U, pivots, rank = _hnf(rows)
-    w = _back_solve(M, pivots, target)
-    if w is None:
-        return None
-    g0 = [sum(map(mul, u, w)) for u in U]
-    kernel = [[u[c] for u in U] for c in range(rank, len(U))]
-    return g0, kernel
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +276,7 @@ class _FibreGeometry:
     def __init__(self, c: Cone):
         n = c.ambient_dim
         rows = [[g[t] for g in c.grading] for t in range(len(c.grading[0]))]
-        self.M, U, self.pivots, rank = _hnf(rows)
+        self.M, U, self.pivots, rank = hnf(rows)
         self.FU = [[sum(f[v] * U[v][k] for v in range(n)) for k in range(rank)]
                    for f in c.facets]
         kernel = [[u[k] for u in U] for k in range(rank, n)]
@@ -412,7 +329,7 @@ class _FibreGeometry:
 
     def solve_theta(self, theta):
         """Facet residuals r0 of an integer point of the grading at theta."""
-        w = _back_solve(self.M, self.pivots, theta)
+        w = back_solve(self.M, self.pivots, theta)
         if w is None:
             return None
         return [sum(map(mul, row, w)) for row in self.FU]

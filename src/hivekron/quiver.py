@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import MutationAtFrozen, NotAWeightConfig, UnknownVertex
+from .errors import (MutationAtFrozen, NotAWeightConfig, OutOfRange,
+                     UnknownVertex)
+from .intlin import hnf
 
 
 class VertexId(NamedTuple):
@@ -67,9 +69,9 @@ class IceQuiver:
         vs = set(self.vertices)
         for (s, t), m in self.arrows.items():
             if m <= 0:
-                raise ValueError(f"nonpositive multiplicity on {s}->{t}")
+                raise OutOfRange(f"nonpositive multiplicity on {s}->{t}")
             if s == t:
-                raise ValueError(f"loop at {s}")
+                raise OutOfRange(f"loop at {s}")
             if s not in vs or t not in vs:
                 raise UnknownVertex(f"arrow endpoint not a vertex: {s}->{t}")
 
@@ -199,26 +201,8 @@ def b_matrix(Q: IceQuiver) -> BMatrix:
 
 
 def b_matrix_rank(Q: IceQuiver) -> int:
-    """Rank of B(Q) over the rationals (fraction-free elimination)."""
-    B = b_matrix(Q)
-    mat = [list(row) for row in B.entries]
-    rank = 0
-    ncols = len(B.cols)
-    col = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pr = mat[rank]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f, g = mat[r][col], pr[col]
-                mat[r] = [a * g - b * f for a, b in zip(mat[r], pr)]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+    """Rank of B(Q) over the rationals, read off the echelon form of B^T."""
+    return hnf(list(zip(*b_matrix(Q).entries)))[3]
 
 
 WeightConfig = dict  # VertexId -> Weight

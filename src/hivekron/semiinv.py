@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateSample, IndexOutOfRange, NonSquare
+from .intlin import det
 
 Matrix = list  # list of rows, each a list of ints
 
@@ -251,29 +252,6 @@ def _mat_mul(A: Matrix, B: Matrix) -> Matrix:
     return out
 
 
-def _det_bareiss(mat: Matrix) -> int:
-    """Exact determinant via fraction-free Gaussian elimination."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [row[:] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                a[r][c] = (a[r][c] * a[k][k] - a[r][k] * a[k][c]) // prev
-            a[r][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def eval_semi_invariant(p: Presentation, M: Representation) -> int:
     """Exact value det M(p) of a semi-invariant on an integer representation."""
     src_dims = [abs(s) for s in p.sources]
@@ -295,7 +273,7 @@ def eval_semi_invariant(p: Presentation, M: Representation) -> int:
                         grand[r0 + r][c0 + c] = row[c]
             c0 += tgt_dims[ti]
         r0 += src_dims[si]
-    return _det_bareiss(grand)
+    return det(grand)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +296,7 @@ class RelationReport:
 def vertex_value(v, M: Representation, l: int, m: int) -> int:
     """Evaluate the cluster variable sitting at a canonical quiver vertex."""
     if v.kind == "det":
-        return _det_bareiss(M.central[v.n])
+        return det(M.central[v.n])
     if v.n == 1:
         return eval_semi_invariant(lifted_presentation(v.j, 0, 1, False, l, m), M)
     return eval_semi_invariant(lifted_presentation(v.i, v.j, v.n, v.dual, l, m), M)

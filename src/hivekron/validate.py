@@ -112,7 +112,8 @@ def run_validation(l: int, m: int, level: str = "quick",
             lparts = [p for p in partitions_of(n) if len(p) <= min(m, 3)]
             for mu, nu in itertools.combinations_with_replacement(parts, 2):
                 for lam in lparts:
-                    if kronecker(mu, nu, lam).value != kronecker_oracle(mu, nu, lam):
+                    got = kronecker(mu, nu, lam, l=l, m=m).value
+                    if got != kronecker_oracle(mu, nu, lam):
                         bad += 1
         rep.add("oracle-sweep", bad == 0, f"{bad} mismatches")
     return rep

@@ -89,7 +89,7 @@ def test_weight_configs_balance(l, m):
     assert not weight_defect(Qb, sb)
 
 
-@pytest.mark.parametrize("l,m", SIZES)
+@pytest.mark.parametrize("l,m", SIZES + [(5, 5), (6, 6)])
 def test_full_rank(l, m):
     Qt, _ = build_tilde(l, m)
     assert b_matrix_rank(Qt) == len(Qt.mutable)

@@ -4,14 +4,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hivekron.kron import lambda_shifts, partitions_of, sigma_of
 from hivekron.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
-from hivekron.polyhedra import (Cone, _hnf_solve, build_cone, cone_from_json,
-                                cone_to_json, count_lattice_points)
+from hivekron.polyhedra import (Cone, build_cone, cone_from_json, cone_to_json,
+                                count_lattice_points)
 from hivekron.quiver import VertexId, hive_vertex
+from test_intlin import fraction_rank, hnf_solve
 
 
 def test_cone_333_facets(small_builds):
@@ -275,29 +274,6 @@ def test_non_integer_theta_rejected(small_builds):
         count_lattice_points(build_cone(2, 2), (0.7,) * 6)
 
 
-def test_hnf_solve_simple():
-    g0, ker = _hnf_solve([[2, 0, 0], [0, 3, 0]], [4, 6])
-    assert g0[0] == 2 and g0[1] == 2
-    assert len(ker) == 1 and ker[0][2] != 0
-    assert _hnf_solve([[2, 0]], [3]) is None
-
-
-@given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4),
-       st.integers(-4, 4), st.integers(-9, 9), st.integers(-9, 9))
-@settings(max_examples=80, deadline=None)
-def test_hnf_solve_random(a, b, c, d, t1, t2):
-    rows = [[a, b, 1, 0], [c, d, 0, 2]]
-    sol = _hnf_solve(rows, [t1, t2])
-    if sol is None:
-        return
-    g0, ker = sol
-    for r, t in zip(rows, (t1, t2)):
-        assert sum(x * y for x, y in zip(r, g0)) == t
-        for kv in ker:
-            assert sum(x * y for x, y in zip(r, kv)) == 0
-    assert len(ker) == 4 - 2  # these rows are always independent
-
-
 def test_count_matches_known_kronecker(small_builds):
     # single surviving shift: the count itself is the coefficient
     c = build_cone(2, 2)
@@ -385,11 +361,11 @@ def test_certificates_fall_back_to_exact_lp(monkeypatch, fresh_geometry,
 
 def fraction_fibre(geo, c, theta):
     """Reference (r0, lo, hi) by rational formulas: r0 = facets . g0 with g0
-    from a full _hnf_solve, and the boxes floor(sum y r0), ceil(-sum y' r0)
+    from a full hnf_solve, and the boxes floor(sum y r0), ceil(-sum y' r0)
     over y = Fraction(Y_k, D).  None when theta has no integer solution."""
     import math
     rows = [[g[t] for g in c.grading] for t in range(len(theta))]
-    sol = _hnf_solve(rows, list(theta))
+    sol = hnf_solve(rows, list(theta))
     if sol is None:
         return None
     assert [sum(x * y for x, y in zip(row, sol[0])) for row in rows] == \
@@ -493,12 +469,12 @@ def test_np_rec_equals_brute_force():
 def test_one_column_reduction_per_cone(monkeypatch, fresh_geometry):
     P = fresh_geometry
     calls = []
-    real = P._hnf
+    real = P.hnf
 
     def spy(rows):
         calls.append(len(rows[0]))
         return real(rows)
-    monkeypatch.setattr(P, "_hnf", spy)
+    monkeypatch.setattr(P, "hnf", spy)
     for c, th in fibres_23_33():
         count_lattice_points(c, th)
     assert calls == [build_cone(*lm).ambient_dim for lm in ((2, 3), (3, 3))]
@@ -551,7 +527,7 @@ def test_size_reduce_matches_fraction_reference():
         c = build_cone(*lm)
         rows = [[c.grading[v][t] for v in range(c.ambient_dim)]
                 for t in range(len(c.grading[0]))]
-        kernel = _hnf_solve(rows, [0] * len(rows))[1]
+        kernel = hnf_solve(rows, [0] * len(rows))[1]
         embedded = [list(kv) + [sum(f[v] * kv[v] for v in range(len(kv)))
                                 for f in c.facets] for kv in kernel]
         assert _size_reduce(embedded) == fraction_size_reduce(embedded)
@@ -561,24 +537,9 @@ def test_size_reduce_matches_fraction_reference():
     while tried < 40:
         n = rng.randint(2, 5)
         rows = [[rng.randint(-3, 3) for _ in range(n + 1)] for _ in range(n)]
-        if rank(rows) < n:
+        if fraction_rank(rows) < n:
             continue
         tried += 1
         embedded = [r + [2 * x for x in r] for r in rows]
         assert _size_reduce(embedded) == fraction_size_reduce(embedded)
 
-
-def rank(rows):
-    from fractions import Fraction
-    m = [[Fraction(x) for x in r] for r in rows]
-    rk = 0
-    for col in range(len(m[0])):
-        piv = next((r for r in range(rk, len(m)) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rk], m[piv] = m[piv], m[rk]
-        for r in range(rk + 1, len(m)):
-            f = m[r][col] / m[rk][col]
-            m[r] = [a - f * b for a, b in zip(m[r], m[rk])]
-        rk += 1
-    return rk

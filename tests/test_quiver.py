@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hivekron.errors import MutationAtFrozen, NotAWeightConfig, UnknownVertex
+from hivekron.errors import (HivekronError, MutationAtFrozen, NotAWeightConfig,
+                             UnknownVertex)
 from hivekron.quiver import (b_matrix, b_matrix_rank, hive_vertex,
                              is_weight_config, make_quiver, mutate_quiver,
                              mutate_weights, weight_defect)
@@ -36,6 +37,12 @@ def test_mutation_errors():
         mutate_quiver(Q, V(2))
     with pytest.raises(UnknownVertex):
         mutate_quiver(Q, V(9))
+
+
+@pytest.mark.parametrize("arrow", [(1, 1, 1), (1, 2, -1)])
+def test_loop_and_negative_multiplicity_rejected(arrow):
+    with pytest.raises(HivekronError):
+        quiver_from_arrows(2, [arrow])
 
 
 def test_b_matrix_three_cycle():

@@ -1,5 +1,7 @@
-"""Every command of README's "Command line" block runs and says what it says."""
+"""Every command of README's "Command line" block runs and says what it
+says, and its "Layout" block lists every module of the package."""
 
+import glob
 import json
 import os
 import shlex
@@ -29,3 +31,13 @@ def test_readme_commands_run(capsys, tmp_path, monkeypatch):
     assert outputs["oracle"].strip() == "5"
     doc = json.loads((tmp_path / "cone.json").read_text())
     assert len(doc["facets"]) == 43
+
+
+def test_readme_layout_lists_every_module():
+    with open(README) as fh:
+        block = fh.read().split("## Layout", 1)[1].split("```")[1]
+    listed = {line.split()[0] for line in block.splitlines()
+              if line.startswith("  ") and line.split()}
+    src = os.path.join(os.path.dirname(README), "src", "hivekron", "*.py")
+    modules = {os.path.basename(p) for p in glob.glob(src)} - {"__init__.py"}
+    assert modules and modules <= listed, sorted(modules - listed)
