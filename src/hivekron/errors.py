@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer input check."""
+"""Exception types shared across the package, and the integer input checks."""
 
 import operator
 
@@ -35,6 +35,14 @@ def as_ints(values, what: str) -> tuple:
         return tuple(operator.index(x) for x in values)
     except TypeError:
         raise OutOfRange(f"{what} must be integers, got {values}") from None
+
+
+def as_worker_count(workers) -> int:
+    """workers as an int >= 1; OutOfRange for anything else."""
+    (workers,) = as_ints((workers,), "worker counts")
+    if workers < 1:
+        raise OutOfRange(f"worker count must be >= 1, got {workers}")
+    return workers
 
 
 class IndexOutOfRange(HivekronError):

@@ -14,7 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (LengthExceedsL, LengthExceedsM, OutOfRange,
-                     SizeMismatch, SizeTooLargeForOracle, as_ints)
+                     SizeMismatch, SizeTooLargeForOracle, as_ints,
+                     as_worker_count)
 from .polyhedra import build_cone, count_lattice_points
 
 ORACLE_BOUND = 12
@@ -113,6 +114,7 @@ def kronecker(mu, nu, lam, l: int = None, m: int = None,
               workers: int = 1) -> KroneckerResult:
     """g_{mu,nu}^lambda as a signed sum of fibre lattice-point counts."""
     mu, nu, lam = partition(mu), partition(nu), partition(lam)
+    workers = as_worker_count(workers)
     n = sum(mu)
     if sum(nu) != n or sum(lam) != n:
         raise SizeMismatch(

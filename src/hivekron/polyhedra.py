@@ -3,7 +3,10 @@
 The cone is cut out by the submodule dimension vectors of the boundary
 and diagonal modules; its fibres under the weight grading are enumerated
 by a depth-first search over an integral parametrization of the fibre
-lattice, pruned by exact interval propagation.
+lattice, pruned by exact interval propagation.  The search runs on blocks
+of nodes: a node is its integer box, and one vectorized pass over the
+nonzeros of the facet matrix tightens every box of a block at once, on
+int64 when a proven bound allows and on Python integers otherwise.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from functools import lru_cache
 from operator import mul
 
 from .diamonds import build_bar
-from .errors import OutOfRange, UnboundedFibre, as_ints
+from .errors import OutOfRange, UnboundedFibre, as_ints, as_worker_count
 from .intlin import back_solve, hnf
 from .lp import OPTIMAL, float_basis, solve_lp
 from .pathmods import boundary_path, diagonal_module, submodule_dims
@@ -83,110 +86,179 @@ def build_cone(l: int, m: int) -> Cone:
 # counting
 
 
-# int64 magnitude below which the DFS arithmetic cannot overflow
-_INT64_SAFE = 2 ** 61
+# int64 magnitude that every value of the block DFS must stay below
+_INT64_SAFE = 2 ** 63
+# cap on rows x nonzeros of R in one block of nodes, so memory stays flat
+_BLOCK_ENTRIES = 2 ** 13
 
 
-def _tighten(R, res, lo, hi, idx):
-    """Propagate the facets over the free coordinates idx to a fixpoint.
+class _Plan:
+    """The nonzeros (f, j, c) of R, laid out for the block DFS.
 
-    Facet f gives c_j z_j >= -res_f - (best case of the other free
-    coordinates over their boxes); exact floor division tightens lo and hi
-    in place.  Returns False when the box is empty.
+    A node's box is one row u = [-lo | hi] of 2d upper bounds.  The
+    nonzeros are ordered by facet, then coordinate: ``fstart`` opens each
+    facet's run (``facets`` lists the facets that have one, ``empty`` the
+    others) and ``fof`` maps a nonzero to its run.  Term c z_j is at most
+    |c| u[sel] with sel = j + d [c > 0], and its facet bounds
+    u[j + d [c < 0]] from above; column k of ``runs`` lists the nonzeros
+    that bound u[cols[k]].  Only the nonzeros ``big`` with |c| > 1 need a
+    product and a division; ``coef`` holds their |c|.
+    """
+
+    def __init__(self, R, d):
+        import numpy as np
+        nz = [(f, j, c) for f, row in enumerate(R) for j, c in enumerate(row)
+              if c]
+        self.nnz = len(nz)
+        facets = sorted({f for f, _, _ in nz})
+        self.facets = np.array(facets, dtype=np.intp)
+        self.empty = np.array(sorted(set(range(len(R))) - set(facets)),
+                              dtype=np.intp)
+        self.fof = np.searchsorted(self.facets, [f for f, _, _ in nz])
+        self.fstart = np.flatnonzero(np.diff(self.fof, prepend=-1))
+        self.sel = np.array([j + d * (c > 0) for _, j, c in nz], dtype=np.intp)
+        target = [j + d * (c < 0) for _, j, c in nz]
+        self.cols = np.array(sorted(set(target)), dtype=np.intp)
+        runs = [[k for k, t in enumerate(target) if t == col]
+                for col in self.cols]
+        # each target's run, padded by repeating its own members: a minimum
+        # over the padded column equals the minimum over the run
+        width = max(map(len, runs), default=0)
+        self.runs = np.array([[run[i % len(run)] for run in runs]
+                              for i in range(width)], dtype=np.intp)
+        big = [k for k, (_, _, c) in enumerate(nz) if abs(c) > 1]
+        self.big = np.array(big, dtype=np.intp)
+        self.coef = [abs(nz[k][2]) for k in big]
+
+
+def _tighten_block(plan, rf, u):
+    """Tighten every node (row of u) to its own fixpoint; drop the empty ones.
+
+    Each term of facet f is at most |c'| u[sel] over the box, so with rest
+    the facet's constant rf_f plus the bounds of its other terms, the
+    facet holds only where c z_j >= -rest, that is
+    u[j + d [c < 0]] <= floor(rest / |c|).  A node that a pass leaves
+    unchanged leaves the active set; one with lo > hi is dropped.  The
+    rows of u are overwritten.
     """
     import numpy as np
 
-    sub = R[:, idx]
-    pos = sub > 0
-    neg = sub < 0
-    if bool((res[~(pos | neg).any(axis=1)] < 0).any()):
-        return False
-    has_pos, has_neg = bool(pos.any()), bool(neg.any())
-    pos_div = np.where(pos, sub, 1)
-    neg_div = np.where(neg, sub, 1)
-    Rp, Rn = np.maximum(sub, 0), np.minimum(sub, 0)
-    while True:
-        lo_i, hi_i = lo[idx], hi[idx]
-        maxc = Rp * hi_i + Rn * lo_i
-        rest = (res + maxc.sum(axis=1))[:, None] - maxc
-        changed = False
-        if has_pos:
-            new_lo = np.where(pos, -(rest // pos_div), lo_i).max(axis=0)
-            if bool((new_lo > lo_i).any()):
-                lo[idx] = new_lo
-                changed = True
-        if has_neg:
-            new_hi = np.where(neg, (-rest) // neg_div, hi_i).min(axis=0)
-            if bool((new_hi < hi_i).any()):
-                hi[idx] = new_hi
-                changed = True
-        if bool((lo[idx] > hi[idx]).any()):
-            return False
-        if not changed:
-            return True
+    if not plan.nnz:
+        return u
+    d = u.shape[1] // 2
+    a = np.array(plan.coef, dtype=u.dtype)
+    done = [u[:0]]
+    while len(u):
+        best = u[:, plan.sel]
+        if len(a):
+            best[:, plan.big] *= a
+        facet = np.add.reduceat(best, plan.fstart, axis=1) + rf
+        rest = np.subtract(facet[:, plan.fof], best, out=best)
+        if len(a):
+            rest[:, plan.big] //= a
+        old = u[:, plan.cols]
+        new = np.minimum(old, rest[:, plan.runs].min(axis=1))
+        moved = (new < old).any(axis=1)
+        done.append(u[~moved])
+        u[:, plan.cols] = new
+        u = u[moved & (u[:, :d] + u[:, d:] >= 0).all(axis=1)]
+    return np.concatenate(done)
 
 
-def _np_rec(R, res, lo, hi, idx):
-    """Exact DFS over the free coordinates idx: propagate, branch narrowest."""
+def _block_count(plan, r0, lo, hi):
+    """Exact count of the integer points z with R z + r0 >= 0 in the boxes
+    (rows of lo, hi), on int64 or on Python-int object arrays.
+
+    Depth first over blocks of nodes.  After tightening, a node with at most
+    one coordinate of positive width is exact: every facet holds at its
+    fixed coordinates and the one free interval is its 1-D fibre, so it adds
+    sum(widths) + 1.  Any other node branches on its narrowest positive-width
+    coordinate, lowest index first.  Children are pushed in blocks of at most
+    _BLOCK_ENTRIES // nnz rows, and a block taken off the stack is topped up
+    to that size from the blocks below it.
+    """
     import numpy as np
 
-    if not _tighten(R, res, lo, hi, idx):
+    if (r0[plan.empty] < 0).any():
         return 0
-    widths = hi[idx] - lo[idx]
-    free = widths > 0
-    if np.count_nonzero(free) <= 1:
-        # at the fixpoint every facet holds at the fixed coordinates, and the
-        # bounds of the one remaining coordinate are exactly its 1-D fibre
-        return int(widths.sum()) + 1
-    fixed = idx[~free]
-    if fixed.size:
-        res = res + R[:, fixed] @ lo[fixed]
-    idx, widths = idx[free], widths[free]
-    k = int(np.argmin(widths))
-    j = int(idx[k])
-    rest = np.delete(idx, k)
-    col = R[:, j]
+    rf = r0[plan.facets]
+    d = lo.shape[1]
+    rows = max(1, _BLOCK_ENTRIES // max(plan.nnz, 1))
+    u = np.concatenate((-lo, hi), axis=1)
     total = 0
-    base = res + int(lo[j]) * col
-    for _ in range(int(lo[j]), int(hi[j]) + 1):
-        total += _np_rec(R, base, lo.copy(), hi.copy(), rest)
-        base = base + col
+    stack = [u[(lo <= hi).all(axis=1)]]
+    while stack:
+        u = stack.pop()
+        while stack and len(u) < rows:
+            below = stack.pop()
+            k = rows - len(u)
+            u = np.concatenate((u, below[:k]))
+            if len(below) > k:
+                stack.append(below[k:])
+        u = _tighten_block(plan, rf, u)
+        widths = u[:, :d] + u[:, d:]
+        free = widths > 0
+        leaf = np.count_nonzero(free, axis=1) <= 1
+        total += int(widths[leaf].sum()) + int(np.count_nonzero(leaf))
+        u, widths, free = u[~leaf], widths[~leaf], free[~leaf]
+        if not len(u):
+            continue
+        j = np.argmin(np.where(free, widths, widths.max() + 1), axis=1)
+        n = (widths[np.arange(len(j)), j] + 1).astype(np.intp)
+        parent = np.repeat(np.arange(len(j)), n)
+        at = np.arange(len(parent))
+        jc = j[parent]
+        u = u[parent]
+        u[at, d + jc] = (at - np.repeat(np.cumsum(n) - n, n)) - u[at, jc]
+        u[at, jc] = -u[at, d + jc]
+        for s in range(0, len(u), rows):
+            stack.append(u[s:s + rows])
     return total
 
 
 def _np_count(geo, r0, lo, hi, workers: int = 1):
-    """Exact count by the vectorized DFS, on int64 or on Python integers.
+    """Exact count by the block DFS, on int64 or on Python integers.
 
-    Boxes only shrink, so the bound taken on the initial boxes covers every
-    intermediate value; the geometry's int64 matrix is used when it is
-    below _INT64_SAFE, object arrays of Python integers otherwise.
+    Live boxes only shrink, so with max_b the largest bound of the initial
+    box, a term |c| u is at most max_r max_b, a facet's sum with its
+    constant and a term left out at most
+    B = max_res + (d + 1) max_r max_b, and so is every candidate bound.
+    A width is at least -2 B, also on a node that a pass empties, and a
+    block's summed widths and child counts stay within
+    2 _BLOCK_ENTRIES (max_b + 1).  The int64 arrays are used when the sum
+    of those two bounds is below _INT64_SAFE, object arrays of Python
+    integers otherwise.
     """
     import numpy as np
 
+    plan = geo.plan
     max_b = max([abs(x) for x in lo] + [abs(x) for x in hi] + [1])
     max_res = max((abs(x) for x in r0), default=0)
-    safe = max_res + (2 * geo.d + 2) * geo.max_r * max_b < _INT64_SAFE
+    bound = max_res + (geo.d + 1) * geo.max_r * max_b
+    safe = 2 * bound + 2 * _BLOCK_ENTRIES * (max_b + 1) < _INT64_SAFE
     dtype = np.int64 if safe else object
-    R = geo.R64 if safe else np.array(geo.R, dtype=object)
-    res0 = np.array(r0, dtype=dtype)
-    lo0 = np.array(lo, dtype=dtype)
-    hi0 = np.array(hi, dtype=dtype)
-    idx = np.arange(geo.d)
-    if workers > 1 and geo.d:
+    r0 = np.array(r0, dtype=dtype)
+    lo = np.array(lo, dtype=dtype).reshape(1, geo.d)
+    hi = np.array(hi, dtype=dtype).reshape(1, geo.d)
+    if workers > 1 and geo.d and (lo <= hi).all():
         # split the widest coordinate of the tightened root box
-        if not _tighten(R, res0, lo0, hi0, idx):
+        u = _tighten_block(plan, r0[plan.facets],
+                           np.concatenate((-lo, hi), axis=1))
+        if not len(u):
             return 0
-        j = int(np.argmax(hi0 - lo0))
-        if hi0[j] > lo0[j]:
-            col = R[:, j]
-            rest = np.delete(idx, j)
-            branches = [(R, res0 + v * col, lo0.copy(), hi0.copy(), rest)
-                        for v in range(int(lo0[j]), int(hi0[j]) + 1)]
+        lo, hi = -u[:, :geo.d], u[:, geo.d:]
+        j = int(np.argmax(hi[0] - lo[0]))
+        if hi[0, j] > lo[0, j]:
+            branches = []
+            for v in range(int(lo[0, j]), int(hi[0, j]) + 1):
+                a, b = lo.copy(), hi.copy()
+                a[0, j] = b[0, j] = v
+                branches.append((plan, r0, a, b))
             import multiprocessing as mp
             ctx = mp.get_context("fork")
             with ctx.Pool(processes=min(workers, len(branches))) as pool:
-                return sum(pool.starmap(_np_rec, branches))
-    return _np_rec(R, res0, lo0, hi0, idx)
+                return sum(pool.starmap(_block_count, branches))
+    return _block_count(plan, r0, lo, hi)
 
 
 def _size_reduce(rows, passes=3):
@@ -267,7 +339,8 @@ class _FibreGeometry:
     r0 = (facets . U) w.  R is the facet matrix on a kernel basis that is
     size-reduced against the facet image (a unimodular change, so counts
     are unaffected), kept as Python-int rows for the exact certificate
-    checks and once as the int64 matrix R64 with max|R| for the DFS.  Dual
+    checks and once as the block DFS's plan of its nonzeros, with max|R|
+    for the magnitude guard.  Dual
     certificates, integer rows Y with one denominator D each, bound every
     reduced coordinate by a floor division of Y . r0, so no rational
     arithmetic runs per fibre.
@@ -287,10 +360,7 @@ class _FibreGeometry:
         self.d = len(kernel)
         self.R = [[sum(map(mul, f, kv)) for kv in kernel] for f in c.facets]
         self.max_r = max((abs(x) for row in self.R for x in row), default=0)
-        import numpy as np
-        # an R past int64 never passes _np_count's guard
-        self.R64 = (np.array(self.R, dtype=np.int64) if self.max_r < 2 ** 63
-                    else None)
+        self.plan = _Plan(self.R, self.d)
         self.up_cert, self.dn_cert = self._certificates()
 
     def _certificates(self):
@@ -352,8 +422,7 @@ def _geometry(c: Cone) -> _FibreGeometry:
 
 def count_lattice_points(c: Cone, theta, workers: int = 1) -> int:
     """Exact number of integer points of the fibre at theta (2l+m ints)."""
-    if workers < 1:
-        raise OutOfRange(f"worker count must be >= 1, got {workers}")
+    workers = as_worker_count(workers)
     theta = as_ints(theta, "theta")
     if len(theta) != 2 * c.l + c.m:
         raise OutOfRange(f"theta must have length {2 * c.l + c.m}")

@@ -184,6 +184,22 @@ def test_zero_workers_rejected(small_builds):
         kronecker((2, 1), (2, 1), (2, 1), workers=0)
 
 
+@pytest.mark.parametrize("workers", [2.5, "2", 1.0])
+def test_non_integer_workers_rejected(small_builds, workers):
+    # (4,2,2)^3 has fibres whose tightened root splits over a worker pool
+    from hivekron.errors import OutOfRange
+    from hivekron.kron import kronecker
+    c = build_cone(3, 3)
+    theta = sigma_of((4, 2, 2), (4, 2, 2), 3) + \
+        lambda_shifts((4, 2, 2), 3)[0][1]
+    assert count_lattice_points(c, theta, workers=2) == \
+        count_lattice_points(c, theta) > 1
+    with pytest.raises(OutOfRange):
+        count_lattice_points(c, theta, workers=workers)
+    with pytest.raises(OutOfRange):
+        kronecker((4, 2, 2), (4, 2, 2), (4, 2, 2), workers=workers)
+
+
 def test_facet_essentiality_22(small_builds):
     """Removing any facet enlarges the cone (checked by exact LP)."""
     from hivekron.lp import OPTIMAL, solve_lp
@@ -231,12 +247,12 @@ def test_python_fallback_matches_numpy(small_builds, monkeypatch):
     fibres.append((c23, sigma_of((2, 1), (2, 1), 2) + (2, 1, 0)))
     fibres += [(c33, th) for th in real_fibres(3, 3, 30, 33)]
     dtypes = set()
-    real = P._np_rec
+    real = P._tighten_block
 
-    def spy(R, *args):
-        dtypes.add(R.dtype.name)
-        return real(R, *args)
-    monkeypatch.setattr(P, "_np_rec", spy)
+    def spy(plan, rf, u):
+        dtypes.add(u.dtype.name)
+        return real(plan, rf, u)
+    monkeypatch.setattr(P, "_tighten_block", spy)
     fast = [count_lattice_points(c, th) for c, th in fibres]
     assert dtypes == {"int64"}
     dtypes.clear()
@@ -245,6 +261,28 @@ def test_python_fallback_matches_numpy(small_builds, monkeypatch):
     assert dtypes == {"object"}
     assert fast == slow
     assert sum(1 for n in fast[11:] if n > 1) >= 10
+
+
+def test_node_counts_pinned(small_builds, monkeypatch):
+    # nodes entered are the rows passed to the block tightener; the
+    # branching rule (narrowest open coordinate, lowest index) fixes them
+    import hivekron.polyhedra as P
+    from hivekron.kron import kronecker
+    rows = []
+    real = P._tighten_block
+
+    def spy(plan, rf, u):
+        rows.append(len(u))
+        assert len(u) * plan.nnz <= P._BLOCK_ENTRIES
+        return real(plan, rf, u)
+    monkeypatch.setattr(P, "_tighten_block", spy)
+    for triple, value, nodes in ((((4, 2, 2),) * 3, 6, 420),
+                                 (((6, 3, 3), (5, 4, 3), (4, 4, 4)), 3, 4261),
+                                 (((8, 4, 4),) * 3, 43, 8997)):
+        rows.clear()
+        assert kronecker(*triple, l=3, m=3).value == value
+        assert sum(rows) == nodes
+    assert max(rows) > 1
 
 
 def test_unbounded_fibre_detected():
@@ -266,6 +304,17 @@ def test_fibre_without_free_coordinate_on_two_workers():
     for workers in (1, 2):
         assert count_lattice_points(point, (2, 3, 0, 0, 0, 0),
                                     workers=workers) == 1
+
+
+def test_huge_fibre_counts_on_python_integers():
+    from hivekron.quiver import hive_vertex
+    # x, y >= 0 and x + y = t: t + 1 points on one open coordinate, whose
+    # bounds pass int64 range once t nears 2^62
+    verts = (hive_vertex(1, 0, 1), hive_vertex(1, 0, 2))
+    line = Cone(2, 2, verts, ((1, 0), (0, 1)),
+                ((1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)))
+    for t in (5, 2 ** 61, 2 ** 62, 2 ** 70):
+        assert count_lattice_points(line, (t, 0, 0, 0, 0, 0)) == t + 1
 
 
 def test_non_integer_theta_rejected(small_builds):
@@ -431,12 +480,22 @@ def test_int64_count_reads_no_python_rows(monkeypatch):
     assert [count_lattice_points(c, th) for c, th in fibres] == expected
 
 
-def test_np_rec_equals_brute_force():
-    # _np_rec takes a box that holds every integer point of R z + res >= 0,
-    # as a certificate box does: the facets include the box's own, and every
-    # other trial passes the tighter bounding box of the points instead
+def block_count(R, res, boxes, d, dtype):
+    """The block engine on the boxes [(lo, hi), ...] in one block."""
     import numpy as np
     import hivekron.polyhedra as P
+    lo = np.array([b[0] for b in boxes], dtype=dtype).reshape(len(boxes), d)
+    hi = np.array([b[1] for b in boxes], dtype=dtype).reshape(len(boxes), d)
+    return P._block_count(P._Plan(R, d), np.array(res, dtype=dtype), lo, hi)
+
+
+def test_block_count_equals_brute_force():
+    # _block_count takes boxes that hold every integer point of
+    # R z + res >= 0, as a certificate box does: the facets include the
+    # box's own, and every other trial passes the tighter bounding box of
+    # the points instead; the box also goes in once more, cut along its
+    # first coordinate into one row per value
+    import numpy as np
     rng = random.Random(200)
     counts = []
     for trial in range(200):
@@ -456,14 +515,33 @@ def test_np_rec_equals_brute_force():
         if points and trial // 4 % 2:
             lo = [min(c) for c in zip(*points)]
             hi = [max(c) for c in zip(*points)]
+        cut = [([v] + lo[1:], [v] + hi[1:]) for v in range(lo[0], hi[0] + 1)
+               ] if d else []
         for dtype in (np.int64, object):
-            got = P._np_rec(np.array(R, dtype=dtype).reshape(len(R), d),
-                            np.array(res, dtype=dtype),
-                            np.array(lo, dtype=dtype),
-                            np.array(hi, dtype=dtype), np.arange(d))
-            assert got == len(points), (R, res, lo, hi, dtype)
+            assert block_count(R, res, [(lo, hi)], d, dtype) == len(points), \
+                (R, res, lo, hi, dtype)
+            assert block_count(R, res, cut, d, dtype) == \
+                (len(points) if d else 0)
         counts.append(len(points))
     assert counts.count(0) >= 20 and sum(1 for n in counts if n > 5) >= 20
+
+
+@pytest.mark.parametrize("dtype", ["int64", "object"])
+def test_block_count_edge_cases(dtype):
+    d2 = [[1, 0], [0, 1], [-1, -1]]          # z >= 0, z1 + z2 <= 3: 10 points
+    box = ([0, 0], [3, 3])
+    assert block_count(d2, [0, 0, 3], [box], 2, dtype) == 10
+    # an all-zero facet row: its constant alone decides
+    assert block_count(d2 + [[0, 0]], [0, 0, 3, -1], [box], 2, dtype) == 0
+    assert block_count(d2 + [[0, 0]], [0, 0, 3, 0], [box], 2, dtype) == 10
+    # no free coordinate: one point, unless a constant is negative
+    assert block_count([[], []], [0, 2], [([], [])], 0, dtype) == 1
+    assert block_count([[], []], [0, -2], [([], [])], 0, dtype) == 0
+    assert block_count([], [], [([], [])], 0, dtype) == 1
+    # a box with lo > hi is empty, with facets or without
+    assert block_count(d2, [0, 0, 3], [([0, 2], [3, 1])], 2, dtype) == 0
+    assert block_count([], [], [([2], [1])], 1, dtype) == 0
+    assert block_count([], [], [([2], [1]), ([1], [4])], 1, dtype) == 4
 
 
 def test_one_column_reduction_per_cone(monkeypatch, fresh_geometry):

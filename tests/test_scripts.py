@@ -30,3 +30,10 @@ def test_validate_grid():
     out = run_script("validate_grid.py", "--max-l", "2", "--max-m", "3")
     assert [line.split(":")[0] for line in out if ": ok" in line] == \
         ["l=2 m=2", "l=2 m=3"]
+
+
+def test_dfs_ladder():
+    out = run_script("dfs_ladder.py", "1", "2")
+    assert [line.split()[:2] for line in out] == [["n=4", "g=1"],
+                                                   ["n=8", "g=6"]]
+    assert all(line.endswith("s") for line in out)
