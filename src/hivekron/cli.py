@@ -145,7 +145,7 @@ def cmd_cone(args) -> int:
 def cmd_count(args) -> int:
     theta = _parse_ints(args.theta)
     cone = build_cone(args.l, args.m)
-    print(count_lattice_points(cone, theta, workers=args.workers))
+    print(count_lattice_points(cone, theta))
     return 0
 
 
@@ -178,7 +178,9 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--lam", required=True)
     q.add_argument("--l", type=int, default=None)
     q.add_argument("--m", type=int, default=None)
-    q.add_argument("--workers", type=int, default=1)
+    q.add_argument("--workers", type=int, default=1,
+                   help="fork one pool of up to this many processes per call "
+                        "and count that call's fibres over it")
     q.add_argument("--oracle-bound", type=int, default=ORACLE_BOUND)
     q.add_argument("--verify", action="store_true",
                    help="cross-check against the character oracle")
@@ -210,7 +212,6 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--theta", required=True,
                    help="comma-separated target weight of length 2l+m")
-    q.add_argument("--workers", type=int, default=1)
     q.set_defaults(func=cmd_count)
 
     q = sub.add_parser("validate", help="run the structural invariant suite")

@@ -110,9 +110,19 @@ class KroneckerResult:
     breakdown: tuple      # ((omega, lam_shift, sign, count), ...)
 
 
+def _count_fibre(cone, theta) -> int:
+    # the pool's target: a pool pickles it by name, and it looks up
+    # count_lattice_points at call time, so a wrapper put there still runs
+    return count_lattice_points(cone, theta)
+
+
 def kronecker(mu, nu, lam, l: int = None, m: int = None,
               workers: int = 1) -> KroneckerResult:
-    """g_{mu,nu}^lambda as a signed sum of fibre lattice-point counts."""
+    """g_{mu,nu}^lambda as a signed sum of fibre lattice-point counts.
+
+    With workers > 1, several fibres are counted in one fork pool of at
+    most that many processes, and summed in fibre order all the same.
+    """
     mu, nu, lam = partition(mu), partition(nu), partition(lam)
     workers = as_worker_count(workers)
     n = sum(mu)
@@ -125,13 +135,18 @@ def kronecker(mu, nu, lam, l: int = None, m: int = None,
         m = max(2, len(lam))
     sigma = sigma_of(mu, nu, l)
     cone = build_cone(l, m)
-    breakdown = []
-    total = 0
-    for omega, shifted, sign in lambda_shifts(lam, m):
-        cnt = count_lattice_points(cone, sigma + shifted, workers=workers)
-        breakdown.append((omega, shifted, sign, cnt))
-        total += sign * cnt
-    return KroneckerResult(total, l, m, tuple(breakdown))
+    shifts = lambda_shifts(lam, m)
+    fibres = [(cone, sigma + shifted) for _, shifted, _ in shifts]
+    if workers == 1 or len(fibres) == 1:
+        counts = [count_lattice_points(*fibre) for fibre in fibres]
+    else:
+        import multiprocessing as mp
+        ctx = mp.get_context("fork")
+        with ctx.Pool(processes=min(workers, len(fibres))) as pool:
+            counts = pool.starmap(_count_fibre, fibres, chunksize=1)
+    breakdown = tuple(shift + (cnt,) for shift, cnt in zip(shifts, counts))
+    total = sum(sign * cnt for _, _, sign, cnt in breakdown)
+    return KroneckerResult(total, l, m, breakdown)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from functools import lru_cache
 from operator import mul
 
 from .diamonds import build_bar
-from .errors import OutOfRange, UnboundedFibre, as_ints, as_worker_count
+from .errors import OutOfRange, UnboundedFibre, as_ints
 from .intlin import back_solve, hnf
 from .lp import OPTIMAL, float_basis, solve_lp
 from .pathmods import boundary_path, diagonal_module, submodule_dims
@@ -216,8 +216,8 @@ def _block_count(plan, r0, lo, hi):
     return total
 
 
-def _np_count(geo, r0, lo, hi, workers: int = 1):
-    """Exact count by the block DFS, on int64 or on Python integers.
+def _np_count(geo, r0, lo, hi):
+    """Exact count by the block DFS on the dtype that a magnitude guard picks.
 
     Live boxes only shrink, so with max_b the largest bound of the initial
     box, a term |c| u is at most max_r max_b, a facet's sum with its
@@ -231,34 +231,14 @@ def _np_count(geo, r0, lo, hi, workers: int = 1):
     """
     import numpy as np
 
-    plan = geo.plan
     max_b = max([abs(x) for x in lo] + [abs(x) for x in hi] + [1])
     max_res = max((abs(x) for x in r0), default=0)
     bound = max_res + (geo.d + 1) * geo.max_r * max_b
     safe = 2 * bound + 2 * _BLOCK_ENTRIES * (max_b + 1) < _INT64_SAFE
     dtype = np.int64 if safe else object
-    r0 = np.array(r0, dtype=dtype)
-    lo = np.array(lo, dtype=dtype).reshape(1, geo.d)
-    hi = np.array(hi, dtype=dtype).reshape(1, geo.d)
-    if workers > 1 and geo.d and (lo <= hi).all():
-        # split the widest coordinate of the tightened root box
-        u = _tighten_block(plan, r0[plan.facets],
-                           np.concatenate((-lo, hi), axis=1))
-        if not len(u):
-            return 0
-        lo, hi = -u[:, :geo.d], u[:, geo.d:]
-        j = int(np.argmax(hi[0] - lo[0]))
-        if hi[0, j] > lo[0, j]:
-            branches = []
-            for v in range(int(lo[0, j]), int(hi[0, j]) + 1):
-                a, b = lo.copy(), hi.copy()
-                a[0, j] = b[0, j] = v
-                branches.append((plan, r0, a, b))
-            import multiprocessing as mp
-            ctx = mp.get_context("fork")
-            with ctx.Pool(processes=min(workers, len(branches))) as pool:
-                return sum(pool.starmap(_block_count, branches))
-    return _block_count(plan, r0, lo, hi)
+    return _block_count(geo.plan, np.array(r0, dtype=dtype),
+                        np.array(lo, dtype=dtype).reshape(1, geo.d),
+                        np.array(hi, dtype=dtype).reshape(1, geo.d))
 
 
 def _size_reduce(rows, passes=3):
@@ -420,9 +400,8 @@ def _geometry(c: Cone) -> _FibreGeometry:
     return _FibreGeometry(c)
 
 
-def count_lattice_points(c: Cone, theta, workers: int = 1) -> int:
+def count_lattice_points(c: Cone, theta) -> int:
     """Exact number of integer points of the fibre at theta (2l+m ints)."""
-    workers = as_worker_count(workers)
     theta = as_ints(theta, "theta")
     if len(theta) != 2 * c.l + c.m:
         raise OutOfRange(f"theta must have length {2 * c.l + c.m}")
@@ -431,7 +410,7 @@ def count_lattice_points(c: Cone, theta, workers: int = 1) -> int:
     if r0 is None:
         return 0
     lo, hi = geo.boxes(r0)
-    return _np_count(geo, r0, lo, hi, workers=workers)
+    return _np_count(geo, r0, lo, hi)
 
 
 # ---------------------------------------------------------------------------

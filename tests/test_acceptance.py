@@ -132,13 +132,10 @@ def test_criterion_6_counting_soundness(capsys, small_builds):
     bad = 0
     for _ in range(20):
         theta = tuple(rng.randint(-2, 2) for _ in range(6))
-        a = count_lattice_points(cone, theta, workers=1)
-        b = brute_force_count(cone, theta)
-        c = count_lattice_points(cone, theta, workers=4)
-        if not (a == b == c):
+        if count_lattice_points(cone, theta) != brute_force_count(cone, theta):
             bad += 1
     with capsys.disabled():
-        _report(6, bad == 0, "20 targets: DFS == brute force, workers 1 == 4")
+        _report(6, bad == 0, "20 targets: DFS == brute force")
 
 
 def test_criterion_7_symmetry_positivity_stability(capsys, small_builds):

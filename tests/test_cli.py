@@ -167,6 +167,8 @@ def test_build_quiver_out_under_a_file(capsys, tmp_path):
     ["cone", "--l", "x", "--m", "3"],
     ["frobnicate"],
     ["cone", "--l", "2", "--m", "2", "--cache-dir", "d"],
+    ["count", "--l", "2", "--m", "2", "--theta", "0,0,0,0,0,0",
+     "--workers", "2"],
 ])
 def test_bad_command_line_is_a_usage_error(capsys, argv):
     # exit 2 belongs to failed verification, so argparse's own 2 is replaced
