@@ -101,10 +101,10 @@ def cmd_coeff(args) -> int:
         print(res.value)
     if args.verify:
         try:
-            expected = kronecker_oracle(mu, nu, lam, bound=args.oracle_bound)
+            expected = kronecker_oracle(mu, nu, lam)
         except SizeTooLargeForOracle:
             print(f"warning: |mu| exceeds the oracle bound "
-                  f"{args.oracle_bound}; result is unverified",
+                  f"{ORACLE_BOUND}; result is unverified",
                   file=sys.stderr)
             return 0
         if expected != res.value:
@@ -118,7 +118,7 @@ def cmd_oracle(args) -> int:
     mu = _parse_partition(args.mu)
     nu = _parse_partition(args.nu)
     lam = _parse_partition(args.lam)
-    print(kronecker_oracle(mu, nu, lam, bound=args.oracle_bound))
+    print(kronecker_oracle(mu, nu, lam))
     return 0
 
 
@@ -181,7 +181,6 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--workers", type=int, default=1,
                    help="fork one pool of up to this many processes per call "
                         "and count that call's fibres over it")
-    q.add_argument("--oracle-bound", type=int, default=ORACLE_BOUND)
     q.add_argument("--verify", action="store_true",
                    help="cross-check against the character oracle")
     q.add_argument("--json", action="store_true")
@@ -191,7 +190,6 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--mu", required=True)
     q.add_argument("--nu", required=True)
     q.add_argument("--lam", required=True)
-    q.add_argument("--oracle-bound", type=int, default=ORACLE_BOUND)
     q.set_defaults(func=cmd_oracle)
 
     q = sub.add_parser("build-quiver", help="emit a quiver + weights as JSON")

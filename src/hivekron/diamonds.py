@@ -10,13 +10,10 @@ edges carry arrows once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from .errors import (OutOfRange, SizeTooSmall, UnderdeterminedWeights,
-                     UnsupportedDiamond, WeightConfigInconsistent,
-                     WeightRoutesDisagree)
+from .errors import Inconsistent, OutOfRange
 from .intlin import back_solve, hnf
 from .quiver import (IceQuiver, VertexId, b_matrix, det_vertex, hive_vertex,
                      make_quiver, mutate_weights_seq, weight_defect)
@@ -24,47 +21,13 @@ from .semiinv import det_weight, normalize_label, sigma_lambda_weight
 
 
 # ---------------------------------------------------------------------------
-# single hives
-
-
-@dataclass(frozen=True)
-class HiveSpec:
-    l: int
-    orientation: str = "ccw"   # "ccw" or "cw"
-    n: int = 1
-    dual: bool = False
+# hive coordinates
 
 
 def hive_grid(l: int):
     """All hive coordinates (i,j) with 1 <= i+j <= l minus the two corners."""
     return [(i, j) for i in range(l + 1) for j in range(l + 1)
             if 1 <= i + j <= l and (i, j) not in ((l, 0), (0, l))]
-
-
-def hive(spec: HiveSpec) -> IceQuiver:
-    """The triangular hive ice quiver of size l."""
-    l = spec.l
-    if l < 2:
-        raise SizeTooSmall(f"hive size must be >= 2, got {l}")
-    if spec.orientation not in ("ccw", "cw"):
-        raise OutOfRange(f"unknown orientation {spec.orientation!r}")
-    grid = set(hive_grid(l))
-    steps = ((0, 1), (-1, 0), (1, -1))
-    if spec.orientation == "cw":
-        steps = tuple((-dx, -dy) for dx, dy in steps)
-    verts = {hive_vertex(spec.n, i, j, spec.dual): (i, j) for i, j in grid}
-    frozen = {v for v, (i, j) in verts.items()
-              if i == 0 or j == 0 or i + j == l}
-    arrows = {}
-    for v, (i, j) in verts.items():
-        for dx, dy in steps:
-            tgt = (i + dx, j + dy)
-            if tgt in grid:
-                w = hive_vertex(spec.n, tgt[0], tgt[1], spec.dual)
-                if v in frozen and w in frozen:
-                    continue
-                arrows[(v, w)] = arrows.get((v, w), 0) + 1
-    return make_quiver(verts, frozen, arrows)
 
 
 def canonical_vertex(n: int, i: int, j: int, dual: bool,
@@ -128,7 +91,7 @@ def _assemble(l, m, label_of, families, frozen, det_arrows):
         if net == 0:
             continue
         if net % 2 != 0:
-            raise WeightConfigInconsistent(
+            raise Inconsistent(
                 f"unpaired shared-edge arrow {s}->{t} ({fwd} vs {back})")
         if net > 0:
             arrows[(s, t)] = arrows.get((s, t), 0) + net // 2
@@ -154,7 +117,7 @@ def _boundary_frozen(l: int, m: int) -> set:
 
 def _check_sizes(l: int, m: int):
     if l < 2 or m < 2:
-        raise SizeTooSmall(f"need l, m >= 2, got l={l}, m={m}")
+        raise OutOfRange(f"need l, m >= 2, got l={l}, m={m}")
 
 
 def expected_vertex_count(l: int, m: int) -> int:
@@ -215,7 +178,7 @@ def build_tilde(l: int, m: int):
              for v in Q.vertices}
     bad = weight_defect(Q, sigma)
     if bad:
-        raise WeightConfigInconsistent(
+        raise Inconsistent(
             f"lifted quiver weights unbalanced at {bad[:4]}")
     return Q, sigma
 
@@ -269,7 +232,7 @@ def _solve_interior_weights(Q: IceQuiver, known: dict, dim: int) -> dict:
     fixed = [(k, known[v]) for k, v in enumerate(B.cols) if v in known]
     M, U, pivots, rank = hnf([[row[k] for k in unknown] for row in B.entries])
     if rank < len(unknown):
-        raise UnderdeterminedWeights(
+        raise Inconsistent(
             f"{len(unknown) - rank} interior weight rows undetermined")
     rhs = []
     for row in B.entries:
@@ -280,7 +243,7 @@ def _solve_interior_weights(Q: IceQuiver, known: dict, dim: int) -> dict:
         # a unique rational solution that is not integral, or none at all
         w = back_solve(M, pivots, target)
         if w is None:
-            raise WeightRoutesDisagree(
+            raise Inconsistent(
                 "interior weight system inconsistent or non-integral")
         x.append([sum(map(mul, u, w)) for u in U])
     return {B.cols[k]: tuple(xt[i] for xt in x) for i, k in enumerate(unknown)}
@@ -315,7 +278,7 @@ def build_bar(l: int, m: int):
     sigma.update(_solve_interior_weights(Q, known, 2 * l + m))
     bad = weight_defect(Q, sigma)
     if bad:
-        raise WeightConfigInconsistent(
+        raise Inconsistent(
             f"twisted quiver weights unbalanced at {bad[:4]}")
     return Q, sigma
 
@@ -366,7 +329,7 @@ def bar_arrow_types(l: int, m: int) -> dict:
     put(det_vertex(1), hive_vertex(1, 0, l - 1, False), "bc")
     missing = set(Q.arrows) - set(types)
     if missing:
-        raise WeightConfigInconsistent(f"untyped arrows: {sorted(missing)[:4]}")
+        raise Inconsistent(f"untyped arrows: {sorted(missing)[:4]}")
     return {a: t for a, t in types.items() if a in Q.arrows}
 
 
@@ -396,7 +359,7 @@ def twist_sequence(l: int, m: int, n_odd: int):
     """
     _check_sizes(l, m)
     if not (3 <= n_odd <= m and n_odd % 2 == 1):
-        raise UnsupportedDiamond(
+        raise OutOfRange(
             f"twist applies to odd diamonds 3..m, got {n_odd}")
     seq = []
     for (x, y) in _twist_word(l):
@@ -437,10 +400,10 @@ def verify_bar_routes(l: int, m: int):
     direct_q, direct_s = build_bar(l, m)
     mut_q, mut_s = bar_via_mutation(l, m)
     if mut_q != direct_q:
-        raise WeightRoutesDisagree(
+        raise Inconsistent(
             f"twist-mutated quiver differs from direct build at l={l}, m={m}")
     if mut_s != direct_s:
         diffs = [v for v in direct_s if direct_s[v] != mut_s.get(v)]
-        raise WeightRoutesDisagree(
+        raise Inconsistent(
             f"transported weights differ from solved weights at {diffs[:4]}")
     return True

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer input checks."""
+"""Six exception types, and the integer input checks."""
 
 import operator
 
@@ -7,24 +7,27 @@ class HivekronError(Exception):
     """Base class for all package errors."""
 
 
-class UnknownVertex(HivekronError):
-    pass
-
-
-class MutationAtFrozen(HivekronError):
-    pass
-
-
-class NotAWeightConfig(HivekronError):
-    pass
-
-
-class SizeTooSmall(HivekronError):
-    pass
-
-
 class OutOfRange(HivekronError):
-    pass
+    """An input the construction does not accept: a size, an index, a
+    vertex, a mutation at a frozen vertex, a weight that is no weight
+    configuration, or partitions of different sizes or lengths."""
+
+
+class Inconsistent(HivekronError):
+    """A construction contradicts the paper: unbalanced weights, two
+    routes that disagree, a missing arrow or a non-square presentation."""
+
+
+class DegenerateSample(HivekronError):
+    """A random representation on which a semi-invariant vanishes."""
+
+
+class UnboundedFibre(HivekronError):
+    """A fibre of the cone that is not a polytope."""
+
+
+class SizeTooLargeForOracle(HivekronError):
+    """n beyond the character oracle's reach."""
 
 
 def as_ints(values, what: str) -> tuple:
@@ -43,59 +46,3 @@ def as_worker_count(workers) -> int:
     if workers < 1:
         raise OutOfRange(f"worker count must be >= 1, got {workers}")
     return workers
-
-
-class IndexOutOfRange(HivekronError):
-    pass
-
-
-class WeightConfigInconsistent(HivekronError):
-    pass
-
-
-class WeightRoutesDisagree(HivekronError):
-    pass
-
-
-class UnderdeterminedWeights(HivekronError):
-    pass
-
-
-class UnsupportedDiamond(HivekronError):
-    pass
-
-
-class NonSquare(HivekronError):
-    pass
-
-
-class DegenerateSample(HivekronError):
-    pass
-
-
-class NotBoundaryFrozen(HivekronError):
-    pass
-
-
-class ArrowMissing(HivekronError):
-    pass
-
-
-class UnboundedFibre(HivekronError):
-    pass
-
-
-class SizeMismatch(HivekronError):
-    pass
-
-
-class LengthExceedsL(HivekronError):
-    pass
-
-
-class LengthExceedsM(HivekronError):
-    pass
-
-
-class SizeTooLargeForOracle(HivekronError):
-    pass

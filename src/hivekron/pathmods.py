@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .diamonds import build_bar
-from .errors import ArrowMissing, IndexOutOfRange, NotBoundaryFrozen
+from .errors import Inconsistent, OutOfRange
 from .quiver import VertexId, det_vertex, hive_vertex
 
 
@@ -51,13 +51,13 @@ def boundary_path(l: int, m: int, v: VertexId, quiver=None) -> PathModule:
     if quiver is None:
         quiver, _ = build_bar(l, m)
     if v not in quiver.frozen or v.kind != "hive":
-        raise NotBoundaryFrozen(f"{v} is not a boundary frozen vertex")
+        raise OutOfRange(f"{v} is not a boundary frozen vertex")
     from .diamonds import _bar_label  # the position -> label dictionary
     label_of = _bar_label(l, m)
     s0 = v.dual
     j0 = v.j
     if not (1 <= j0 <= l - 1):
-        raise NotBoundaryFrozen(f"{v} has no boundary column")
+        raise OutOfRange(f"{v} has no boundary column")
 
     path = []
     # b-stretch: from v* down through the diamonds to the self-glued edge
@@ -76,24 +76,17 @@ def boundary_path(l: int, m: int, v: VertexId, quiver=None) -> PathModule:
             path.append(label_of(n, x, q, s0))
         q = l - q
     if path[-1] != v:
-        raise ArrowMissing(f"walk ended at {path[-1]}, expected {v}")
+        raise Inconsistent(f"walk ended at {path[-1]}, expected {v}")
     for a, b in zip(path, path[1:]):
         if not quiver.has_arrow(a, b):
-            raise ArrowMissing(f"missing arrow {a} -> {b} on the walk to {v}")
+            raise Inconsistent(f"missing arrow {a} -> {b} on the walk to {v}")
     return _module(path)
-
-
-def partner_vertex(l: int, m: int, v: VertexId) -> VertexId:
-    """The starting vertex v* of the boundary walk."""
-    if m % 2 == 1:
-        return hive_vertex(m, v.i, v.j, not v.dual)
-    return hive_vertex(m, v.j, v.i, v.dual)
 
 
 def diagonal_module(l: int, m: int, n: int, quiver=None) -> PathModule:
     """Uniserial module on the diagonal of diamond n with socle at det n."""
     if not (1 <= n <= m):
-        raise IndexOutOfRange(f"det index {n} not in [1,{m}]")
+        raise OutOfRange(f"det index {n} not in [1,{m}]")
     if quiver is None:
         quiver, _ = build_bar(l, m)
     dn = det_vertex(n)
@@ -101,13 +94,13 @@ def diagonal_module(l: int, m: int, n: int, quiver=None) -> PathModule:
         return _module([dn])
     heads = [s for (s, t) in quiver.arrows if t == dn and s.kind == "hive"]
     if len(heads) != 1:
-        raise ArrowMissing(f"det vertex {n} has {len(heads)} incoming arrows")
+        raise Inconsistent(f"det vertex {n} has {len(heads)} incoming arrows")
     chain = [heads[0]]
     diag = {hive_vertex(n, i, 0, False) for i in range(1, l)}
     while len(chain) < l - 1:
         preds = [s for s in diag if quiver.has_arrow(s, chain[0])]
         if len(preds) != 1:
-            raise ArrowMissing(f"diagonal chain of diamond {n} is not a path")
+            raise Inconsistent(f"diagonal chain of diamond {n} is not a path")
         chain.insert(0, preds[0])
     return _module(chain + [dn])
 
@@ -120,5 +113,5 @@ def submodule_dims(T: PathModule, strict: bool):
         counts = Counter(T.path[k:])
         out.append(tuple(sorted(counts.items(), key=lambda kv: kv[0].sort_key())))
     if len(set(out)) != len(out):
-        raise ArrowMissing("suffix dimension vectors are not pairwise distinct")
+        raise Inconsistent("suffix dimension vectors are not pairwise distinct")
     return out

@@ -241,8 +241,8 @@ def _np_count(geo, r0, lo, hi):
                         np.array(hi, dtype=dtype).reshape(1, geo.d))
 
 
-def _size_reduce(rows, passes=3):
-    """Bounded-pass integer size reduction of a lattice basis.
+def _size_reduce(rows):
+    """Integer size reduction of a lattice basis, in at most three passes.
 
     Each pass sorts by norm and reduces every row against the
     Gram-Schmidt directions of the shorter ones (nearest-integer
@@ -264,7 +264,7 @@ def _size_reduce(rows, passes=3):
         # exact: Cohen's recursion divides by the previous Gram determinant
         return (dets[k] * u - x * y) // (dets[k - 1] if k else 1)
 
-    for _ in range(passes):
+    for _ in range(3):
         b.sort(key=lambda v: dot(v, v))
         dets, lam = [], []
         changed = False

@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import (MutationAtFrozen, NotAWeightConfig, OutOfRange,
-                     UnknownVertex)
+from .errors import Inconsistent, OutOfRange
 from .intlin import hnf
 
 
@@ -73,7 +72,7 @@ class IceQuiver:
             if s == t:
                 raise OutOfRange(f"loop at {s}")
             if s not in vs or t not in vs:
-                raise UnknownVertex(f"arrow endpoint not a vertex: {s}->{t}")
+                raise OutOfRange(f"arrow endpoint not a vertex: {s}->{t}")
 
     def __eq__(self, other):
         if not isinstance(other, IceQuiver):
@@ -131,9 +130,9 @@ def make_quiver(vertices: Iterable[VertexId], frozen: Iterable[VertexId],
 def mutate_quiver(Q: IceQuiver, u: VertexId) -> IceQuiver:
     """Fomin-Zelevinsky mutation at a mutable vertex u."""
     if u not in set(Q.vertices):
-        raise UnknownVertex(f"{u} is not a vertex")
+        raise OutOfRange(f"{u} is not a vertex")
     if u in Q.frozen:
-        raise MutationAtFrozen(f"cannot mutate at frozen vertex {u}")
+        raise OutOfRange(f"cannot mutate at frozen vertex {u}")
     ins = Q.arrows_in(u)
     outs = Q.arrows_out(u)
     new: dict[Arrow, int] = dict(Q.arrows)
@@ -141,34 +140,16 @@ def mutate_quiver(Q: IceQuiver, u: VertexId) -> IceQuiver:
         del new[(v, u)]
     for w, m in outs:
         del new[(u, w)]
-    # step 1: compose v -> u -> w
+    # compose v -> u -> w, then reverse the arrows at u; make_quiver drops
+    # frozen-frozen arrows and cancels the oriented 2-cycles
     for v, mv in ins:
         for w, mw in outs:
-            if v in Q.frozen and w in Q.frozen:
-                continue
             new[(v, w)] = new.get((v, w), 0) + mv * mw
-    # step 2: reverse arrows at u
     for v, m in ins:
         new[(u, v)] = new.get((u, v), 0) + m
     for w, m in outs:
         new[(w, u)] = new.get((w, u), 0) + m
-    # step 3: cancel oriented 2-cycles
-    out: dict[Arrow, int] = {}
-    for (s, t), m in new.items():
-        if (t, s) in new and t.sort_key() < s.sort_key():
-            continue  # handled from the other side
-        back = new.get((t, s), 0)
-        if m > back:
-            out[(s, t)] = m - back
-        elif back > m:
-            out[(t, s)] = back - m
-    return IceQuiver(Q.vertices, Q.frozen, out)
-
-
-def mutate_quiver_seq(Q: IceQuiver, seq: Sequence[VertexId]) -> IceQuiver:
-    for u in seq:
-        Q = mutate_quiver(Q, u)
-    return Q
+    return make_quiver(Q.vertices, Q.frozen, new)
 
 
 @dataclass(frozen=True)
@@ -227,10 +208,6 @@ def weight_defect(Q: IceQuiver, sigma: Mapping[VertexId, Weight]) -> list[Vertex
     return bad
 
 
-def is_weight_config(Q: IceQuiver, sigma: Mapping[VertexId, Weight]) -> bool:
-    return not weight_defect(Q, sigma)
-
-
 def mutate_weights(Q: IceQuiver, sigma: Mapping[VertexId, Weight],
                    u: VertexId, check: bool = True) -> WeightConfig:
     """Transport a weight configuration through the mutation at u.
@@ -240,11 +217,11 @@ def mutate_weights(Q: IceQuiver, sigma: Mapping[VertexId, Weight],
     B*sigma = 0 is verified on Q before transporting.
     """
     if u in Q.frozen:
-        raise MutationAtFrozen(f"cannot mutate weights at frozen vertex {u}")
+        raise OutOfRange(f"cannot mutate weights at frozen vertex {u}")
     if check:
         bad = weight_defect(Q, sigma)
         if bad:
-            raise NotAWeightConfig(f"in/out weight sums differ at {bad[:3]}")
+            raise OutOfRange(f"in/out weight sums differ at {bad[:3]}")
     dim = len(sigma[u])
     acc = [0] * dim
     for v, m in Q.arrows_in(u):
@@ -257,14 +234,13 @@ def mutate_weights(Q: IceQuiver, sigma: Mapping[VertexId, Weight],
 
 
 def mutate_weights_seq(Q: IceQuiver, sigma: Mapping[VertexId, Weight],
-                       seq: Sequence[VertexId],
-                       check_every: bool = False) -> tuple[IceQuiver, WeightConfig]:
-    """Transport weights along a mutation sequence; final check mandatory."""
+                       seq: Sequence[VertexId]) -> tuple[IceQuiver, WeightConfig]:
+    """Transport weights along a mutation sequence, checked once at the end."""
     sig = dict(sigma)
     for u in seq:
-        sig = mutate_weights(Q, sig, u, check=check_every)
+        sig = mutate_weights(Q, sig, u, check=False)
         Q = mutate_quiver(Q, u)
     bad = weight_defect(Q, sig)
     if bad:
-        raise NotAWeightConfig(f"transport broke the configuration at {bad[:3]}")
+        raise Inconsistent(f"transport broke the configuration at {bad[:3]}")
     return Q, sig

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import DegenerateSample, IndexOutOfRange, NonSquare
+from .errors import DegenerateSample, Inconsistent, OutOfRange
 from .intlin import det
 
 Matrix = list  # list of rows, each a list of ints
@@ -40,9 +39,9 @@ def _lambda_coord(k: int, l: int) -> int:
 def normalize_label(i: int, j: int, n: int, dual: bool, l: int):
     """Resolve a raw hive label to its canonical identification class."""
     if not (0 <= i and 0 <= j and 1 <= i + j <= l) or (i, j) in ((l, 0), (0, l)):
-        raise IndexOutOfRange(f"({i},{j}) outside the hive of size {l}")
+        raise OutOfRange(f"({i},{j}) outside the hive of size {l}")
     if n < 1:
-        raise IndexOutOfRange(f"bad diamond index {n}")
+        raise OutOfRange(f"bad diamond index {n}")
     if j == 0:
         dual = False
     if i == 0 and n % 2 == 0:
@@ -62,7 +61,7 @@ def sigma_lambda_weight(i: int, j: int, n: int, dual: bool,
     """
     i, j, n, dual = normalize_label(i, j, n, dual, l)
     if n > m:
-        raise IndexOutOfRange(f"diamond index {n} exceeds m={m}")
+        raise OutOfRange(f"diamond index {n} exceeds m={m}")
     w = _e(l, m)
     if n == 1:
         # edge-1 vertex (0,j)^1 = (j,0)^1: single path through a_1
@@ -143,7 +142,7 @@ def lifted_presentation(i: int, j: int, n: int, dual: bool,
     """Inverse-free block presentation of the lifted semi-invariant."""
     i, j, n, dual = normalize_label(i, j, n, dual, l)
     if n > m or n < 1:
-        raise IndexOutOfRange(f"diamond index {n} out of range for m={m}")
+        raise OutOfRange(f"diamond index {n} out of range for m={m}")
     if n == 1:
         t = max(i, j)
         return Presentation((t,), (-t,), ((1,),))
@@ -202,19 +201,14 @@ class Representation:
         return cls(l, m, asc, desc, central)
 
     @classmethod
-    def random(cls, l: int, m: int, rng: random.Random,
-               lo: int = -5, hi: int = 5) -> "Representation":
+    def random(cls, l: int, m: int, rng: random.Random) -> "Representation":
+        """Entries drawn uniformly from -5..5."""
         def rm(rows, cols):
-            return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+            return [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
         asc = {k: rm(k + 1, k) for k in range(1, l)}
         desc = {k: rm(k, k + 1) for k in range(1, l)}
         central = {t: rm(l, l) for t in range(1, m + 1)}
         return cls(l, m, asc, desc, central)
-
-    def scaled_central(self, t: int, factor: int) -> "Representation":
-        central = dict(self.central)
-        central[t] = [[factor * x for x in row] for row in self.central[t]]
-        return Representation(self.l, self.m, self.asc, self.desc, central)
 
     def path_matrix(self, target: int, source: int, central_index: int) -> Matrix:
         """Matrix of the unique path target -> source through a central arrow.
@@ -257,7 +251,7 @@ def eval_semi_invariant(p: Presentation, M: Representation) -> int:
     src_dims = [abs(s) for s in p.sources]
     tgt_dims = [abs(t) for t in p.targets]
     if sum(src_dims) != sum(tgt_dims):
-        raise NonSquare(f"block matrix is {sum(src_dims)}x{sum(tgt_dims)}")
+        raise Inconsistent(f"block matrix is {sum(src_dims)}x{sum(tgt_dims)}")
     size = sum(src_dims)
     grand = [[0] * size for _ in range(size)]
     r0 = 0
@@ -286,7 +280,6 @@ class RelationReport:
     m: int
     checked: int
     failures: list
-    signs: dict
 
     @property
     def ok(self) -> bool:
@@ -309,8 +302,7 @@ def check_exchange_relations(l: int, m: int, M: Representation,
     At each mutable vertex u of the lifted glued quiver the product of
     in-neighbor values plus/minus the product of out-neighbor values must
     be divisible by the value at u.  The relative sign is not normalized
-    (per-variable signs of the lifts are not), so either sign is accepted
-    but must be reproducible per vertex.
+    (per-variable signs of the lifts are not), so either sign is accepted.
     """
     from .diamonds import build_tilde  # local import; diamonds depends on us
 
@@ -323,7 +315,6 @@ def check_exchange_relations(l: int, m: int, M: Representation,
             raise DegenerateSample(f"semi-invariant vanishes at {v}")
         values[v] = val
     failures = []
-    signs = {}
     checked = 0
     for u in quiver.mutable:
         pin = 1
@@ -333,30 +324,6 @@ def check_exchange_relations(l: int, m: int, M: Representation,
         for w, mult in quiver.arrows_out(u):
             pout *= values[w] ** mult
         checked += 1
-        if (pin + pout) % values[u] == 0:
-            signs[u] = +1
-        elif (pin - pout) % values[u] == 0:
-            signs[u] = -1
-        else:
+        if (pin + pout) % values[u] and (pin - pout) % values[u]:
             failures.append(u)
-    return RelationReport(l, m, checked, failures, signs)
-
-
-def lambda_degree_probe(i: int, j: int, n: int, dual: bool, l: int, m: int,
-                        k: int, rng: random.Random, attempts: int = 20) -> int:
-    """Degree in the k-th central map, read off numerically by t-scaling."""
-    pres = lifted_presentation(i, j, n, dual, l, m)
-    for _ in range(attempts):
-        M = Representation.random(l, m, rng)
-        base = eval_semi_invariant(pres, M)
-        if base == 0:
-            continue
-        scaled = eval_semi_invariant(pres, M.scaled_central(k, 2))
-        ratio = Fraction(scaled, base)
-        d = 0
-        while ratio % 2 == 0:
-            ratio /= 2
-            d += 1
-        if ratio == 1:
-            return d
-    raise DegenerateSample("could not find a nondegenerate sample for the probe")
+    return RelationReport(l, m, checked, failures)

@@ -1,8 +1,12 @@
+import inspect
 import json
 import os
+import pathlib
+import re
 
 import pytest
 
+from hivekron import errors
 from hivekron.cli import main, quiver_from_json, quiver_to_json
 from hivekron.diamonds import build_bar, build_tilde
 from hivekron.polyhedra import build_cone, cone_to_json
@@ -19,6 +23,14 @@ def test_coeff_verify(capsys, small_builds):
                        "--lam", "2,1", "--verify")
     assert code == 0
     assert out.strip() == "1"
+
+
+def test_coeff_verify_past_the_oracle_bound(capsys):
+    code, out, err = run(capsys, "coeff", "--mu", "25", "--nu", "25",
+                         "--lam", "25", "--verify")
+    assert code == 0 and out.strip() == "1"
+    assert "result is unverified" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_coeff_sign_times_sign(capsys, small_builds):
@@ -176,6 +188,34 @@ def test_bad_command_line_is_a_usage_error(capsys, argv):
         main(argv)
     out = capsys.readouterr()
     assert_one_error_line(exc.value.code, out.out, out.err)
+
+
+ERROR_CLASSES = [errors.HivekronError, errors.OutOfRange, errors.Inconsistent,
+                 errors.DegenerateSample, errors.UnboundedFibre,
+                 errors.SizeTooLargeForOracle]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_exit_code_of_each_error_class(capsys, monkeypatch, cls):
+    def fail(*args, **kwargs):
+        raise cls("injected")
+    monkeypatch.setattr("hivekron.cli.kronecker", fail)
+    code, out, err = run(capsys, "coeff", "--mu", "2,1", "--nu", "2,1",
+                         "--lam", "2,1")
+    assert code == (3 if cls is errors.UnboundedFibre else 1)
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert "injected" in err
+
+
+def test_every_error_class_is_raised():
+    defined = {c for c in vars(errors).values()
+               if inspect.isclass(c) and issubclass(c, Exception)}
+    assert defined == set(ERROR_CLASSES)
+    src = pathlib.Path(__file__).parent.parent / "src" / "hivekron"
+    text = "".join(p.read_text() for p in src.glob("*.py"))
+    unraised = [c.__name__ for c in defined - {errors.HivekronError}
+                if not re.search(rf"raise {c.__name__}\(", text)]
+    assert not unraised
 
 
 @pytest.mark.parametrize("flag", ["--help", "--version"])

@@ -1,42 +1,15 @@
+from functools import reduce
+
 import pytest
 
-from hivekron.diamonds import (HiveSpec, build_bar, build_tilde,
-                               canonical_vertex, expected_vertex_count, hive,
-                               twist_sequence, verify_bar_routes)
-from hivekron.errors import SizeTooSmall, UnsupportedDiamond
+from hivekron.diamonds import (build_bar, build_tilde, canonical_vertex,
+                               expected_vertex_count, twist_sequence,
+                               verify_bar_routes)
+from hivekron.errors import OutOfRange
 from hivekron.quiver import (b_matrix_rank, det_vertex, hive_vertex,
-                             weight_defect)
+                             mutate_quiver, weight_defect)
 
 SIZES = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (3, 4), (4, 4), (2, 4), (4, 2)]
-
-
-def test_hive_counts():
-    Q = hive(HiveSpec(5))
-    assert len(Q.vertices) == 18
-    assert len(Q.mutable) == 6
-    assert len(Q.frozen) == 12
-
-
-def test_hive_l2_no_mutables():
-    Q = hive(HiveSpec(2))
-    assert len(Q.vertices) == 3
-    assert len(Q.mutable) == 0
-
-
-def test_hive_too_small():
-    with pytest.raises(SizeTooSmall):
-        hive(HiveSpec(1))
-
-
-def test_hive_interior_neighborhoods():
-    Q = hive(HiveSpec(3))
-    v = hive_vertex(1, 1, 1)
-    ins = {s for s, _ in Q.arrows_in(v)}
-    outs = {t for t, _ in Q.arrows_out(v)}
-    assert ins == {hive_vertex(1, 1, 0), hive_vertex(1, 2, 1), hive_vertex(1, 0, 2)}
-    assert outs == {hive_vertex(1, 1, 2), hive_vertex(1, 0, 1), hive_vertex(1, 2, 0)}
-    Qc = hive(HiveSpec(3, orientation="cw"))
-    assert {s for s, _ in Qc.arrows_in(v)} == outs
 
 
 def test_canonical_vertex_examples():
@@ -121,20 +94,19 @@ def test_twist_sequence_support():
     seq = twist_sequence(3, 3, 3)
     assert all(v.n == 3 and v.i >= 1 and v.j >= 1 and v.i + v.j < 3
                for v in seq)
-    with pytest.raises(UnsupportedDiamond):
+    with pytest.raises(OutOfRange, match="twist applies to odd diamonds"):
         twist_sequence(3, 3, 2)
-    with pytest.raises(UnsupportedDiamond):
+    with pytest.raises(OutOfRange, match="twist applies to odd diamonds"):
         twist_sequence(3, 4, 5)
 
 
 def test_twist_then_reverse_restores_tilde():
     from hivekron.diamonds import all_twists
-    from hivekron.quiver import mutate_quiver_seq
     for (l, m) in [(3, 3), (4, 3), (3, 5)]:
         Qt, _ = build_tilde(l, m)
         seq = all_twists(l, m)
-        there = mutate_quiver_seq(Qt, seq)
-        back = mutate_quiver_seq(there, list(reversed(seq)))
+        there = reduce(mutate_quiver, seq, Qt)
+        back = reduce(mutate_quiver, reversed(seq), there)
         assert back == Qt
 
 

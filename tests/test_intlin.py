@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hivekron.diamonds import _solve_interior_weights
-from hivekron.errors import UnderdeterminedWeights, WeightRoutesDisagree
+from hivekron.errors import Inconsistent
 from hivekron.intlin import back_solve, det, hnf
 from hivekron.quiver import b_matrix, b_matrix_rank, hive_vertex, make_quiver
 from test_quiver import ice_quivers
@@ -159,14 +159,16 @@ def test_interior_weights_solved():
 
 def test_interior_weights_failures():
     # vertex 3 meets no mutable vertex, so no equation fixes it
-    with pytest.raises(UnderdeterminedWeights):
+    with pytest.raises(Inconsistent, match="interior weight rows undetermined"):
         interior_weights(1, [(2, 1, 1), (1, 4, 1)],
                          {1: (0,), 2: (1,), 4: (1,)})
     # at 1: 2 x = 1 has a rational solution only
-    with pytest.raises(WeightRoutesDisagree):
+    with pytest.raises(Inconsistent,
+                       match="interior weight system inconsistent"):
         interior_weights(1, [(3, 1, 2), (1, 4, 1)],
                          {1: (0,), 2: (0,), 4: (1,)})
     # at 2: no unknown, in-sum 1 against out-sum 0
-    with pytest.raises(WeightRoutesDisagree):
+    with pytest.raises(Inconsistent,
+                       match="interior weight system inconsistent"):
         interior_weights(2, [(3, 1, 1), (1, 4, 1), (4, 2, 1)],
                          {1: (0,), 2: (0,), 4: (1,)})

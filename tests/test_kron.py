@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hivekron.errors import (HivekronError, LengthExceedsM, OutOfRange,
-                             SizeMismatch, SizeTooLargeForOracle)
+from hivekron.errors import HivekronError, OutOfRange, SizeTooLargeForOracle
 from hivekron.kron import (class_size_inverse, kronecker, kronecker_oracle,
                            lambda_shifts, mn_character, partition,
                            partitions_of, sigma_of, transpose)
@@ -42,7 +41,7 @@ def test_sigma_of_row():
 
 
 def test_sigma_of_size_mismatch():
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(OutOfRange, match=r"\|mu\|=4 differs from \|nu\|=3"):
         sigma_of((2, 2), (3,), 3)
 
 
@@ -62,7 +61,7 @@ def test_lambda_shifts_examples():
     assert lambda_shifts((5,), 2) == [((1, 2), (5, 0), 1)]
     # strictly decreasing with enough slack keeps all m! permutations
     assert len(lambda_shifts((9, 5, 2), 3)) == 6
-    with pytest.raises(LengthExceedsM):
+    with pytest.raises(OutOfRange, match="lambda has more than m=2 parts"):
         lambda_shifts((1, 1, 1), 2)
 
 
@@ -96,12 +95,13 @@ def test_oracle_values():
 
 
 def test_oracle_bound():
-    with pytest.raises(SizeTooLargeForOracle):
-        kronecker_oracle((13,), (13,), (13,))
+    with pytest.raises(SizeTooLargeForOracle,
+                       match="n=25 exceeds the oracle bound 24"):
+        kronecker_oracle((25,), (25,), (25,))
 
 
 def test_oracle_size_mismatch():
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(OutOfRange, match="sizes differ"):
         kronecker_oracle((2,), (3,), (2, 1))
 
 
@@ -127,6 +127,11 @@ def test_sign_times_sign_is_trivial(k):
     assert kronecker_oracle(lam, lam, (n,)) == 1
 
 
+def test_pipeline_matches_oracle_at_n15(small_builds):
+    mu, nu, lam = (7, 5, 3), (6, 5, 4), (6, 6, 3)
+    assert kronecker(mu, nu, lam).value == kronecker_oracle(mu, nu, lam) == 45
+
+
 def test_kronecker_explicit_l_m(small_builds):
     base = kronecker((2, 1), (2, 1), (2, 1))
     assert kronecker((2, 1), (2, 1), (2, 1), l=3, m=3).value == base.value
@@ -141,5 +146,5 @@ def test_class_sizes_sum():
 
 
 def test_mn_size_mismatch():
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(OutOfRange, match=r"\|lambda\|=3 differs from \|rho\|=4"):
         mn_character((2, 1), (2, 2))

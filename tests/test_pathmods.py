@@ -1,14 +1,20 @@
 import pytest
 
 from hivekron.diamonds import build_bar
-from hivekron.errors import IndexOutOfRange, NotBoundaryFrozen
-from hivekron.pathmods import (boundary_path, diagonal_module, partner_vertex,
-                               submodule_dims)
+from hivekron.errors import OutOfRange
+from hivekron.pathmods import boundary_path, diagonal_module, submodule_dims
 from hivekron.quiver import det_vertex, hive_vertex
 
 
 def H(i, j, n, dual=False):
     return hive_vertex(n, i, j, dual)
+
+
+def partner_vertex(l, m, v):
+    """The starting vertex v* of the boundary walk."""
+    if m % 2 == 1:
+        return hive_vertex(m, v.i, v.j, not v.dual)
+    return hive_vertex(m, v.j, v.i, v.dual)
 
 
 def test_fixture_path_one(small_builds):
@@ -53,9 +59,9 @@ def test_self_partner_path():
 
 def test_rejects_non_frozen():
     Q, _ = build_bar(3, 3)
-    with pytest.raises(NotBoundaryFrozen):
+    with pytest.raises(OutOfRange, match="is not a boundary frozen vertex"):
         boundary_path(3, 3, H(1, 1, 3), Q)
-    with pytest.raises(NotBoundaryFrozen):
+    with pytest.raises(OutOfRange, match="is not a boundary frozen vertex"):
         boundary_path(3, 3, det_vertex(2), Q)
 
 
@@ -77,7 +83,7 @@ def test_diagonal_modules(small_builds):
         assert T.total_dim == 3
         assert len(submodule_dims(T, strict=False)) == 3
         assert T.path[-1] == det_vertex(n)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(OutOfRange, match=r"det index 4 not in \[1,3\]"):
         diagonal_module(3, 3, 4)
 
 
@@ -108,4 +114,4 @@ def test_paths_arrow_realizable(l, m):
     Q, _ = build_bar(l, m)
     for v in Q.frozen:
         if v.kind == "hive":
-            boundary_path(l, m, v, Q)  # raises ArrowMissing on defect
+            boundary_path(l, m, v, Q)  # raises Inconsistent on defect

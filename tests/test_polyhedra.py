@@ -405,6 +405,25 @@ def fresh_geometry():
     P._geometry.cache_clear()
 
 
+def test_cold_pool_builds_geometry_once_in_parent(fresh_geometry, monkeypatch,
+                                                  tmp_path):
+    # the forked children inherit the parent's geometry, not build their own
+    import os
+    from hivekron.kron import kronecker
+    P = fresh_geometry
+    log = tmp_path / "pids"
+    real = P._FibreGeometry.__init__
+
+    def spy(self, cone):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        real(self, cone)
+    monkeypatch.setattr(P._FibreGeometry, "__init__", spy)
+    res = kronecker((4, 2, 2), (4, 2, 2), (4, 2, 2), l=3, m=3, workers=2)
+    assert res.value == 6 and len(res.breakdown) > 1
+    assert log.read_text().split() == [str(os.getpid())]
+
+
 def counting_solve_lp(monkeypatch):
     import hivekron.polyhedra as P
     calls = []
@@ -602,7 +621,7 @@ def test_one_column_reduction_per_cone(monkeypatch, fresh_geometry):
     assert calls == [build_cone(*lm).ambient_dim for lm in ((2, 3), (3, 3))]
 
 
-def fraction_size_reduce(rows, passes=3):
+def fraction_size_reduce(rows):
     """Reference: size reduction against Fraction Gram-Schmidt vectors."""
     from fractions import Fraction
     n = len(rows)
@@ -613,7 +632,7 @@ def fraction_size_reduce(rows, passes=3):
     def norm2(v):
         return sum(x * x for x in v)
 
-    for _ in range(passes):
+    for _ in range(3):
         b.sort(key=norm2)
         star = []
         norms = []

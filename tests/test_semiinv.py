@@ -1,14 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from hivekron.diamonds import build_tilde
-from hivekron.errors import IndexOutOfRange
+from hivekron.errors import DegenerateSample, OutOfRange
 from hivekron.semiinv import (Representation,
                               check_exchange_relations, det_weight,
-                              eval_semi_invariant, lambda_degree_probe,
-                              lifted_presentation, sigma_lambda_weight,
-                              vertex_value)
+                              eval_semi_invariant, lifted_presentation,
+                              sigma_lambda_weight, vertex_value)
 
 
 def E(t, l, m, coef=1):
@@ -53,7 +53,7 @@ def test_sigma_weight_dual_mirror():
 
 
 def test_weight_out_of_range():
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(OutOfRange, match=r"\(3,1\) outside the hive of size 3"):
         sigma_lambda_weight(3, 1, 2, False, 3, 3)
 
 
@@ -95,6 +95,32 @@ def test_eval_l2_one_by_one():
     direct = sum(desc[0][r] * a[r][c] * asc[c][0]
                  for r in range(2) for c in range(2))
     assert val == direct
+
+
+def scaled_central(M, t, factor):
+    """M with its t-th central map multiplied by factor."""
+    central = dict(M.central)
+    central[t] = [[factor * x for x in row] for row in M.central[t]]
+    return Representation(M.l, M.m, M.asc, M.desc, central)
+
+
+def lambda_degree_probe(i, j, n, dual, l, m, k, rng, attempts=20):
+    """Degree in the k-th central map, read off numerically by t-scaling."""
+    pres = lifted_presentation(i, j, n, dual, l, m)
+    for _ in range(attempts):
+        M = Representation.random(l, m, rng)
+        base = eval_semi_invariant(pres, M)
+        if base == 0:
+            continue
+        scaled = eval_semi_invariant(pres, scaled_central(M, k, 2))
+        ratio = Fraction(scaled, base)
+        d = 0
+        while ratio % 2 == 0:
+            ratio /= 2
+            d += 1
+        if ratio == 1:
+            return d
+    raise DegenerateSample("could not find a nondegenerate sample for the probe")
 
 
 def test_scaling_degree_matches_lambda():
