@@ -91,6 +91,7 @@ def cmd_coeff(args) -> int:
             "value": str(res.value),
             "l": str(res.l),
             "m": str(res.m),
+            "orientation": [[str(x) for x in p] for p in res.orientation],
             "terms": [{"omega": [str(x) for x in om],
                        "lambda_shift": [str(x) for x in sh],
                        "sign": str(sg), "count": str(ct)}

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .errors import (OutOfRange, SizeTooLargeForOracle, as_ints,
                      as_worker_count)
-from .polyhedra import _geometry, build_cone, count_lattice_points
+from .polyhedra import _geometry, box_volume, build_cone, count_lattice_points
 
 # cold at n = 24 the character sum takes at most 0.7 s on a 2-core host
 # (worst measured: (12,1^12),(8,8,8),(7,6,5,4,2)); it grows with p(n)
@@ -108,7 +108,8 @@ class KroneckerResult:
     value: int
     l: int
     m: int
-    breakdown: tuple      # ((omega, lam_shift, sign, count), ...)
+    orientation: tuple    # (mu, nu, lambda) in the order that was counted
+    breakdown: tuple      # ((omega, sorted lam_shift, sign, count), ...)
 
 
 def _count_fibre(cone, theta) -> int:
@@ -117,12 +118,47 @@ def _count_fibre(cone, theta) -> int:
     return count_lattice_points(cone, theta)
 
 
+def _fibres(cone, a, b, c):
+    """(orientation, sigma, shifts, alphas) of the order (a, b, c):
+    sigma(a, b), the shifts of c with each alpha sorted ascending, and the
+    distinct sorted alphas.  The fibre at sigma(a, b) + alpha counts the
+    weight multiplicity <s_a * s_b, h_alpha>, which depends only on the
+    sorted alpha."""
+    shifts = [(omega, tuple(sorted(alpha)), sign)
+              for omega, alpha, sign in lambda_shifts(c, cone.m)]
+    alphas = sorted({alpha for _, alpha, _ in shifts})
+    return (a, b, c), sigma_of(a, b, cone.l), shifts, alphas
+
+
+def _plan(cone, triple):
+    """The _fibres of the order of triple to count on cone.
+
+    The orders that fit the cone are taken in sorted order, each priced by
+    the certificate-box volumes of its distinct fibres; the cheapest is
+    taken, the first on a tie.
+    """
+    plans = [_fibres(cone, a, b, c)
+             for a, b, c in sorted(set(itertools.permutations(triple)))
+             if max(len(a), len(b)) <= cone.l and len(c) <= cone.m]
+    if not plans:
+        raise OutOfRange(f"no order of the partitions fits l={cone.l}, "
+                         f"m={cone.m}")
+    if len(plans) == 1:
+        return plans[0]
+    return min(plans, key=lambda plan: sum(box_volume(cone, plan[1] + alpha)
+                                           for alpha in plan[3]))
+
+
 def kronecker(mu, nu, lam, l: int = None, m: int = None,
               workers: int = 1) -> KroneckerResult:
     """g_{mu,nu}^lambda as a signed sum of fibre lattice-point counts.
 
-    With workers > 1, several fibres are counted in one fork pool of at
-    most that many processes, and summed in fibre order all the same.
+    g is symmetric in its arguments, so the triple is counted in the order
+    (a, b, c) that _plan picks among those fitting the (l, m) cone, which
+    defaults to the input's own.  The breakdown has one term per shift of
+    c, with its alpha sorted, and each distinct sorted alpha is counted
+    once.  With workers > 1 the distinct fibres are counted in one fork
+    pool of at most that many processes.
     """
     mu, nu, lam = partition(mu), partition(nu), partition(lam)
     workers = as_worker_count(workers)
@@ -134,10 +170,9 @@ def kronecker(mu, nu, lam, l: int = None, m: int = None,
         l = max(2, len(mu), len(nu))
     if m is None:
         m = max(2, len(lam))
-    sigma = sigma_of(mu, nu, l)
     cone = build_cone(l, m)
-    shifts = lambda_shifts(lam, m)
-    fibres = [(cone, sigma + shifted) for _, shifted, _ in shifts]
+    orientation, sigma, shifts, alphas = _plan(cone, (mu, nu, lam))
+    fibres = [(cone, sigma + alpha) for alpha in alphas]
     if workers == 1 or len(fibres) == 1:
         counts = [count_lattice_points(*fibre) for fibre in fibres]
     else:
@@ -146,9 +181,10 @@ def kronecker(mu, nu, lam, l: int = None, m: int = None,
         ctx = mp.get_context("fork")
         with ctx.Pool(processes=min(workers, len(fibres))) as pool:
             counts = pool.starmap(_count_fibre, fibres, chunksize=1)
-    breakdown = tuple(shift + (cnt,) for shift, cnt in zip(shifts, counts))
+    count_of = dict(zip(alphas, counts))
+    breakdown = tuple(shift + (count_of[shift[1]],) for shift in shifts)
     total = sum(sign * cnt for _, _, sign, cnt in breakdown)
-    return KroneckerResult(total, l, m, breakdown)
+    return KroneckerResult(total, l, m, orientation, breakdown)
 
 
 # ---------------------------------------------------------------------------

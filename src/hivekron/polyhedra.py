@@ -400,6 +400,17 @@ def _geometry(c: Cone) -> _FibreGeometry:
     return _FibreGeometry(c)
 
 
+def box_volume(c: Cone, theta) -> int:
+    """Integer points of the certificate box of the fibre at theta,
+    prod(hi - lo + 1); 0 when the grading misses theta or the box is empty."""
+    geo = _geometry(c)
+    r0 = geo.solve_theta(theta)
+    if r0 is None:
+        return 0
+    lo, hi = geo.boxes(r0)
+    return math.prod(max(0, h - l + 1) for l, h in zip(lo, hi))
+
+
 def count_lattice_points(c: Cone, theta) -> int:
     """Exact number of integer points of the fibre at theta (2l+m ints)."""
     theta = as_ints(theta, "theta")

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import json
 import os
 import pathlib
@@ -55,6 +56,23 @@ def test_coeff_json_breakdown(capsys, small_builds):
     assert len(doc["terms"]) == 2
     assert all(set(t) == {"omega", "lambda_shift", "sign", "count"}
                for t in doc["terms"])
+    assert doc["orientation"] == [["2", "1"]] * 3
+
+
+def test_coeff_json_orientation(capsys, small_builds):
+    # the order that was counted, the same for every input order
+    docs = []
+    for mu, nu, lam in itertools.permutations(("5,2,1", "4,4", "3,3,2")):
+        code, out, _ = run(capsys, "coeff", "--mu", mu, "--nu", nu,
+                           "--lam", lam, "--l", "3", "--m", "3", "--json")
+        assert code == 0
+        docs.append(json.loads(out))
+    assert all(doc == docs[0] for doc in docs)
+    assert docs[0]["value"] == "1"
+    assert sorted(docs[0]["orientation"]) == [["3", "3", "2"], ["4", "4"],
+                                             ["5", "2", "1"]]
+    total = sum(int(t["sign"]) * int(t["count"]) for t in docs[0]["terms"])
+    assert total == 1
 
 
 def test_oracle_command(capsys):

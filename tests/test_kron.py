@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hivekron.errors import HivekronError, OutOfRange, SizeTooLargeForOracle
 from hivekron.kron import (class_size_inverse, kronecker, kronecker_oracle,
                            lambda_shifts, mn_character, partition,
                            partitions_of, sigma_of, transpose)
+from hivekron.polyhedra import build_cone, count_lattice_points
 
 
 def test_partition_normalization():
@@ -137,6 +139,15 @@ def test_kronecker_explicit_l_m(small_builds):
     assert kronecker((2, 1), (2, 1), (2, 1), l=3, m=3).value == base.value
 
 
+def test_kronecker_counts_an_order_that_fits(small_builds):
+    # lambda = (1,1,1) needs m = 3; at l = 2 only it can be the third part
+    res = kronecker((2, 1), (1, 1, 1), (2, 1), l=2, m=3)
+    assert res.value == kronecker_oracle((2, 1), (2, 1), (1, 1, 1)) == 1
+    assert res.orientation == ((2, 1), (2, 1), (1, 1, 1))
+    with pytest.raises(OutOfRange, match="no order of the partitions fits"):
+        kronecker((3,), (1, 1, 1), (2, 1), l=2, m=2)
+
+
 def test_class_sizes_sum():
     for n in range(1, 8):
         total = sum(class_size_inverse(tuple(r)) for r in partitions_of(n))
@@ -148,3 +159,81 @@ def test_class_sizes_sum():
 def test_mn_size_mismatch():
     with pytest.raises(OutOfRange, match=r"\|lambda\|=3 differs from \|rho\|=4"):
         mn_character((2, 1), (2, 2))
+
+
+# ---------------------------------------------------------------------------
+# fibres are weight multiplicities, and g is symmetric
+
+
+@lru_cache(maxsize=None)
+def kostka(shape, content):
+    """Semistandard tableaux of the shape with the content: the boxes of
+    the largest entry form a horizontal strip shape / inner, so the count
+    recurses over the inner shapes interlacing the shape."""
+    if not content:
+        return int(not shape)
+    rest, k = content[:-1], content[-1]
+    ranges = [range(below, row + 1)
+              for row, below in zip(shape, shape[1:] + (0,))]
+    return sum(kostka(tuple(x for x in inner if x), rest)
+               for inner in itertools.product(*ranges)
+               if sum(shape) - sum(inner) == k)
+
+
+def test_kostka_counter():
+    assert kostka((2, 1), (1, 1, 1)) == 2
+    assert kostka((3, 2), (2, 2, 1)) == 2
+    assert kostka((2, 2), (3, 1)) == 0
+    assert kostka((4, 2), (0, 3, 0, 3)) == 1
+    # sum_lambda K_{lambda,1^n} f^lambda = n!, with f^lambda = K_{lambda,1^n}
+    assert sum(kostka(p, (1,) * 5) ** 2 for p in partitions_of(5)) == 120
+
+
+@lru_cache(maxsize=None)
+def _fibre_counts(l, m, n):
+    """{(mu, nu, alpha): count} for every pair of at most l rows and every
+    weak composition alpha of n with m parts; shared by the tests below."""
+    pairs = [p for p in partitions_of(n) if len(p) <= l]
+    alphas = [a for a in itertools.product(range(n + 1), repeat=m)
+              if sum(a) == n]
+    cone = build_cone(l, m)
+    return {(mu, nu, a): count_lattice_points(cone, sigma_of(mu, nu, l) + a)
+            for mu in pairs for nu in pairs for a in alphas}
+
+
+@pytest.mark.parametrize("l, m", [(2, 3), (3, 3)])
+def test_fibre_count_is_invariant_under_permuting_alpha(small_builds, l, m):
+    for n in range(1, 7):
+        counts = _fibre_counts(l, m, n)
+        for (mu, nu, a), cnt in counts.items():
+            assert cnt == counts[mu, nu, tuple(sorted(a))], (mu, nu, a)
+
+
+def test_fibre_count_is_a_weight_multiplicity(small_builds):
+    # N(mu, nu, alpha) = <s_mu * s_nu, h_alpha>
+    #                 = sum_lambda K_{lambda,alpha} g(mu, nu, lambda)
+    for n in range(1, 7):
+        for (mu, nu, a), cnt in _fibre_counts(3, 3, n).items():
+            if list(a) != sorted(a):
+                continue
+            assert cnt == sum(kostka(lam, a)
+                              * kronecker_oracle(mu, nu, lam)
+                              for lam in partitions_of(n)), (mu, nu, a)
+
+
+def test_every_input_order_gives_one_result(small_builds):
+    # the plan depends on the triple, not on its order
+    seen = {}
+    for n in range(1, 7):
+        parts = [p for p in partitions_of(n) if len(p) <= 3]
+        for triple in itertools.product(parts, repeat=3):
+            res = kronecker(*triple, l=3, m=3)
+            key = tuple(sorted(triple))
+            if key not in seen:
+                assert res.value == kronecker_oracle(*triple), triple
+                assert sorted(res.orientation) == list(key)
+                seen[key] = res
+            got = seen[key]
+            assert (res.value, res.orientation, res.breakdown) == \
+                (got.value, got.orientation, got.breakdown), triple
+    assert len(seen) == 154

@@ -194,8 +194,13 @@ def test_counting_takes_no_workers(small_builds):
         count_lattice_points(c, (0,) * 6, workers=2)
 
 
-def test_pool_target_survives_a_wrapped_count(small_builds, monkeypatch):
-    # a tracer swaps the name for a closure, which a pool cannot pickle
+def _distinct_fibres(res):
+    return len({shift for _, shift, _, _ in res.breakdown})
+
+
+def _wrap_count(monkeypatch):
+    """kron with count_lattice_points swapped for a closure, as a tracer
+    does, and the list of thetas it is called with."""
     import hivekron.kron as K
     real = K.count_lattice_points
     calls = []
@@ -204,11 +209,29 @@ def test_pool_target_survives_a_wrapped_count(small_builds, monkeypatch):
         calls.append(args[1])
         return real(*args, **kwargs)
     monkeypatch.setattr(K, "count_lattice_points", traced)
+    return K, calls
+
+
+def test_pool_target_survives_a_wrapped_count(small_builds, monkeypatch):
+    # a pool cannot pickle the tracer's closure
+    K, calls = _wrap_count(monkeypatch)
     one = K.kronecker((4, 2, 2), (4, 2, 2), (4, 2, 2), l=3, m=3, workers=1)
-    assert len(calls) == len(one.breakdown)
+    assert len(calls) == len(set(calls)) == _distinct_fibres(one)
     two = K.kronecker((4, 2, 2), (4, 2, 2), (4, 2, 2), l=3, m=3, workers=2)
     assert two.value == one.value == 6
     assert two.breakdown == one.breakdown
+
+
+def test_each_distinct_fibre_counted_once(small_builds, monkeypatch):
+    # the six shifts of (4,4,4) at m = 3 sort to five distinct alphas:
+    # (5,3,4) and (4,5,3) are both (3,4,5)
+    K, calls = _wrap_count(monkeypatch)
+    lam = (4, 4, 4)
+    one = K.kronecker(lam, lam, lam, l=3, m=3, workers=1)
+    assert len(one.breakdown) == 6
+    assert len(calls) == len(set(calls)) == _distinct_fibres(one) == 5
+    two = K.kronecker(lam, lam, lam, l=3, m=3, workers=2)
+    assert two.breakdown == one.breakdown and two.value == one.value == 2
 
 
 class _FakeContext:
@@ -242,7 +265,13 @@ def test_pool_size_bounded_by_fibres(small_builds, monkeypatch):
     assert fake.processes == []
     res = kronecker((4, 2, 2), (4, 2, 2), (4, 2, 2), l=3, m=3,
                     workers=10 ** 6)
-    assert fake.processes == [len(res.breakdown)] and res.value == 6
+    assert fake.processes == [_distinct_fibres(res)] and res.value == 6
+    # six shifts, five distinct fibres, so five processes
+    res = kronecker((4, 4, 4), (4, 4, 4), (4, 4, 4), l=3, m=3,
+                    workers=10 ** 6)
+    assert fake.processes[1:] == [5] and len(res.breakdown) == 6
+    res = kronecker((4, 4, 4), (4, 4, 4), (4, 4, 4), l=3, m=3, workers=2)
+    assert fake.processes[2:] == [2]
 
 
 def test_facet_essentiality_22(small_builds):
@@ -308,11 +337,9 @@ def test_python_fallback_matches_numpy(small_builds, monkeypatch):
     assert sum(1 for n in fast[11:] if n > 1) >= 10
 
 
-def test_node_counts_pinned(small_builds, monkeypatch):
+def _spy_nodes(P, monkeypatch):
     # nodes entered are the rows passed to the block tightener; the
     # branching rule (narrowest open coordinate, lowest index) fixes them
-    import hivekron.polyhedra as P
-    from hivekron.kron import kronecker
     rows = []
     real = P._tighten_block
 
@@ -321,13 +348,39 @@ def test_node_counts_pinned(small_builds, monkeypatch):
         assert len(u) * plan.nnz <= P._BLOCK_ENTRIES
         return real(plan, rf, u)
     monkeypatch.setattr(P, "_tighten_block", spy)
-    for triple, value, nodes in ((((4, 2, 2),) * 3, 6, 420),
-                                 (((6, 3, 3), (5, 4, 3), (4, 4, 4)), 3, 4261),
-                                 (((8, 4, 4),) * 3, 43, 8997)):
+    return rows
+
+
+# (triple, value, nodes counting every shift as given, nodes of kronecker)
+NODE_PINS = ((((4, 2, 2),) * 3, 6, 420, 204),
+             (((6, 3, 3), (5, 4, 3), (4, 4, 4)), 3, 4261, 500),
+             (((8, 4, 4),) * 3, 43, 8997, 4527))
+
+
+def test_node_counts_pinned(small_builds, monkeypatch):
+    # the block DFS alone: every fibre sigma(mu, nu) + alpha of the triple
+    # as given, alpha unsorted and repeats counted again
+    import hivekron.polyhedra as P
+    rows = _spy_nodes(P, monkeypatch)
+    c = build_cone(3, 3)
+    for (mu, nu, lam), value, nodes, _ in NODE_PINS:
         rows.clear()
-        assert kronecker(*triple, l=3, m=3).value == value
+        sigma = sigma_of(mu, nu, 3)
+        assert sum(sign * count_lattice_points(c, sigma + shifted)
+                   for _, shifted, sign in lambda_shifts(lam, 3)) == value
         assert sum(rows) == nodes
     assert max(rows) > 1
+
+
+def test_planned_node_counts_pinned(small_builds, monkeypatch):
+    # kronecker counts each sorted alpha once, in its cheapest order
+    import hivekron.polyhedra as P
+    from hivekron.kron import kronecker
+    rows = _spy_nodes(P, monkeypatch)
+    for triple, value, nodes, planned in NODE_PINS:
+        rows.clear()
+        assert kronecker(*triple, l=3, m=3).value == value
+        assert sum(rows) == planned <= nodes
 
 
 def test_unbounded_fibre_detected():
