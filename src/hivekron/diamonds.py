@@ -1,16 +1,22 @@
 """Glued hive quivers: the lifted quiver with its grading and its twist.
 
-The lifted glued quiver is assembled hive by hive.  Within a diamond the
-two hives are glued along the j = 0 edge (non-consistently: the two sides
-induce the same arrows there, stored once); adjacent diamonds are glued
+Both quivers come from one walk over the hives (``_hive_steps``): for
+each diamond n, its plain and its dual hive, each grid position and each
+of the three arrow families, the walk names the source and the target
+through a label map.  The lifted quiver labels positions canonically and
+reverses every step of its odd diamonds; the twisted quiver uses the
+even form in every diamond and relabels its odd diamonds.  ``_glue``
+turns either walk into an ice quiver: within a diamond the two hives are
+glued along the j = 0 edge (non-consistently: the two sides induce the
+same arrows there, stored once); adjacent diamonds are glued
 consistently (their induced arrows along the shared edge cancel).  The
-twisted quiver replaces every diamond by the even form; there all shared
-edges carry arrows once.
+twisted quiver's arrow types a, b, c are read off the same walk by
+family index.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import partial
 from operator import mul
 
 from .errors import Inconsistent, OutOfRange
@@ -40,7 +46,42 @@ def canonical_vertex(n: int, i: int, j: int, dual: bool,
 
 
 # ---------------------------------------------------------------------------
-# shared-edge bookkeeping
+# the walk and the gluing
+
+
+def _hive_steps(l: int, m: int, label_of, families):
+    """Every family arrow of every hive, as (n, family index, src, tgt).
+
+    Ordered by diamond n, then plain before dual, then grid position,
+    then family; ``families(n, dual)`` gives the three steps (dx, dy).
+    """
+    grid = hive_grid(l)
+    gridset = set(grid)
+    for n in range(2, m + 1):
+        for dual in (False, True):
+            steps = families(n, dual)
+            for (x, y) in grid:
+                src = label_of(n, x, y, dual)
+                for k, (dx, dy) in enumerate(steps):
+                    if (x + dx, y + dy) in gridset:
+                        yield n, k, src, label_of(n, x + dx, y + dy, dual)
+
+
+def _det_arrows(l: int, m: int, label_of):
+    """The determinant-vertex arrows as (type, src, tgt).
+
+    Diamond n's diagonal chain ends at grid position (l-1, 0) and points
+    to det n, which points to both hives of diamond n.
+    """
+    out = [("bc", det_vertex(1), hive_vertex(1, 0, l - 1, False))]
+    for n in range(2, m + 1):
+        odd = n % 2 == 1
+        out.append(("a", label_of(n, l - 1, 0, False), det_vertex(n)))
+        for d in (False, True):
+            tgt = hive_vertex(n, 0, l - 1, d) if odd else \
+                hive_vertex(n, l - 1, 1, d)
+            out.append(("b" if d != odd else "c", det_vertex(n), tgt))
+    return out
 
 
 def _edge_key(v: VertexId, l: int):
@@ -56,52 +97,6 @@ def _edge_key(v: VertexId, l: int):
     if v.n % 2 == 0 and v.i + v.j == l:
         return ("hyp", v.n, v.dual)
     return None
-
-
-def _assemble(l, m, label_of, families, frozen, det_arrows):
-    """Collect per-hive family arrows, resolving shared-edge contributions."""
-    grid = hive_grid(l)
-    gridset = set(grid)
-    arrows: dict = {}
-    edge_bucket: dict = {}
-    for n in range(2, m + 1):
-        for dual in (False, True):
-            steps = families(n, dual)
-            for (x, y) in grid:
-                src = label_of(n, x, y, dual)
-                for dx, dy in steps:
-                    t = (x + dx, y + dy)
-                    if t not in gridset:
-                        continue
-                    tgt = label_of(n, t[0], t[1], dual)
-                    if src in frozen and tgt in frozen:
-                        continue
-                    ks, kt = _edge_key(src, l), _edge_key(tgt, l)
-                    if ks is not None and ks == kt:
-                        edge_bucket[(src, tgt)] = edge_bucket.get((src, tgt), 0) + 1
-                    else:
-                        arrows[(src, tgt)] = arrows.get((src, tgt), 0) + 1
-    seen = set()
-    for (s, t), fwd in edge_bucket.items():
-        if (t, s) in seen or (s, t) in seen:
-            continue
-        seen.add((s, t))
-        back = edge_bucket.get((t, s), 0)
-        net = fwd - back
-        if net == 0:
-            continue
-        if net % 2 != 0:
-            raise Inconsistent(
-                f"unpaired shared-edge arrow {s}->{t} ({fwd} vs {back})")
-        if net > 0:
-            arrows[(s, t)] = arrows.get((s, t), 0) + net // 2
-        else:
-            arrows[(t, s)] = arrows.get((t, s), 0) + (-net) // 2
-    for (s, t) in det_arrows:
-        if s in frozen and t in frozen:
-            continue
-        arrows[(s, t)] = arrows.get((s, t), 0) + 1
-    return arrows
 
 
 def _boundary_frozen(l: int, m: int) -> set:
@@ -120,6 +115,52 @@ def _check_sizes(l: int, m: int):
         raise OutOfRange(f"need l, m >= 2, got l={l}, m={m}")
 
 
+def _glue(l: int, m: int, label_of, families) -> IceQuiver:
+    """The glued ice quiver of one walk, with its determinant arrows.
+
+    A step along a shared edge is counted in a bucket per direction; the
+    two directions cancel and the net count, contributed by both glued
+    sides, is halved.
+    """
+    _check_sizes(l, m)
+    frozen = _boundary_frozen(l, m)
+    verts = {det_vertex(n) for n in range(1, m + 1)}
+    arrows: dict = {}
+    edge_bucket: dict = {}
+    for _, _, src, tgt in _hive_steps(l, m, label_of, families):
+        verts.update((src, tgt))
+        if src in frozen and tgt in frozen:
+            continue
+        ks = _edge_key(src, l)
+        bucket = edge_bucket if ks is not None and ks == _edge_key(tgt, l) \
+            else arrows
+        bucket[(src, tgt)] = bucket.get((src, tgt), 0) + 1
+    seen = set()
+    for (s, t), fwd in edge_bucket.items():
+        if (t, s) in seen:
+            continue
+        seen.add((s, t))
+        back = edge_bucket.get((t, s), 0)
+        net = fwd - back
+        if net % 2 != 0:
+            raise Inconsistent(
+                f"unpaired shared-edge arrow {s}->{t} ({fwd} vs {back})")
+        if net:
+            a = (s, t) if net > 0 else (t, s)
+            arrows[a] = arrows.get(a, 0) + abs(net) // 2
+    for _, s, t in _det_arrows(l, m, label_of):
+        if not (s in frozen and t in frozen):
+            arrows[(s, t)] = arrows.get((s, t), 0) + 1
+    return make_quiver(verts, frozen, arrows)
+
+
+def _balanced(Q: IceQuiver, sigma: dict, name: str):
+    bad = weight_defect(Q, sigma)
+    if bad:
+        raise Inconsistent(f"{name} quiver weights unbalanced at {bad[:4]}")
+    return Q, sigma
+
+
 def expected_vertex_count(l: int, m: int) -> int:
     """Glued-quiver vertex count (l-1)(l+2) + (l^2-1)(m-2), before dets."""
     return (l - 1) * (l + 2) + (l * l - 1) * (m - 2)
@@ -130,57 +171,17 @@ def expected_vertex_count(l: int, m: int) -> int:
 
 
 def _tilde_families(n: int, dual: bool):
-    if n % 2 == 0:
-        return ((1, 0), (0, -1), (-1, 1)) if not dual else \
-               ((1, 0), (-1, 1), (0, -1))
-    return ((-1, 0), (0, 1), (1, -1)) if not dual else \
-           ((-1, 0), (1, -1), (0, 1))
+    steps = _bar_families(n, dual)
+    return steps if n % 2 == 0 else tuple((-dx, -dy) for dx, dy in steps)
 
 
-def _tilde_label(l: int, m: int):
-    def label_of(n, x, y, dual):
-        return canonical_vertex(n, x, y, dual, l, m)
-    return label_of
-
-
-def _det_arrows_common(l: int, m: int, diag_end):
-    """Determinant-vertex arrows; diag_end(n) names the chain end label."""
-    out = []
-    out.append((det_vertex(1), hive_vertex(1, 0, l - 1, False)))
-    for n in range(2, m + 1):
-        out.append((diag_end(n), det_vertex(n)))
-        if n % 2 == 0:
-            for d in (False, True):
-                out.append((det_vertex(n), hive_vertex(n, l - 1, 1, d)))
-        elif n >= 3:
-            for d in (False, True):
-                out.append((det_vertex(n), hive_vertex(n, 0, l - 1, d)))
-    return out
-
-
-@lru_cache(maxsize=None)
 def build_tilde(l: int, m: int):
     """The lifted glued ice quiver with its weight configuration."""
-    _check_sizes(l, m)
-    frozen = _boundary_frozen(l, m)
-    det_arrows = _det_arrows_common(l, m, lambda n: hive_vertex(n, l - 1, 0, False))
-    arrows = _assemble(l, m, _tilde_label(l, m), _tilde_families, frozen,
-                       det_arrows)
-    verts = set()
-    for n in range(2, m + 1):
-        for dual in (False, True):
-            for (x, y) in hive_grid(l):
-                verts.add(canonical_vertex(n, x, y, dual, l, m))
-    verts |= {det_vertex(n) for n in range(1, m + 1)}
-    Q = make_quiver(verts, frozen, arrows)
+    Q = _glue(l, m, partial(canonical_vertex, l=l, m=m), _tilde_families)
     sigma = {v: (sigma_lambda_weight(v.i, v.j, v.n, v.dual, l, m)
                  if v.kind == "hive" else det_weight(v.n, l, m))
              for v in Q.vertices}
-    bad = weight_defect(Q, sigma)
-    if bad:
-        raise Inconsistent(
-            f"lifted quiver weights unbalanced at {bad[:4]}")
-    return Q, sigma
+    return _balanced(Q, sigma, "lifted")
 
 
 # ---------------------------------------------------------------------------
@@ -249,38 +250,16 @@ def _solve_interior_weights(Q: IceQuiver, known: dict, dim: int) -> dict:
     return {B.cols[k]: tuple(xt[i] for xt in x) for i, k in enumerate(unknown)}
 
 
-@lru_cache(maxsize=None)
 def build_bar(l: int, m: int):
     """The twisted glued ice quiver (all diamonds in even form) + grading."""
-    _check_sizes(l, m)
-    frozen = _boundary_frozen(l, m)
-
-    def diag_end(n):
-        return hive_vertex(n, l - 1, 0, False) if n % 2 == 0 else \
-            hive_vertex(n, 1, 0, False)
-
-    label_of = _bar_label(l, m)
-    det_arrows = _det_arrows_common(l, m, diag_end)
-    arrows = _assemble(l, m, label_of, _bar_families, frozen, det_arrows)
-    verts = set()
-    for n in range(2, m + 1):
-        for dual in (False, True):
-            for (x, y) in hive_grid(l):
-                verts.add(label_of(n, x, y, dual))
-    verts |= {det_vertex(n) for n in range(1, m + 1)}
-    Q = make_quiver(verts, frozen, arrows)
-    known = {}
+    Q = _glue(l, m, _bar_label(l, m), _bar_families)
+    sigma = {}
     for v in Q.vertices:
         w = bar_known_weight(v, l, m)
         if w is not None:
-            known[v] = w
-    sigma = dict(known)
-    sigma.update(_solve_interior_weights(Q, known, 2 * l + m))
-    bad = weight_defect(Q, sigma)
-    if bad:
-        raise Inconsistent(
-            f"twisted quiver weights unbalanced at {bad[:4]}")
-    return Q, sigma
+            sigma[v] = w
+    sigma.update(_solve_interior_weights(Q, sigma, 2 * l + m))
+    return _balanced(Q, sigma, "twisted")
 
 
 def bar_arrow_types(l: int, m: int) -> dict:
@@ -290,47 +269,18 @@ def bar_arrow_types(l: int, m: int) -> dict:
     is 'b', in odd diamonds the roles of 'b' and 'c' swap.  Arrows along
     the self-glued edge serve as both 'b' and 'c'.
     """
-    _check_sizes(l, m)
     Q, _ = build_bar(l, m)
-    frozen = Q.frozen
     label_of = _bar_label(l, m)
-    grid = hive_grid(l)
-    gridset = set(grid)
+    typed = [(("acb" if n % 2 else "abc")[k], src, tgt)
+             for n, k, src, tgt in _hive_steps(l, m, label_of, _bar_families)]
     types: dict = {}
-
-    def put(src, tgt, ty):
-        if src in frozen and tgt in frozen:
-            return
-        old = types.get((src, tgt))
-        if old is None or old == ty:
-            types[(src, tgt)] = ty
-        else:
-            types[(src, tgt)] = "bc"
-
-    for n in range(2, m + 1):
-        for dual in (False, True):
-            fams = _bar_families(n, dual)
-            odd = n % 2 == 1
-            fam_types = ("a", "c" if odd else "b", "b" if odd else "c")
-            for (x, y) in grid:
-                src = label_of(n, x, y, dual)
-                for (dx, dy), ty in zip(fams, fam_types):
-                    t = (x + dx, y + dy)
-                    if t in gridset:
-                        put(src, label_of(n, t[0], t[1], dual), ty)
-    for n in range(2, m + 1):
-        odd = n % 2 == 1
-        end = hive_vertex(n, 1 if odd else l - 1, 0, False)
-        put(end, det_vertex(n), "a")
-        targets = [(hive_vertex(n, 0, l - 1, d) if odd else
-                    hive_vertex(n, l - 1, 1, d), d) for d in (False, True)]
-        for tgt, d in targets:
-            put(det_vertex(n), tgt, "b" if d != odd else "c")
-    put(det_vertex(1), hive_vertex(1, 0, l - 1, False), "bc")
+    for ty, s, t in typed + _det_arrows(l, m, label_of):
+        if (s, t) in Q.arrows:
+            types[(s, t)] = ty if types.get((s, t), ty) == ty else "bc"
     missing = set(Q.arrows) - set(types)
     if missing:
         raise Inconsistent(f"untyped arrows: {sorted(missing)[:4]}")
-    return {a: t for a, t in types.items() if a in Q.arrows}
+    return types
 
 
 # ---------------------------------------------------------------------------

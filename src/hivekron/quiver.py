@@ -208,20 +208,19 @@ def weight_defect(Q: IceQuiver, sigma: Mapping[VertexId, Weight]) -> list[Vertex
     return bad
 
 
-def mutate_weights(Q: IceQuiver, sigma: Mapping[VertexId, Weight],
-                   u: VertexId, check: bool = True) -> WeightConfig:
-    """Transport a weight configuration through the mutation at u.
+def _check_balanced(Q: IceQuiver, sigma: Mapping[VertexId, Weight]):
+    bad = weight_defect(Q, sigma)
+    if bad:
+        raise OutOfRange(f"in/out weight sums differ at {bad[:3]}")
 
-    The new weight at u is the in-sum minus the old weight; all other
-    weights are unchanged.  With ``check`` the configuration identity
-    B*sigma = 0 is verified on Q before transporting.
-    """
+
+def _transport(Q: IceQuiver, sigma: Mapping[VertexId, Weight],
+               u: VertexId) -> WeightConfig:
+    """The weight mutation at u: u gets its in-sum minus its old weight."""
+    if u not in Q.vertices:
+        raise OutOfRange(f"{u} is not a vertex")
     if u in Q.frozen:
         raise OutOfRange(f"cannot mutate weights at frozen vertex {u}")
-    if check:
-        bad = weight_defect(Q, sigma)
-        if bad:
-            raise OutOfRange(f"in/out weight sums differ at {bad[:3]}")
     dim = len(sigma[u])
     acc = [0] * dim
     for v, m in Q.arrows_in(u):
@@ -233,12 +232,25 @@ def mutate_weights(Q: IceQuiver, sigma: Mapping[VertexId, Weight],
     return new
 
 
+def mutate_weights(Q: IceQuiver, sigma: Mapping[VertexId, Weight],
+                   u: VertexId) -> WeightConfig:
+    """Transport a weight configuration through the mutation at u.
+
+    The new weight at u is the in-sum minus the old weight; all other
+    weights are unchanged.  The configuration identity B*sigma = 0 is
+    verified on Q before transporting.
+    """
+    _check_balanced(Q, sigma)
+    return _transport(Q, sigma, u)
+
+
 def mutate_weights_seq(Q: IceQuiver, sigma: Mapping[VertexId, Weight],
                        seq: Sequence[VertexId]) -> tuple[IceQuiver, WeightConfig]:
-    """Transport weights along a mutation sequence, checked once at the end."""
+    """Transport weights along a mutation sequence, checked at both ends."""
+    _check_balanced(Q, sigma)
     sig = dict(sigma)
     for u in seq:
-        sig = mutate_weights(Q, sig, u, check=False)
+        sig = _transport(Q, sig, u)
         Q = mutate_quiver(Q, u)
     bad = weight_defect(Q, sig)
     if bad:

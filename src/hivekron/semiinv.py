@@ -290,8 +290,6 @@ def vertex_value(v, M: Representation, l: int, m: int) -> int:
     """Evaluate the cluster variable sitting at a canonical quiver vertex."""
     if v.kind == "det":
         return det(M.central[v.n])
-    if v.n == 1:
-        return eval_semi_invariant(lifted_presentation(v.j, 0, 1, False, l, m), M)
     return eval_semi_invariant(lifted_presentation(v.i, v.j, v.n, v.dual, l, m), M)
 
 

@@ -28,8 +28,6 @@ def H(i, j, n, dual=False):
 
 def test_criterion_1_facet_fixture(capsys):
     build_cone.cache_clear()
-    build_bar.cache_clear()
-    build_tilde.cache_clear()
     t0 = time.time()
     cone = build_cone(3, 3)
     cold = time.time() - t0

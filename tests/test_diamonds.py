@@ -123,7 +123,8 @@ def test_bar_interior_weight_fixture():
     assert s[hive_vertex(3, 1, 1, True)] == (-1, 0, -1, 0, 2, 0, 2, 1, 1)
 
 
-def test_bar_abc_typing(small_builds):
+@pytest.mark.parametrize("l,m", SIZES)
+def test_bar_abc_typing(l, m):
     """Every 3-cycle of the twisted quiver carries one arrow of each type.
 
     The constructive typing marks east arrows 'a' and swaps the b/c roles
@@ -131,23 +132,22 @@ def test_bar_abc_typing(small_builds):
     either 'b' or 'c' per cycle.
     """
     from hivekron.diamonds import bar_arrow_types
-    for (l, m), built in small_builds.items():
-        Q, _ = built["bar"]
-        types = bar_arrow_types(l, m)
-        assert set(types) == set(Q.arrows)
-        outs = {}
-        for (s, t) in Q.arrows:
-            outs.setdefault(s, []).append(t)
-        cycles = 0
-        for (s, t) in Q.arrows:
-            for u in outs.get(t, []):
-                if Q.has_arrow(u, s):
-                    cycles += 1
-                    tys = [types[(s, t)], types[(t, u)], types[(u, s)]]
-                    firm = [x for x in tys if x != "bc"]
-                    nwild = tys.count("bc")
-                    need = {"a", "b", "c"} - set(firm)
-                    assert len(set(firm)) == len(firm), (l, m, s, t, u, tys)
-                    assert len(need) == nwild, (l, m, s, t, u, tys)
-                    assert "a" not in need, (l, m, s, t, u, tys)
-        assert cycles > 0
+    Q, _ = build_bar(l, m)
+    types = bar_arrow_types(l, m)
+    assert set(types) == set(Q.arrows)
+    outs = {}
+    for (s, t) in Q.arrows:
+        outs.setdefault(s, []).append(t)
+    cycles = 0
+    for (s, t) in Q.arrows:
+        for u in outs.get(t, []):
+            if Q.has_arrow(u, s):
+                cycles += 1
+                tys = [types[(s, t)], types[(t, u)], types[(u, s)]]
+                firm = [x for x in tys if x != "bc"]
+                nwild = tys.count("bc")
+                need = {"a", "b", "c"} - set(firm)
+                assert len(set(firm)) == len(firm), (s, t, u, tys)
+                assert len(need) == nwild, (s, t, u, tys)
+                assert "a" not in need, (s, t, u, tys)
+    assert cycles > 0

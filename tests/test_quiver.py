@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from hivekron.errors import HivekronError, OutOfRange
 from hivekron.quiver import (b_matrix, b_matrix_rank, hive_vertex, make_quiver,
-                             mutate_quiver, mutate_weights, weight_defect)
+                             mutate_quiver, mutate_weights, mutate_weights_seq,
+                             weight_defect)
 
 
 def V(k):
@@ -132,6 +133,18 @@ def test_mutate_weights_rejects_bad_config():
     Q = quiver_from_arrows(2, [(1, 2, 1)], frozen=(2,))
     with pytest.raises(OutOfRange, match="in/out weight sums differ"):
         mutate_weights(Q, {V(1): (1,), V(2): (5,)}, V(1))
+    with pytest.raises(OutOfRange, match="in/out weight sums differ"):
+        mutate_weights_seq(Q, {V(1): (1,), V(2): (5,)}, [V(1)])
+
+
+def test_mutate_weights_rejects_non_vertex():
+    from hivekron.diamonds import build_tilde
+    Q, sigma = build_tilde(3, 3)
+    u = hive_vertex(9, 1, 1)
+    with pytest.raises(OutOfRange, match="is not a vertex"):
+        mutate_weights(Q, sigma, u)
+    with pytest.raises(OutOfRange, match="is not a vertex"):
+        mutate_weights_seq(Q, sigma, [u])
 
 
 def test_frozen_weights_never_altered():
