@@ -2,7 +2,6 @@
 """Run the structural validation suite over a grid of quiver sizes."""
 
 import argparse
-import json
 import sys
 
 sys.path.insert(0, "src")
@@ -26,7 +25,9 @@ def main():
                   f"({len(report.checks)} checks{'; ' + ', '.join(bad) if bad else ''})")
             if not report.ok:
                 worst = 2
-                print(json.dumps(report.as_json(), indent=1))
+                for c in report.checks:
+                    if not c["ok"]:
+                        print(f"  {c['name']}: {c['detail']}")
     sys.exit(worst)
 
 

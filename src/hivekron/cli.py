@@ -1,6 +1,7 @@
 """Command-line surface: coefficients, oracle, builds, cones, validation.
 
-All integers in emitted JSON are decimal strings.  `--out` files are
+This is the only module that knows the JSON form: `_wire` writes every
+integer as a decimal string and every vertex as a list.  `--out` files are
 written atomically.  Commands raise; `main` turns an error, and the parser
 a bad command line, into one stderr line and an exit code.
 """
@@ -18,8 +19,8 @@ from .diamonds import build_bar, build_tilde
 from .errors import (HivekronError, OutOfRange, SizeTooLargeForOracle,
                      UnboundedFibre)
 from .kron import ORACLE_BOUND, kronecker, kronecker_oracle, partition
-from .polyhedra import build_cone, cone_to_json, count_lattice_points
-from .quiver import make_quiver, vertex_from_json, vertex_to_json
+from .polyhedra import Cone, build_cone, count_lattice_points
+from .quiver import VertexId
 
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
@@ -39,30 +40,38 @@ def _parse_partition(text: str):
     return _parse_ints(text, partition)
 
 
+def _wire(x):
+    """The JSON form of x: an int as a decimal string, a vertex as its list
+    form, a tuple or list as a list, a dict value by value; bools and
+    strings as they are."""
+    if isinstance(x, (bool, str)):
+        return x
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, VertexId):
+        if x.kind == "det":
+            return ["det", str(x.n)]
+        return ["hive", str(x.n), str(x.i), str(x.j), "1" if x.dual else "0"]
+    if isinstance(x, dict):
+        return {k: _wire(v) for k, v in x.items()}
+    return [_wire(y) for y in x]
+
+
 def quiver_to_json(Q, sigma) -> str:
     doc = {
-        "vertices": [vertex_to_json(v) for v in Q.vertices],
-        "frozen": [vertex_to_json(v) for v in sorted(Q.frozen, key=lambda v: v.sort_key())],
-        "arrows": sorted(
-            [vertex_to_json(s), vertex_to_json(t), str(mult)]
-            for (s, t), mult in Q.arrows.items()),
-        "weights": {json.dumps(vertex_to_json(v)): [str(x) for x in sigma[v]]
-                    for v in Q.vertices},
+        "vertices": Q.vertices,
+        "frozen": sorted(Q.frozen, key=VertexId.sort_key),
+        "arrows": sorted(_wire((s, t, mult))
+                         for (s, t), mult in Q.arrows.items()),
+        "weights": {json.dumps(_wire(v)): sigma[v] for v in Q.vertices},
     }
-    return json.dumps(doc, indent=1, sort_keys=True)
+    return json.dumps(_wire(doc), indent=1, sort_keys=True)
 
 
-def quiver_from_json(text: str):
-    doc = json.loads(text)
-    verts = [vertex_from_json(v) for v in doc["vertices"]]
-    frozen = {vertex_from_json(v) for v in doc["frozen"]}
-    arrows = {}
-    for s, t, mult in doc["arrows"]:
-        arrows[(vertex_from_json(s), vertex_from_json(t))] = int(mult)
-    Q = make_quiver(verts, frozen, arrows)
-    sigma = {vertex_from_json(json.loads(k)): tuple(int(x) for x in w)
-             for k, w in doc["weights"].items()}
-    return Q, sigma
+def cone_to_json(c: Cone) -> str:
+    doc = {"l": c.l, "m": c.m, "vertices": c.vertices, "facets": c.facets,
+           "grading": c.grading}
+    return json.dumps(_wire(doc), indent=1, sort_keys=True)
 
 
 def _atomic_write(path: str, text: str):
@@ -88,16 +97,14 @@ def cmd_coeff(args) -> int:
     res = kronecker(mu, nu, lam, l=args.l, m=args.m, workers=args.workers)
     if args.json:
         doc = {
-            "value": str(res.value),
-            "l": str(res.l),
-            "m": str(res.m),
-            "orientation": [[str(x) for x in p] for p in res.orientation],
-            "terms": [{"omega": [str(x) for x in om],
-                       "lambda_shift": [str(x) for x in sh],
-                       "sign": str(sg), "count": str(ct)}
-                      for om, sh, sg, ct in res.breakdown],
+            "value": res.value,
+            "l": res.l,
+            "m": res.m,
+            "orientation": res.orientation,
+            "terms": [{"omega": om, "lambda_shift": sh, "sign": sg,
+                       "count": ct} for om, sh, sg, ct in res.breakdown],
         }
-        print(json.dumps(doc, indent=1))
+        print(json.dumps(_wire(doc), indent=1))
     else:
         print(res.value)
     if args.verify:
@@ -153,7 +160,9 @@ def cmd_count(args) -> int:
 def cmd_validate(args) -> int:
     from .validate import run_validation
     report = run_validation(args.l, args.m, level=args.level, seed=args.seed)
-    print(json.dumps(report.as_json(), indent=1))
+    doc = {"l": report.l, "m": report.m, "level": report.level,
+           "ok": report.ok, "checks": report.checks}
+    print(json.dumps(_wire(doc), indent=1))
     return 0 if report.ok else EXIT_VERIFY
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import partial
 from operator import mul
 
-from .errors import Inconsistent, OutOfRange
+from .errors import Inconsistent, OutOfRange, as_ints
 from .intlin import back_solve, hnf
 from .quiver import (IceQuiver, VertexId, b_matrix, det_vertex, hive_vertex,
                      make_quiver, mutate_weights_seq, weight_defect)
@@ -111,6 +111,7 @@ def _boundary_frozen(l: int, m: int) -> set:
 
 
 def _check_sizes(l: int, m: int):
+    l, m = as_ints((l, m), "sizes l, m")
     if l < 2 or m < 2:
         raise OutOfRange(f"need l, m >= 2, got l={l}, m={m}")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .diamonds import build_bar
+from .diamonds import _bar_label
 from .errors import Inconsistent, OutOfRange
 from .quiver import VertexId, det_vertex, hive_vertex
 
@@ -40,7 +40,7 @@ def _descent_side(n: int, s0: bool) -> bool:
     return s0 != (n % 2 == 1)
 
 
-def boundary_path(l: int, m: int, v: VertexId, quiver=None) -> PathModule:
+def boundary_path(l: int, m: int, v: VertexId, quiver) -> PathModule:
     """The uniserial boundary module attached to a frozen non-det vertex.
 
     The walk starts at the partner vertex v*, crosses every diamond along
@@ -48,11 +48,8 @@ def boundary_path(l: int, m: int, v: VertexId, quiver=None) -> PathModule:
     v.  Every consecutive pair is checked to be an arrow of the twisted
     quiver.
     """
-    if quiver is None:
-        quiver, _ = build_bar(l, m)
     if v not in quiver.frozen or v.kind != "hive":
         raise OutOfRange(f"{v} is not a boundary frozen vertex")
-    from .diamonds import _bar_label  # the position -> label dictionary
     label_of = _bar_label(l, m)
     s0 = v.dual
     j0 = v.j
@@ -83,12 +80,10 @@ def boundary_path(l: int, m: int, v: VertexId, quiver=None) -> PathModule:
     return _module(path)
 
 
-def diagonal_module(l: int, m: int, n: int, quiver=None) -> PathModule:
+def diagonal_module(l: int, m: int, n: int, quiver) -> PathModule:
     """Uniserial module on the diagonal of diamond n with socle at det n."""
     if not (1 <= n <= m):
         raise OutOfRange(f"det index {n} not in [1,{m}]")
-    if quiver is None:
-        quiver, _ = build_bar(l, m)
     dn = det_vertex(n)
     if n == 1:
         return _module([dn])

@@ -11,7 +11,6 @@ int64 when a proven bound allows and on Python integers otherwise.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +22,7 @@ from .errors import OutOfRange, UnboundedFibre, as_ints
 from .intlin import back_solve, hnf
 from .lp import OPTIMAL, float_basis, solve_lp
 from .pathmods import boundary_path, diagonal_module, submodule_dims
-from .quiver import VertexId, vertex_from_json, vertex_to_json
+from .quiver import VertexId
 
 
 @dataclass(frozen=True)
@@ -48,9 +47,12 @@ def _normalize_normal(vec):
     return tuple(vec)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_cone(l: int, m: int) -> Cone:
-    """Facets from submodule dimension vectors; grading from the twist."""
+    """Facets from submodule dimension vectors; grading from the twist.
+
+    Cached by type as well as value: 3.0 must reach build_bar's size
+    check, not the cone of 3."""
     Q, sigma = build_bar(l, m)
     vorder = Q.vertices
     vindex = {v: k for k, v in enumerate(vorder)}
@@ -422,26 +424,3 @@ def count_lattice_points(c: Cone, theta) -> int:
         return 0
     lo, hi = geo.boxes(r0)
     return _np_count(geo, r0, lo, hi)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def cone_to_json(c: Cone) -> str:
-    doc = {
-        "l": str(c.l),
-        "m": str(c.m),
-        "vertices": [vertex_to_json(v) for v in c.vertices],
-        "facets": [[str(x) for x in f] for f in c.facets],
-        "grading": [[str(x) for x in g] for g in c.grading],
-    }
-    return json.dumps(doc, indent=1, sort_keys=True)
-
-
-def cone_from_json(text: str) -> Cone:
-    doc = json.loads(text)
-    return Cone(int(doc["l"]), int(doc["m"]),
-                tuple(vertex_from_json(v) for v in doc["vertices"]),
-                tuple(tuple(int(x) for x in f) for f in doc["facets"]),
-                tuple(tuple(int(x) for x in g) for g in doc["grading"]))

@@ -39,21 +39,6 @@ def det_vertex(n: int) -> VertexId:
     return VertexId("det", n, 0, 0, False)
 
 
-def vertex_to_json(v: VertexId) -> list:
-    """The JSON form of a vertex label, all fields as decimal strings."""
-    if v.kind == "det":
-        return ["det", str(v.n)]
-    return ["hive", str(v.n), str(v.i), str(v.j), "1" if v.dual else "0"]
-
-
-def vertex_from_json(item) -> VertexId:
-    """Inverse of ``vertex_to_json``."""
-    if item[0] == "det":
-        return det_vertex(int(item[1]))
-    return hive_vertex(int(item[1]), int(item[2]), int(item[3]),
-                       item[4] == "1")
-
-
 Arrow = tuple[VertexId, VertexId]
 Weight = tuple[int, ...]
 
@@ -157,13 +142,6 @@ class BMatrix:
     rows: tuple[VertexId, ...]      # mutable vertices
     cols: tuple[VertexId, ...]      # all vertices
     entries: tuple[tuple[int, ...], ...]
-
-    def entry(self, u: VertexId, v: VertexId) -> int:
-        return self.entries[self.rows.index(u)][self.cols.index(v)]
-
-    def mutable_block(self) -> tuple[tuple[int, ...], ...]:
-        idx = [self.cols.index(u) for u in self.rows]
-        return tuple(tuple(row[k] for k in idx) for row in self.entries)
 
 
 def b_matrix(Q: IceQuiver) -> BMatrix:

@@ -121,14 +121,6 @@ class Presentation:
     targets: tuple
     grid: tuple  # tuple of tuples of ints
 
-    def weight(self, l: int) -> tuple:
-        w = [0] * (2 * l)
-        for s in self.sources:
-            w[_sigma_coord(s, l)] += 1
-        for t in self.targets:
-            w[_sigma_coord(t, l)] -= 1
-        return tuple(w)
-
     def dual(self) -> "Presentation":
         sources = tuple(-t for t in self.targets)
         targets = tuple(-s for s in self.sources)
@@ -189,16 +181,6 @@ class Representation:
         self.desc = desc
         self.central = central
         self._path_cache: dict = {}
-
-    @classmethod
-    def standard(cls, l: int, m: int) -> "Representation":
-        asc = {k: [[1 if r == c else 0 for c in range(k)] for r in range(k + 1)]
-               for k in range(1, l)}
-        desc = {k: [[1 if r == c else 0 for c in range(k + 1)] for r in range(k)]
-                for k in range(1, l)}
-        central = {t: [[1 if r == c else 0 for c in range(l)] for r in range(l)]
-                   for t in range(1, m + 1)}
-        return cls(l, m, asc, desc, central)
 
     @classmethod
     def random(cls, l: int, m: int, rng: random.Random) -> "Representation":
@@ -294,7 +276,7 @@ def vertex_value(v, M: Representation, l: int, m: int) -> int:
 
 
 def check_exchange_relations(l: int, m: int, M: Representation,
-                             quiver=None) -> RelationReport:
+                             quiver) -> RelationReport:
     """Verify exact integer divisibility of every exchange relation.
 
     At each mutable vertex u of the lifted glued quiver the product of
@@ -302,10 +284,6 @@ def check_exchange_relations(l: int, m: int, M: Representation,
     be divisible by the value at u.  The relative sign is not normalized
     (per-variable signs of the lifts are not), so either sign is accepted.
     """
-    from .diamonds import build_tilde  # local import; diamonds depends on us
-
-    if quiver is None:
-        quiver, _ = build_tilde(l, m)
     values = {}
     for v in quiver.vertices:
         val = vertex_value(v, M, l, m)

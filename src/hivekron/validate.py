@@ -29,13 +29,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return all(c["ok"] for c in self.checks)
 
-    def as_json(self):
-        return {"l": str(self.l), "m": str(self.m), "level": self.level,
-                "ok": self.ok,
-                "checks": [{"name": c["name"],
-                            "ok": c["ok"],
-                            "detail": c["detail"]} for c in self.checks]}
-
 
 def run_validation(l: int, m: int, level: str = "quick",
                    seed: int = 20240501) -> ValidationReport:

@@ -45,8 +45,9 @@ def test_criterion_1_facet_fixture(capsys):
 
 
 def test_criterion_2_path_fixtures(capsys, small_builds):
-    p1 = boundary_path(3, 3, H(0, 1, 3))
-    p2 = boundary_path(3, 3, H(0, 2, 3))
+    Q, _ = build_bar(3, 3)
+    p1 = boundary_path(3, 3, H(0, 1, 3), Q)
+    p2 = boundary_path(3, 3, H(0, 2, 3), Q)
     exp1 = [H(0, 1, 3, True), H(1, 1, 3, True), H(2, 0, 3), H(1, 2, 2),
             H(1, 1, 2), H(1, 0, 2), H(0, 1, 1), H(1, 1, 2), H(2, 1, 2),
             H(0, 1, 3)]

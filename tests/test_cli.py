@@ -8,9 +8,10 @@ import re
 import pytest
 
 from hivekron import errors
-from hivekron.cli import main, quiver_from_json, quiver_to_json
+from hivekron.cli import cone_to_json, main
 from hivekron.diamonds import build_bar, build_tilde
-from hivekron.polyhedra import build_cone, cone_to_json
+from hivekron.polyhedra import Cone, build_cone
+from hivekron.quiver import det_vertex, hive_vertex
 
 
 def run(capsys, *argv):
@@ -107,11 +108,54 @@ def test_build_bad_sizes(capsys):
     assert code == 1
 
 
-def test_quiver_json_roundtrip():
-    for builder in (build_tilde, build_bar):
-        Q, s = builder(2, 3)
-        Q2, s2 = quiver_from_json(quiver_to_json(Q, s))
-        assert Q2 == Q and s2 == s
+def leaves(doc):
+    """Every dict key and every scalar of a JSON document."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield key
+            yield from leaves(value)
+    elif isinstance(doc, list):
+        for item in doc:
+            yield from leaves(item)
+    else:
+        yield doc
+
+
+def decode_vertex(item):
+    if item[0] == "det":
+        return det_vertex(int(item[1]))
+    _, n, i, j, dual = item
+    return hive_vertex(int(n), int(i), int(j), {"0": False, "1": True}[dual])
+
+
+def decode_ints(rows):
+    return tuple(tuple(int(x) for x in row) for row in rows)
+
+
+@pytest.mark.parametrize("l,m", [(2, 3), (3, 3)])
+def test_cone_document_decodes_to_the_cone(capsys, l, m):
+    code, out, _ = run(capsys, "cone", "--l", str(l), "--m", str(m))
+    doc = json.loads(out)
+    assert code == 0 and all(isinstance(x, str) for x in leaves(doc))
+    decoded = Cone(int(doc["l"]), int(doc["m"]),
+                   tuple(decode_vertex(v) for v in doc["vertices"]),
+                   decode_ints(doc["facets"]), decode_ints(doc["grading"]))
+    assert decoded == build_cone(l, m)
+
+
+@pytest.mark.parametrize("stage", ["tilde", "bar"])
+def test_quiver_document_decodes_to_the_quiver(capsys, stage):
+    code, out, _ = run(capsys, "build-quiver", "--l", "2", "--m", "3",
+                       "--stage", stage)
+    doc = json.loads(out)
+    assert code == 0 and all(isinstance(x, str) for x in leaves(doc))
+    Q, sigma = {"tilde": build_tilde, "bar": build_bar}[stage](2, 3)
+    assert tuple(decode_vertex(v) for v in doc["vertices"]) == Q.vertices
+    assert {decode_vertex(v) for v in doc["frozen"]} == Q.frozen
+    assert {(decode_vertex(s), decode_vertex(t)): int(k)
+            for s, t, k in doc["arrows"]} == Q.arrows
+    assert {decode_vertex(json.loads(key)): tuple(int(x) for x in w)
+            for key, w in doc["weights"].items()} == sigma
 
 
 def test_cone_command(capsys, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hivekron.diamonds import build_bar
 from hivekron.errors import HivekronError, OutOfRange, SizeTooLargeForOracle
 from hivekron.kron import (class_size_inverse, kronecker, kronecker_oracle,
                            lambda_shifts, mn_character, partition,
@@ -146,6 +147,22 @@ def test_kronecker_counts_an_order_that_fits(small_builds):
     assert res.orientation == ((2, 1), (2, 1), (1, 1, 1))
     with pytest.raises(OutOfRange, match="no order of the partitions fits"):
         kronecker((3,), (1, 1, 1), (2, 1), l=2, m=2)
+
+
+@pytest.mark.parametrize("size", [3.0, "3"])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_non_integer_size_is_out_of_range(size, warm):
+    # a warm cone cache must not answer 3.0 with the cone of 3
+    build_cone.cache_clear()
+    if warm:
+        build_cone(3, 3)
+    g = (2, 1)
+    for call in (lambda: build_cone(size, 3), lambda: build_cone(3, size),
+                 lambda: build_bar(size, 3), lambda: build_bar(3, size),
+                 lambda: kronecker(g, g, g, l=size, m=3),
+                 lambda: kronecker(g, g, g, l=3, m=size)):
+        with pytest.raises(OutOfRange, match="must be integers"):
+            call()
 
 
 def test_class_sizes_sum():

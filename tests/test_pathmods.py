@@ -18,7 +18,7 @@ def partner_vertex(l, m, v):
 
 
 def test_fixture_path_one(small_builds):
-    T = boundary_path(3, 3, H(0, 1, 3))
+    T = boundary_path(3, 3, H(0, 1, 3), build_bar(3, 3)[0])
     assert list(T.path) == [
         H(0, 1, 3, True), H(1, 1, 3, True), H(2, 0, 3), H(1, 2, 2),
         H(1, 1, 2), H(1, 0, 2), H(0, 1, 1), H(1, 1, 2), H(2, 1, 2),
@@ -28,7 +28,7 @@ def test_fixture_path_one(small_builds):
 
 
 def test_fixture_path_two(small_builds):
-    T = boundary_path(3, 3, H(0, 2, 3))
+    T = boundary_path(3, 3, H(0, 2, 3), build_bar(3, 3)[0])
     assert list(T.path) == [
         H(0, 2, 3, True), H(1, 0, 3), H(1, 1, 3), H(2, 1, 2), H(2, 0, 2),
         H(1, 1, 2, True), H(0, 2, 1), H(1, 2, 2), H(1, 1, 3), H(0, 2, 3)]
@@ -66,7 +66,7 @@ def test_rejects_non_frozen():
 
 
 def test_submodule_dims_strict_counts(small_builds):
-    T = boundary_path(3, 3, H(0, 1, 3))
+    T = boundary_path(3, 3, H(0, 1, 3), build_bar(3, 3)[0])
     dims = submodule_dims(T, strict=True)
     assert len(dims) == 9
     smallest = dims[-1]
@@ -75,25 +75,26 @@ def test_submodule_dims_strict_counts(small_builds):
 
 
 def test_diagonal_modules(small_builds):
-    T1 = diagonal_module(3, 3, 1)
+    Q, _ = build_bar(3, 3)
+    T1 = diagonal_module(3, 3, 1, Q)
     assert T1.path == (det_vertex(1),)
     assert submodule_dims(T1, strict=False) == [((det_vertex(1), 1),)]
     for n in (2, 3):
-        T = diagonal_module(3, 3, n)
+        T = diagonal_module(3, 3, n, Q)
         assert T.total_dim == 3
         assert len(submodule_dims(T, strict=False)) == 3
         assert T.path[-1] == det_vertex(n)
     with pytest.raises(OutOfRange, match=r"det index 4 not in \[1,3\]"):
-        diagonal_module(3, 3, 4)
+        diagonal_module(3, 3, 4, Q)
 
 
 def test_diagonal_total_dim_general():
     for (l, m, n) in [(4, 3, 2), (4, 3, 3), (2, 4, 4), (4, 4, 2)]:
-        assert diagonal_module(l, m, n).total_dim == l
+        assert diagonal_module(l, m, n, build_bar(l, m)[0]).total_dim == l
 
 
 def test_suffixes_decrease_by_one(small_builds):
-    T = boundary_path(3, 3, H(0, 2, 3))
+    T = boundary_path(3, 3, H(0, 2, 3), build_bar(3, 3)[0])
     dims = submodule_dims(T, strict=False)
     totals = [sum(c for _, c in d) for d in dims]
     assert totals == list(range(len(T.path), 0, -1))

@@ -7,8 +7,7 @@ import pytest
 
 from hivekron.kron import lambda_shifts, partitions_of, sigma_of
 from hivekron.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
-from hivekron.polyhedra import (Cone, build_cone, cone_from_json, cone_to_json,
-                                count_lattice_points)
+from hivekron.polyhedra import Cone, build_cone, count_lattice_points
 from hivekron.quiver import VertexId, hive_vertex
 from test_intlin import fraction_rank, hnf_solve
 
@@ -45,13 +44,6 @@ def test_facets_normalized_and_distinct(small_builds):
         import math
         for f in c.facets:
             assert math.gcd(*[abs(x) for x in f if x] or [1]) == 1
-
-
-def test_cone_json_roundtrip(small_builds):
-    c = build_cone(2, 3)
-    again = cone_from_json(cone_to_json(c))
-    assert again == c
-    assert cone_to_json(again) == cone_to_json(c)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,16 @@ def V(k):
     return hive_vertex(1, k, 0)
 
 
+def entry(B, u, v):
+    return B.entries[B.rows.index(u)][B.cols.index(v)]
+
+
+def mutable_block(B):
+    """The square block of B on the mutable columns."""
+    idx = [B.cols.index(u) for u in B.rows]
+    return tuple(tuple(row[k] for k in idx) for row in B.entries)
+
+
 def quiver_from_arrows(n, arrows, frozen=()):
     verts = [V(k) for k in range(1, n + 1)]
     return make_quiver(verts, {V(k) for k in frozen},
@@ -47,13 +57,13 @@ def test_loop_and_negative_multiplicity_rejected(arrow):
 def test_b_matrix_three_cycle():
     Q = quiver_from_arrows(3, [(1, 2, 1), (2, 3, 1), (3, 1, 1)])
     B = b_matrix(Q)
-    block = B.mutable_block()
+    block = mutable_block(B)
     assert block == ((0, 1, -1), (-1, 0, 1), (1, -1, 0))
 
 
 def test_b_matrix_double_arrow():
     Q = quiver_from_arrows(2, [(1, 2, 2)])
-    assert b_matrix(Q).entry(V(1), V(2)) == 2
+    assert entry(b_matrix(Q), V(1), V(2)) == 2
 
 
 def test_b_matrix_rank():
@@ -108,7 +118,7 @@ def test_b_matrix_commutes_with_mutation(Q, data):
                 expect = -b
             else:
                 expect = b + (abs(bvu) * buv + bvu * abs(buv)) // 2
-            assert Bm.entry(urow, vcol) == expect
+            assert entry(Bm, urow, vcol) == expect
 
 
 def test_mutate_weights_zero_at_symmetric_cycle():
@@ -153,18 +163,3 @@ def test_frozen_weights_never_altered():
     w2 = mutate_weights(Q, w, V(1))
     assert w2[V(2)] == (5,) and w2[V(3)] == (5,)
     assert not weight_defect(mutate_quiver(Q, V(1)), w2)
-
-
-def test_vertex_json_codec_roundtrip():
-    from hivekron.diamonds import build_bar, build_tilde
-    from hivekron.quiver import det_vertex, vertex_from_json, vertex_to_json
-    # the form cone and quiver files are written in
-    assert vertex_to_json(det_vertex(3)) == ["det", "3"]
-    assert vertex_to_json(hive_vertex(2, 1, 0, True)) == \
-        ["hive", "2", "1", "0", "1"]
-    for builder in (build_tilde, build_bar):
-        Q, _ = builder(3, 3)
-        for v in Q.vertices:
-            item = vertex_to_json(v)
-            assert all(isinstance(x, str) for x in item)
-            assert vertex_from_json(item) == v
