@@ -9,13 +9,14 @@ the Murnaghan-Nakayama rule; the two must agree.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (OutOfRange, SizeTooLargeForOracle, as_ints,
                      as_worker_count)
-from .polyhedra import _geometry, box_volume, build_cone, count_lattice_points
+from .polyhedra import _geometry, build_cone, count_lattice_points
 
 # cold at n = 24 the character sum takes at most 0.7 s on a 2-core host
 # (worst measured: (12,1^12),(8,8,8),(7,6,5,4,2)); it grows with p(n)
@@ -134,7 +135,8 @@ def _plan(cone, triple):
     """The _fibres of the order of triple to count on cone.
 
     The orders that fit the cone are taken in sorted order, each priced by
-    the certificate-box volumes of its distinct fibres; the cheapest is
+    the summed volumes prod(hi - lo + 1) of its distinct fibres' boxes
+    from _FibreGeometry.box (0 where the grading misses); the cheapest is
     taken, the first on a tie.
     """
     plans = [_fibres(cone, a, b, c)
@@ -145,7 +147,15 @@ def _plan(cone, triple):
                          f"m={cone.m}")
     if len(plans) == 1:
         return plans[0]
-    return min(plans, key=lambda plan: sum(box_volume(cone, plan[1] + alpha)
+    geo = _geometry(cone)
+
+    def volume(theta):
+        fibre = geo.box(theta)
+        if fibre is None:
+            return 0
+        _, lo, hi = fibre
+        return math.prod(max(0, h - l + 1) for l, h in zip(lo, hi))
+    return min(plans, key=lambda plan: sum(volume(plan[1] + alpha)
                                            for alpha in plan[3]))
 
 

@@ -4,7 +4,7 @@ The same tableau code runs on an object array of Fractions, where every
 pivot is exact, or on float64 with tolerance ``_FLOAT_TOL``.  The
 entering column follows Dantzig's rule and, after a burn-in, Bland's,
 which guarantees termination on degenerate problems.  ``solve_lp`` is
-the exact solver; its variables are free unless ``free=False``.
+the exact solver, on the standard form A.x = b, x >= 0.
 ``float_basis`` runs in floats and only suggests a basis: whatever a
 caller derives from it must be certified exactly before use.
 """
@@ -109,35 +109,22 @@ def _two_phase(c, A, b, exact, maxit):
     return status, T, basis
 
 
-def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, free=True,
-             phase2_maxit=None):
-    """Minimize c.x subject to A_ub.x <= b_ub and A_eq.x = b_eq.
+def solve_lp(c, A_eq, b_eq, phase2_maxit=None):
+    """Minimize c.x subject to A_eq.x = b_eq, x >= 0, in exact Fractions.
 
-    Variables are free by default; with ``free=False`` they are required
-    to be nonnegative.  Returns (status, value, x) in exact Fractions.
+    Returns (status, x), with x None unless the status is OPTIMAL.
     ``phase2_maxit`` truncates the optimization phase: the returned point
     is then feasible but possibly suboptimal (callers that only need a
     feasible dual certificate use this).
     """
-    A_ub, b_ub = A_ub or [], b_ub or []
-    A_eq, b_eq = A_eq or [], b_eq or []
-    n, nub = len(c), len(A_ub)
-    # standard form: x = x+ - x- when free, one slack column per A_ub row
-    signs = (1, -1) if free else (1,)
-    A = [[s * a for s in signs for a in row] + [int(k == i) for k in range(nub)]
-         for i, row in enumerate(A_ub)]
-    A += [[s * a for s in signs for a in row] + [0] * nub for row in A_eq]
-    cost = [s * x for s in signs for x in c] + [0] * nub
-    status, T, basis = _two_phase(cost, A, list(b_ub) + list(b_eq), True,
-                                  phase2_maxit)
+    status, T, basis = _two_phase(c, A_eq, b_eq, True, phase2_maxit)
     if status != OPTIMAL:
-        return status, None, None
-    x = [Fraction(0)] * n
+        return status, None
+    x = [Fraction(0)] * len(c)
     for k, v in zip(basis, T[:-1, -1]):
-        if k < len(signs) * n:
-            x[k % n] += signs[k // n] * v
-    val = sum(Fraction(f) * v for f, v in zip(c, x))
-    return OPTIMAL, val, x
+        if k < len(c):
+            x[k] = v
+    return OPTIMAL, x
 
 
 def float_basis(c, A_eq, b_eq, maxit):

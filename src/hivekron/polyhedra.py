@@ -316,16 +316,17 @@ def _is_certificate(A_eq, b, y):
 class _FibreGeometry:
     """Per-cone integer data shared by every fibre query.
 
-    The grading's echelon form M = rows . U is computed once; a target
-    weight theta then costs one back-substitution w and the facet residuals
-    r0 = (facets . U) w.  R is the facet matrix on a kernel basis that is
-    size-reduced against the facet image (a unimodular change, so counts
-    are unaffected), kept as Python-int rows for the exact certificate
-    checks and once as the block DFS's plan of its nonzeros, with max|R|
-    for the magnitude guard.  Dual
-    certificates, integer rows Y with one denominator D each, bound every
-    reduced coordinate by a floor division of Y . r0, so no rational
-    arithmetic runs per fibre.
+    The grading's echelon form M = rows . U is computed once, so a target
+    weight theta costs one back-substitution w, and the facet residuals
+    are r0 = (facets . U) w = FU w.  R is the facet matrix on a kernel
+    basis that is size-reduced against the facet image (a unimodular
+    change, so counts are unaffected), kept as Python-int rows for the
+    exact certificate checks and once as the block DFS's plan of its
+    nonzeros, with max|R| for the magnitude guard.  Dual certificates,
+    integer rows Y with one denominator D each, bound every reduced
+    coordinate by y . r0; each is premultiplied by FU once, so ``box``
+    turns theta into its certificate box by floor divisions of dot
+    products of length rank, and no rational arithmetic runs per fibre.
     """
 
     def __init__(self, c: Cone):
@@ -344,6 +345,12 @@ class _FibreGeometry:
         self.max_r = max((abs(x) for row in self.R for x in row), default=0)
         self.plan = _Plan(self.R, self.d)
         self.up_cert, self.dn_cert = self._certificates()
+        # (K, D) with K = Y . FU: a bound is then a dot product of length
+        # rank with w, not one of length F with r0
+        cols = list(zip(*self.FU))
+        self.up_bound, self.dn_bound = (
+            [cert and ([sum(map(mul, cert[0], col)) for col in cols], cert[1])
+             for cert in certs] for certs in (self.up_cert, self.dn_cert))
 
     def _certificates(self):
         """Dual certificates (Y, D) bounding each reduced coordinate.
@@ -370,8 +377,7 @@ class _FibreGeometry:
                         y[k] = Fraction(v).limit_denominator(_CERT_DENOMINATOR)
                     cert = _is_certificate(A_eq, b, y)
                 if cert is None:
-                    st, _, y = solve_lp([1] * F, A_eq=A_eq, b_eq=b,
-                                        free=False, phase2_maxit=cap)
+                    st, y = solve_lp([1] * F, A_eq, b, phase2_maxit=cap)
                     if st == OPTIMAL:
                         cert = _is_certificate(A_eq, b, y)
                         if cert is None:
@@ -379,38 +385,29 @@ class _FibreGeometry:
                 out.append(cert)
         return ups, dns
 
-    def solve_theta(self, theta):
-        """Facet residuals r0 of an integer point of the grading at theta."""
+    def box(self, theta):
+        """(w, lo, hi) of the fibre at theta, or None when the grading
+        misses theta (checked before any bound, so also on an unbounded
+        cone).  A bound is (K . w) // D with K = Y . FU, which equals
+        (Y . r0) // D because Y . (FU . w) = (Y . FU) . w in integers."""
         w = back_solve(self.M, self.pivots, theta)
         if w is None:
             return None
-        return [sum(map(mul, row, w)) for row in self.FU]
-
-    def boxes(self, r0):
         lo, hi = [], []
-        for j, (up, dn) in enumerate(zip(self.up_cert, self.dn_cert)):
+        for j, (up, dn) in enumerate(zip(self.up_bound, self.dn_bound)):
             if up is None or dn is None:
                 raise UnboundedFibre(
                     f"the grading fibres are unbounded in direction {j}")
-            hi.append(sum(map(mul, up[0], r0)) // up[1])
-            lo.append(-(sum(map(mul, dn[0], r0)) // dn[1]))
-        return lo, hi
+            hi.append(sum(map(mul, up[0], w)) // up[1])
+            lo.append(-(sum(map(mul, dn[0], w)) // dn[1]))
+        return w, lo, hi
 
 
+# keyed by the whole Cone, not (l, m): count_lattice_points takes hand-built
+# cones too
 @lru_cache(maxsize=None)
 def _geometry(c: Cone) -> _FibreGeometry:
     return _FibreGeometry(c)
-
-
-def box_volume(c: Cone, theta) -> int:
-    """Integer points of the certificate box of the fibre at theta,
-    prod(hi - lo + 1); 0 when the grading misses theta or the box is empty."""
-    geo = _geometry(c)
-    r0 = geo.solve_theta(theta)
-    if r0 is None:
-        return 0
-    lo, hi = geo.boxes(r0)
-    return math.prod(max(0, h - l + 1) for l, h in zip(lo, hi))
 
 
 def count_lattice_points(c: Cone, theta) -> int:
@@ -419,8 +416,9 @@ def count_lattice_points(c: Cone, theta) -> int:
     if len(theta) != 2 * c.l + c.m:
         raise OutOfRange(f"theta must have length {2 * c.l + c.m}")
     geo = _geometry(c)
-    r0 = geo.solve_theta(theta)
-    if r0 is None:
+    fibre = geo.box(theta)
+    if fibre is None:
         return 0
-    lo, hi = geo.boxes(r0)
+    w, lo, hi = fibre
+    r0 = [sum(map(mul, row, w)) for row in geo.FU]
     return _np_count(geo, r0, lo, hi)

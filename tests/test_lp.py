@@ -15,6 +15,26 @@ BEALE_A = [[Fraction(1, 4), -8, -1, 9],
 BEALE_B = [0, 0, 1]
 
 
+def general_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, free=True,
+               phase2_maxit=None):
+    """Minimize c.x subject to A_ub.x <= b_ub and A_eq.x = b_eq through
+    solve_lp's standard form: x = x+ - x- when free (the default), one
+    slack column per A_ub row.  Returns (status, value, x)."""
+    A_ub, b_ub = A_ub or [], b_ub or []
+    A_eq, b_eq = A_eq or [], b_eq or []
+    n, nub = len(c), len(A_ub)
+    signs = (1, -1) if free else (1,)
+    A = [[s * a for s in signs for a in row] + [int(k == i) for k in range(nub)]
+         for i, row in enumerate(A_ub)]
+    A += [[s * a for s in signs for a in row] + [0] * nub for row in A_eq]
+    cost = [s * x for s in signs for x in c] + [0] * nub
+    status, y = solve_lp(cost, A, list(b_ub) + list(b_eq), phase2_maxit)
+    if status != OPTIMAL:
+        return status, None, None
+    x = [sum(s * y[k * n + i] for k, s in enumerate(signs)) for i in range(n)]
+    return OPTIMAL, sum(Fraction(f) * v for f, v in zip(c, x)), x
+
+
 def solve_square(rows, rhs):
     """The unique solution of a square system in Fractions, or None."""
     n = len(rows)
@@ -66,7 +86,7 @@ def test_solve_lp_matches_vertex_enumeration():
         box = [[s * int(i == k) for k in range(n)]
                for i in range(n) for s in (1, -1)]
         A_box, b_box = A_ub + box, b_ub + [3] * len(box)
-        status, val, x = solve_lp(c, A_box, b_box, A_eq, b_eq)
+        status, val, x = general_lp(c, A_box, b_box, A_eq, b_eq)
         expected = vertex_oracle(c, A_box, b_box, A_eq, b_eq)
         statuses.add(status)
         if expected is None:
@@ -82,7 +102,7 @@ def test_beale_cycling_example():
     nonneg = [[-int(i == k) for k in range(4)] for i in range(4)]
     expected = vertex_oracle(BEALE_C, BEALE_A + nonneg, BEALE_B + [0] * 4,
                              [], [])
-    status, val, x = solve_lp(BEALE_C, BEALE_A, BEALE_B, free=False)
+    status, val, x = general_lp(BEALE_C, BEALE_A, BEALE_B, free=False)
     assert (status, val) == (OPTIMAL, expected) == (OPTIMAL, Fraction(-5, 4))
     assert feasible(x, BEALE_A, BEALE_B, [], []) and min(x) >= 0
 
@@ -107,26 +127,26 @@ def test_bland_rule_ends_dantzig_cycle():
 @pytest.mark.parametrize("free", [True, False])
 def test_statuses(free):
     # x1 + x2 <= -1 and x1 + x2 >= 0
-    assert solve_lp([1, 1], [[1, 1], [-1, -1]], [-1, 0], free=free) == \
+    assert general_lp([1, 1], [[1, 1], [-1, -1]], [-1, 0], free=free) == \
         (INFEASIBLE, None, None)
-    assert solve_lp([0, 0], A_eq=[[1, 1], [2, 2]], b_eq=[1, 3],
-                    free=free) == (INFEASIBLE, None, None)
+    assert general_lp([0, 0], A_eq=[[1, 1], [2, 2]], b_eq=[1, 3],
+                      free=free) == (INFEASIBLE, None, None)
     # min -x1 - x2 with x1 - x2 <= 1
-    assert solve_lp([-1, -1], [[1, -1]], [1], free=free) == \
+    assert general_lp([-1, -1], [[1, -1]], [1], free=free) == \
         (UNBOUNDED, None, None)
 
 
 @pytest.mark.parametrize("maxit", [0, 1, 2])
 def test_truncated_phase_two_is_feasible(maxit):
-    status, val, x = solve_lp(BEALE_C, BEALE_A, BEALE_B, free=False,
-                              phase2_maxit=maxit)
+    status, val, x = general_lp(BEALE_C, BEALE_A, BEALE_B, free=False,
+                                phase2_maxit=maxit)
     assert status == OPTIMAL
     assert feasible(x, BEALE_A, BEALE_B, [], []) and min(x) >= 0
     assert val == sum(Fraction(f) * v for f, v in zip(BEALE_C, x))
     assert val >= Fraction(-5, 4)
     A_eq = [[1, 2, -1, 0, 1], [0, 1, 1, -1, 2], [1, 0, 0, 1, -1]]
-    status, _, y = solve_lp([1, 1, 1, 1, 1], A_eq=A_eq, b_eq=[1, -1, 2],
-                            free=False, phase2_maxit=maxit)
+    status, y = solve_lp([1, 1, 1, 1, 1], A_eq, [1, -1, 2],
+                         phase2_maxit=maxit)
     assert status == OPTIMAL
     assert feasible(y, [], [], A_eq, [1, -1, 2]) and min(y) >= 0
 
@@ -136,7 +156,7 @@ def test_float_basis_is_an_exact_optimal_basis():
     c = [2, 3, 1, 4, 1, 5]
     A = [[1, 1, 0, 2, -1, 0], [0, 1, 1, -1, 0, 2], [1, 0, -1, 0, 1, 1]]
     b = [4, 3, -1]
-    _, best, _ = solve_lp(c, A_eq=A, b_eq=b, free=False)
+    _, best, _ = general_lp(c, A_eq=A, b_eq=b, free=False)
     guess = float_basis(c, A, b, maxit=50)
     cols = sorted(guess)
     assert len(cols) == len(A)

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from hivekron.kron import lambda_shifts, partitions_of, sigma_of
-from hivekron.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from hivekron.lp import INFEASIBLE, OPTIMAL, UNBOUNDED
 from hivekron.polyhedra import Cone, build_cone, count_lattice_points
 from hivekron.quiver import VertexId, hive_vertex
 from test_intlin import fraction_rank, hnf_solve
+from test_lp import general_lp
 
 
 def test_cone_333_facets(small_builds):
@@ -74,11 +75,11 @@ def lp_extent(c: Cone, theta: tuple, coord: VertexId,
         b_eq.append(int(val))
     obj = [0] * n
     obj[k] = 1
-    st_lo, lo, _ = solve_lp(obj, A_ub, b_ub, A_eq, b_eq)
+    st_lo, lo, _ = general_lp(obj, A_ub, b_ub, A_eq, b_eq)
     if st_lo == INFEASIBLE:
         return LpExtent("infeasible")
     obj[k] = -1
-    st_hi, hi, _ = solve_lp(obj, A_ub, b_ub, A_eq, b_eq)
+    st_hi, hi, _ = general_lp(obj, A_ub, b_ub, A_eq, b_eq)
     if st_lo == UNBOUNDED or st_hi == UNBOUNDED:
         return LpExtent("unbounded",
                         lo if st_lo == OPTIMAL else None,
@@ -268,7 +269,6 @@ def test_pool_size_bounded_by_fibres(small_builds, monkeypatch):
 
 def test_facet_essentiality_22(small_builds):
     """Removing any facet enlarges the cone (checked by exact LP)."""
-    from hivekron.lp import OPTIMAL, solve_lp
     c = build_cone(2, 2)
     n = c.ambient_dim
     for drop in range(len(c.facets)):
@@ -287,7 +287,7 @@ def test_facet_essentiality_22(small_builds):
             row2[k] = -1
             A_ub.append(row2)
             b_ub.append(1)
-        st_, val, _ = solve_lp([x for x in dropped], A_ub, b_ub)
+        st_, val, _ = general_lp([x for x in dropped], A_ub, b_ub)
         assert st_ == OPTIMAL
         assert val < 0, f"facet {drop} is not essential"
 
@@ -383,6 +383,8 @@ def test_unbounded_fibre_detected():
     fake = Cone(1, 1, verts, ((1, 1),), ((1, 0, 0), (1, 0, 0)))
     with pytest.raises(UnboundedFibre):
         count_lattice_points(fake, (2, 0, 0))
+    # a theta off the grading is empty before any bound is asked for
+    assert count_lattice_points(fake, (2, 1, 0)) == 0
 
 
 def test_fibre_without_free_coordinate():
@@ -418,6 +420,28 @@ def test_count_matches_known_kronecker(small_builds):
     theta = sigma_of((1,), (1,), 2) + tuple(
         lambda_shifts((1,), 2)[0][1])
     assert count_lattice_points(c, theta) == 1
+
+
+def test_zero_part_and_short_pairs_give_the_smaller_cones_fibre(small_builds):
+    # <s_mu * s_nu, h_alpha> ignores zero parts of alpha and empty rows of
+    # mu, nu: the fibre at sigma + (0, a, b) on (3,3) is the fibre at
+    # sigma + (a, b) on (3,2), and on (2,2) when mu and nu have two rows
+    c33, c32, c22 = build_cone(3, 3), build_cone(3, 2), build_cone(2, 2)
+    checked = 0
+    for n in range(1, 7):
+        shapes = partitions_of(n, 3)
+        for mu, nu in itertools.product(shapes, repeat=2):
+            sigma = sigma_of(mu, nu, 3)
+            for a in range(n + 1):
+                ab = (a, n - a)
+                count = count_lattice_points(c33, sigma + (0,) + ab)
+                assert count_lattice_points(c32, sigma + ab) == count
+                checked += 1
+                if max(len(mu), len(nu)) <= 2:
+                    assert count_lattice_points(
+                        c22, sigma_of(mu, nu, 2) + ab) == count
+                    checked += 1
+    assert checked == 864
 
 
 # ---------------------------------------------------------------------------
@@ -551,11 +575,13 @@ def test_integer_fibre_map_matches_fraction_reference():
         solvable = image + real_fibres(c.l, c.m, 40, sum(lm))
         for theta in solvable + uniform:
             ref = fraction_fibre(geo, c, theta)
-            r0 = geo.solve_theta(theta)
+            fibre = geo.box(theta)
             if ref is None:
-                assert theta in uniform and r0 is None
+                assert theta in uniform and fibre is None
                 continue
-            assert (r0, *geo.boxes(r0)) == ref
+            w, lo, hi = fibre
+            r0 = [sum(x * y for x, y in zip(row, w)) for row in geo.FU]
+            assert (r0, lo, hi) == ref
 
 
 def fibres_23_33():
