@@ -194,7 +194,8 @@ def _bar_families(n: int, dual: bool):
            ((1, 0), (-1, 1), (0, -1))
 
 
-def _bar_label(l: int, m: int):
+def bar_label(l: int, m: int):
+    """Vertex of the twisted quiver at hive point (x, y) of diamond n."""
     def label_of(n, x, y, dual):
         if n % 2 == 0:
             return canonical_vertex(n, x, y, dual, l, m)
@@ -253,7 +254,7 @@ def _solve_interior_weights(Q: IceQuiver, known: dict, dim: int) -> dict:
 
 def build_bar(l: int, m: int):
     """The twisted glued ice quiver (all diamonds in even form) + grading."""
-    Q = _glue(l, m, _bar_label(l, m), _bar_families)
+    Q = _glue(l, m, bar_label(l, m), _bar_families)
     sigma = {}
     for v in Q.vertices:
         w = bar_known_weight(v, l, m)
@@ -271,7 +272,7 @@ def bar_arrow_types(l: int, m: int) -> dict:
     the self-glued edge serve as both 'b' and 'c'.
     """
     Q, _ = build_bar(l, m)
-    label_of = _bar_label(l, m)
+    label_of = bar_label(l, m)
     typed = [(("acb" if n % 2 else "abc")[k], src, tgt)
              for n, k, src, tgt in _hive_steps(l, m, label_of, _bar_families)]
     types: dict = {}

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .errors import (OutOfRange, SizeTooLargeForOracle, as_ints,
                      as_worker_count)
-from .polyhedra import _geometry, build_cone, count_lattice_points
+from .polyhedra import build_cone, count_lattice_points
 
 # cold at n = 24 the character sum takes at most 0.7 s on a 2-core host
 # (worst measured: (12,1^12),(8,8,8),(7,6,5,4,2)); it grows with p(n)
@@ -82,26 +82,9 @@ def lambda_shifts(lam, m: int):
     for omega in itertools.permutations(range(1, m + 1)):
         shifted = tuple(padded[i - 1] - i + omega[i - 1] for i in range(1, m + 1))
         if all(x >= 0 for x in shifted):
-            sign = _perm_sign(omega)
-            out.append((omega, shifted, sign))
+            pairs = itertools.combinations(omega, 2)
+            out.append((omega, shifted, (-1) ** sum(a > b for a, b in pairs)))
     return out
-
-
-def _perm_sign(omega) -> int:
-    seen = [False] * len(omega)
-    sign = 1
-    for s in range(len(omega)):
-        if seen[s]:
-            continue
-        length = 0
-        k = s
-        while not seen[k]:
-            seen[k] = True
-            k = omega[k] - 1
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 @dataclass(frozen=True)
@@ -113,10 +96,12 @@ class KroneckerResult:
     breakdown: tuple      # ((omega, sorted lam_shift, sign, count), ...)
 
 
-def _count_fibre(cone, theta) -> int:
-    # the pool's target: a pool pickles it by name, and it looks up
-    # count_lattice_points at call time, so a wrapper put there still runs
-    return count_lattice_points(cone, theta)
+def _count_fibre(l, m, theta) -> int:
+    # the pool's target: a pool pickles it by name and a task as ints; it
+    # looks up build_cone and count_lattice_points at call time, so a
+    # wrapper put there still runs, and in a forked child build_cone
+    # returns the parent's cone with the geometry built before the fork
+    return count_lattice_points(build_cone(l, m), theta)
 
 
 def _fibres(cone, a, b, c):
@@ -147,7 +132,7 @@ def _plan(cone, triple):
                          f"m={cone.m}")
     if len(plans) == 1:
         return plans[0]
-    geo = _geometry(cone)
+    geo = cone.geometry
 
     def volume(theta):
         fibre = geo.box(theta)
@@ -182,15 +167,17 @@ def kronecker(mu, nu, lam, l: int = None, m: int = None,
         m = max(2, len(lam))
     cone = build_cone(l, m)
     orientation, sigma, shifts, alphas = _plan(cone, (mu, nu, lam))
-    fibres = [(cone, sigma + alpha) for alpha in alphas]
-    if workers == 1 or len(fibres) == 1:
-        counts = [count_lattice_points(*fibre) for fibre in fibres]
+    thetas = [sigma + alpha for alpha in alphas]
+    if workers == 1 or len(thetas) == 1:
+        counts = [count_lattice_points(cone, theta) for theta in thetas]
     else:
         import multiprocessing as mp
-        _geometry(cone)  # built here once, so the forked children share it
+        cone.geometry  # built here once, so the forked children share it
         ctx = mp.get_context("fork")
-        with ctx.Pool(processes=min(workers, len(fibres))) as pool:
-            counts = pool.starmap(_count_fibre, fibres, chunksize=1)
+        with ctx.Pool(processes=min(workers, len(thetas))) as pool:
+            counts = pool.starmap(_count_fibre,
+                                  [(l, m, theta) for theta in thetas],
+                                  chunksize=1)
     count_of = dict(zip(alphas, counts))
     breakdown = tuple(shift + (count_of[shift[1]],) for shift in shifts)
     total = sum(sign * cnt for _, _, sign, cnt in breakdown)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .diamonds import _bar_label
+from .diamonds import bar_label
 from .errors import Inconsistent, OutOfRange
 from .quiver import VertexId, det_vertex, hive_vertex
 
@@ -50,7 +50,7 @@ def boundary_path(l: int, m: int, v: VertexId, quiver) -> PathModule:
     """
     if v not in quiver.frozen or v.kind != "hive":
         raise OutOfRange(f"{v} is not a boundary frozen vertex")
-    label_of = _bar_label(l, m)
+    label_of = bar_label(l, m)
     s0 = v.dual
     j0 = v.j
     if not (1 <= j0 <= l - 1):

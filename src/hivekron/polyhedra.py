@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 
 from .diamonds import build_bar
@@ -36,6 +36,10 @@ class Cone:
     @property
     def ambient_dim(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def geometry(self) -> _FibreGeometry:
+        return _FibreGeometry(self)
 
 
 def _normalize_normal(vec):
@@ -314,7 +318,8 @@ def _is_certificate(A_eq, b, y):
 
 
 class _FibreGeometry:
-    """Per-cone integer data shared by every fibre query.
+    """Per-cone integer data shared by every fibre query, built on the
+    first read of ``Cone.geometry`` and kept on that cone object.
 
     The grading's echelon form M = rows . U is computed once, so a target
     weight theta costs one back-substitution w, and the facet residuals
@@ -403,19 +408,12 @@ class _FibreGeometry:
         return w, lo, hi
 
 
-# keyed by the whole Cone, not (l, m): count_lattice_points takes hand-built
-# cones too
-@lru_cache(maxsize=None)
-def _geometry(c: Cone) -> _FibreGeometry:
-    return _FibreGeometry(c)
-
-
 def count_lattice_points(c: Cone, theta) -> int:
     """Exact number of integer points of the fibre at theta (2l+m ints)."""
     theta = as_ints(theta, "theta")
     if len(theta) != 2 * c.l + c.m:
         raise OutOfRange(f"theta must have length {2 * c.l + c.m}")
-    geo = _geometry(c)
+    geo = c.geometry
     fibre = geo.box(theta)
     if fibre is None:
         return 0

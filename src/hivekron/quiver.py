@@ -47,7 +47,7 @@ Weight = tuple[int, ...]
 class IceQuiver:
     vertices: tuple[VertexId, ...]
     frozen: frozenset[VertexId]
-    arrows: dict[Arrow, int] = field(compare=False)
+    arrows: dict[Arrow, int] = field(hash=False)
 
     def __post_init__(self):
         vs = set(self.vertices)
@@ -58,17 +58,6 @@ class IceQuiver:
                 raise OutOfRange(f"loop at {s}")
             if s not in vs or t not in vs:
                 raise OutOfRange(f"arrow endpoint not a vertex: {s}->{t}")
-
-    def __eq__(self, other):
-        if not isinstance(other, IceQuiver):
-            return NotImplemented
-        return (set(self.vertices) == set(other.vertices)
-                and self.frozen == other.frozen
-                and self.arrows == other.arrows)
-
-    def __hash__(self):
-        return hash((frozenset(self.vertices), self.frozen,
-                     frozenset(self.arrows.items())))
 
     @property
     def mutable(self) -> tuple[VertexId, ...]:

@@ -15,23 +15,29 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "hivekron")
 
 
-def import_graph() -> dict:
-    """Each module of the package -> the package modules it imports."""
-    modules = {name[:-3] for name in os.listdir(SRC) if name.endswith(".py")}
-    graph = {}
-    for mod in modules:
+MODULES = {name[:-3] for name in os.listdir(SRC) if name.endswith(".py")}
+
+
+def relative_imports():
+    """(module, node) for every ``from .x import ...`` of the package."""
+    for mod in sorted(MODULES):
         with open(os.path.join(SRC, mod + ".py")) as fh:
             tree = ast.parse(fh.read())
-        deps = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
-                if node.module:
-                    deps.add(node.module.split(".")[0])
-                else:
-                    # ``from . import x``: x is a module, or a name of the
-                    # package itself, which is set up before any module
-                    deps.update(a.name for a in node.names if a.name in modules)
-        graph[mod] = deps
+                yield mod, node
+
+
+def import_graph() -> dict:
+    """Each module of the package -> the package modules it imports."""
+    graph = {mod: set() for mod in MODULES}
+    for mod, node in relative_imports():
+        if node.module:
+            graph[mod].add(node.module.split(".")[0])
+        else:
+            # ``from . import x``: x is a module, or a name of the
+            # package itself, which is set up before any module
+            graph[mod].update(a.name for a in node.names if a.name in MODULES)
     return graph
 
 
@@ -47,3 +53,13 @@ def test_import_graph_is_acyclic():
         tuple(TopologicalSorter(import_graph()).static_order())
     except CycleError as exc:
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+
+
+def test_no_module_imports_a_private_name():
+    # a leading underscore keeps a name to its own module; dunders such as
+    # ``from . import __version__`` are public
+    private = [f"{mod} -> {node.module or ''}.{a.name}"
+               for mod, node in relative_imports() for a in node.names
+               if a.name.startswith("_")
+               and not (a.name.startswith("__") and a.name.endswith("__"))]
+    assert not private, private

@@ -229,10 +229,11 @@ def test_each_distinct_fibre_counted_once(small_builds, monkeypatch):
 
 class _FakeContext:
     """Stands in for a multiprocessing context: records the pool sizes
-    asked for and maps in this process."""
+    asked for and the tasks, and maps in this process."""
 
     def __init__(self):
         self.processes = []
+        self.tasks = []
 
     def Pool(self, processes):
         self.processes.append(processes)
@@ -245,6 +246,7 @@ class _FakeContext:
         return False
 
     def starmap(self, fn, args, chunksize=None):
+        self.tasks += args
         return [fn(*a) for a in args]
 
 
@@ -265,6 +267,11 @@ def test_pool_size_bounded_by_fibres(small_builds, monkeypatch):
     assert fake.processes[1:] == [5] and len(res.breakdown) == 6
     res = kronecker((4, 4, 4), (4, 4, 4), (4, 4, 4), l=3, m=3, workers=2)
     assert fake.processes[2:] == [2]
+    # a task is (l, m, theta) in ints: no Cone is pickled per fibre
+    assert len(fake.tasks) == fake.processes[0] + 2 * 5
+    for l, m, theta in fake.tasks:
+        assert (l, m) == (3, 3) and len(theta) == 9
+        assert all(type(x) is int for x in (l, m) + theta)
 
 
 def test_facet_essentiality_22(small_builds):
@@ -387,25 +394,57 @@ def test_unbounded_fibre_detected():
     assert count_lattice_points(fake, (2, 1, 0)) == 0
 
 
-def test_fibre_without_free_coordinate():
-    from hivekron.quiver import hive_vertex
-    # the grading has full rank, so the fibre is one point and d = 0
+def two_vertex_cone(y_weight):
+    """A hand-built cone at l = m = 2: x, y >= 0, with x of weight e_1."""
     verts = (hive_vertex(1, 0, 1), hive_vertex(1, 0, 2))
-    point = Cone(2, 2, verts, ((1, 0), (0, 1)),
-                 ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)))
+    return Cone(2, 2, verts, ((1, 0), (0, 1)),
+                ((1, 0, 0, 0, 0, 0), y_weight))
+
+
+def point_cone():
+    # the grading has full rank, so the fibre is one point and d = 0
+    return two_vertex_cone((0, 1, 0, 0, 0, 0))
+
+
+def line_cone():
+    # x + y = t: t + 1 points on one open coordinate
+    return two_vertex_cone((1, 0, 0, 0, 0, 0))
+
+
+def test_fibre_without_free_coordinate():
+    point = point_cone()
     assert count_lattice_points(point, (2, 3, 0, 0, 0, 0)) == 1
     assert count_lattice_points(point, (-1, 3, 0, 0, 0, 0)) == 0
 
 
 def test_huge_fibre_counts_on_python_integers():
-    from hivekron.quiver import hive_vertex
-    # x, y >= 0 and x + y = t: t + 1 points on one open coordinate, whose
-    # bounds pass int64 range once t nears 2^62
-    verts = (hive_vertex(1, 0, 1), hive_vertex(1, 0, 2))
-    line = Cone(2, 2, verts, ((1, 0), (0, 1)),
-                ((1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)))
+    # the bounds of the line's open coordinate pass int64 range once t
+    # nears 2^62
+    line = line_cone()
     for t in (5, 2 ** 61, 2 ** 62, 2 ** 70):
         assert count_lattice_points(line, (t, 0, 0, 0, 0, 0)) == t + 1
+
+
+def test_geometry_follows_the_cone_object():
+    # four cones at l = m = 2, two of them equal field by field: each count
+    # reads the geometry of the cone object it is given, in any order
+    c22, point, line = build_cone(2, 2), point_cone(), line_cone()
+    twin = point_cone()
+    assert twin == point and twin is not point
+    # on (2,2) the fibre at sigma(mu, nu) + alpha counts <s_mu * s_nu,
+    # h_alpha>: 1 at alpha = (3, 0) and 2 at (2, 1) for mu = nu = (2, 1)
+    on_c22 = sigma_of((2, 1), (2, 1), 2)
+    cases = [(c22, on_c22 + (3, 0), 1), (point, (2, 3, 0, 0, 0, 0), 1),
+             (line, (2, 3, 0, 0, 0, 0), 0), (twin, (5, 0, 0, 0, 0, 0), 1),
+             (c22, on_c22 + (2, 1), 2), (line, (5, 0, 0, 0, 0, 0), 6),
+             (point, (-1, 3, 0, 0, 0, 0), 0),
+             (c22, sigma_of((2, 1), (3,), 2) + (3, 0), 0)]
+    for _ in range(2):
+        for cone, theta, count in cases:
+            assert count_lattice_points(cone, theta) == count, (cone, theta)
+    geometries = [cone.geometry for cone in (c22, point, line, twin)]
+    assert len({id(geo) for geo in geometries}) == 4
+    assert build_cone(2, 2).geometry is geometries[0]
 
 
 def test_non_integer_theta_rejected(small_builds):
@@ -467,11 +506,12 @@ def assert_certificates_valid(geo):
 
 @pytest.fixture
 def fresh_geometry():
-    """The polyhedra module with an empty geometry cache, emptied after."""
+    """The polyhedra module with an empty cone cache, emptied after: a
+    cone built afresh has no geometry yet."""
     import hivekron.polyhedra as P
-    P._geometry.cache_clear()
+    P.build_cone.cache_clear()
     yield P
-    P._geometry.cache_clear()
+    P.build_cone.cache_clear()
 
 
 def test_cold_pool_builds_geometry_once_in_parent(fresh_geometry, monkeypatch,
@@ -531,9 +571,10 @@ def test_certificates_fall_back_to_exact_lp(monkeypatch, fresh_geometry,
     else:
         # one basic column cannot carry every +-e_j: the check must refuse
         monkeypatch.setattr(P, "float_basis", lambda *a, **k: {0: 1.0})
-    P._geometry.cache_clear()
+    P.build_cone.cache_clear()
+    c = build_cone(2, 3)
     assert [count_lattice_points(c, th) for th in thetas] == expected
-    geo = P._geometry(c)
+    geo = c.geometry
     assert_certificates_valid(geo)
     if guess == "none":
         assert len(calls) == 2 * geo.d
@@ -564,7 +605,7 @@ def test_integer_fibre_map_matches_fraction_reference():
     rng = random.Random(40)
     for lm in GEOMETRY_CONES:
         c = build_cone(*lm)
-        geo, n, k = P._geometry(c), c.ambient_dim, 2 * c.l + c.m
+        geo, n, k = c.geometry, c.ambient_dim, 2 * c.l + c.m
         image, uniform = [], []
         for _ in range(20):
             g = [rng.randint(-2, 2) for _ in range(n)]
@@ -610,7 +651,7 @@ def test_int64_count_reads_no_python_rows(monkeypatch):
     fibres = fibres_23_33()
     expected = [count_lattice_points(c, th) for c, th in fibres]
     for c in {c for c, _ in fibres}:
-        monkeypatch.delattr(P._geometry(c), "R")
+        monkeypatch.delattr(c.geometry, "R")
     assert [count_lattice_points(c, th) for c, th in fibres] == expected
 
 
