@@ -9,7 +9,6 @@ the Murnaghan-Nakayama rule; the two must agree.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -104,56 +103,40 @@ def _count_fibre(l, m, theta) -> int:
     return count_lattice_points(build_cone(l, m), theta)
 
 
-def _fibres(cone, a, b, c):
-    """(orientation, sigma, shifts, alphas) of the order (a, b, c):
-    sigma(a, b), the shifts of c with each alpha sorted ascending, and the
-    distinct sorted alphas.  The fibre at sigma(a, b) + alpha counts the
-    weight multiplicity <s_a * s_b, h_alpha>, which depends only on the
-    sorted alpha."""
+def _plan(cone, triple):
+    """(orientation, sigma, shifts, alphas) of the order (a, b, c) of triple
+    to count on cone: sigma(a, b), the shifts of c with each alpha sorted
+    ascending, and the distinct sorted alphas.  The fibre at
+    sigma(a, b) + alpha counts the weight multiplicity <s_a * s_b, h_alpha>,
+    which depends only on the sorted alpha.
+
+    Of the orders with a, b of at most l parts and c of at most m, the one
+    taken is the largest under the key (c, a): c is the lexicographically
+    largest partition that fits, and a the larger of the other two.
+    """
+    fitting = [(a, b, c) for a, b, c in set(itertools.permutations(triple))
+               if max(len(a), len(b)) <= cone.l and len(c) <= cone.m]
+    if not fitting:
+        raise OutOfRange(f"no order of the partitions fits l={cone.l}, "
+                         f"m={cone.m}")
+    a, b, c = max(fitting, key=lambda order: (order[2], order[0]))
     shifts = [(omega, tuple(sorted(alpha)), sign)
               for omega, alpha, sign in lambda_shifts(c, cone.m)]
     alphas = sorted({alpha for _, alpha, _ in shifts})
     return (a, b, c), sigma_of(a, b, cone.l), shifts, alphas
 
 
-def _plan(cone, triple):
-    """The _fibres of the order of triple to count on cone.
-
-    The orders that fit the cone are taken in sorted order, each priced by
-    the summed volumes prod(hi - lo + 1) of its distinct fibres' boxes
-    from _FibreGeometry.box (0 where the grading misses); the cheapest is
-    taken, the first on a tie.
-    """
-    plans = [_fibres(cone, a, b, c)
-             for a, b, c in sorted(set(itertools.permutations(triple)))
-             if max(len(a), len(b)) <= cone.l and len(c) <= cone.m]
-    if not plans:
-        raise OutOfRange(f"no order of the partitions fits l={cone.l}, "
-                         f"m={cone.m}")
-    if len(plans) == 1:
-        return plans[0]
-    geo = cone.geometry
-
-    def volume(theta):
-        fibre = geo.box(theta)
-        if fibre is None:
-            return 0
-        _, lo, hi = fibre
-        return math.prod(max(0, h - l + 1) for l, h in zip(lo, hi))
-    return min(plans, key=lambda plan: sum(volume(plan[1] + alpha)
-                                           for alpha in plan[3]))
-
-
 def kronecker(mu, nu, lam, l: int = None, m: int = None,
               workers: int = 1) -> KroneckerResult:
     """g_{mu,nu}^lambda as a signed sum of fibre lattice-point counts.
 
-    g is symmetric in its arguments, so the triple is counted in the order
-    (a, b, c) that _plan picks among those fitting the (l, m) cone, which
-    defaults to the input's own.  The breakdown has one term per shift of
-    c, with its alpha sorted, and each distinct sorted alpha is counted
-    once.  With workers > 1 the distinct fibres are counted in one fork
-    pool of at most that many processes.
+    g is symmetric in its arguments, so the triple is counted in one fixed
+    order (a, b, c) among those fitting the (l, m) cone, which defaults to
+    the input's own: c is the lexicographically largest partition that
+    fits, and a the larger of the other two.  The breakdown has one term
+    per shift of c, with its alpha sorted, and each distinct sorted alpha
+    is counted once.  With workers > 1 the distinct fibres are counted in
+    one fork pool of at most that many processes.
     """
     mu, nu, lam = partition(mu), partition(nu), partition(lam)
     workers = as_worker_count(workers)

@@ -42,15 +42,6 @@ class Cone:
         return _FibreGeometry(self)
 
 
-def _normalize_normal(vec):
-    g = 0
-    for x in vec:
-        g = math.gcd(g, abs(x))
-    if g > 1:
-        return tuple(x // g for x in vec)
-    return tuple(vec)
-
-
 @lru_cache(maxsize=None, typed=True)
 def build_cone(l: int, m: int) -> Cone:
     """Facets from submodule dimension vectors; grading from the twist.
@@ -65,25 +56,16 @@ def build_cone(l: int, m: int) -> Cone:
         vec = [0] * len(vorder)
         for v, c in dim_pairs:
             vec[vindex[v]] = c
-        return _normalize_normal(vec)
+        return tuple(vec)
 
-    facets = []
-    seen = set()
-    for n in range(1, m + 1):
-        T = diagonal_module(l, m, n, Q)
-        for d in submodule_dims(T, strict=False):
-            vec = as_normal(d)
-            if vec not in seen:
-                seen.add(vec)
-                facets.append(vec)
-    for v in sorted((w for w in Q.frozen if w.kind == "hive"),
-                    key=VertexId.sort_key):
-        T = boundary_path(l, m, v, Q)
-        for d in submodule_dims(T, strict=True):
-            vec = as_normal(d)
-            if vec not in seen:
-                seen.add(vec)
-                facets.append(vec)
+    facets = [as_normal(d) for n in range(1, m + 1)
+              for d in submodule_dims(diagonal_module(l, m, n, Q),
+                                      strict=False)]
+    facets += [as_normal(d)
+               for v in sorted((w for w in Q.frozen if w.kind == "hive"),
+                               key=VertexId.sort_key)
+               for d in submodule_dims(boundary_path(l, m, v, Q),
+                                       strict=True)]
     grading = tuple(tuple(sigma[v]) for v in vorder)
     return Cone(l, m, vorder, tuple(facets), grading)
 

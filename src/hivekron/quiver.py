@@ -175,12 +175,6 @@ def weight_defect(Q: IceQuiver, sigma: Mapping[VertexId, Weight]) -> list[Vertex
     return bad
 
 
-def _check_balanced(Q: IceQuiver, sigma: Mapping[VertexId, Weight]):
-    bad = weight_defect(Q, sigma)
-    if bad:
-        raise OutOfRange(f"in/out weight sums differ at {bad[:3]}")
-
-
 def _transport(Q: IceQuiver, sigma: Mapping[VertexId, Weight],
                u: VertexId) -> WeightConfig:
     """The weight mutation at u: u gets its in-sum minus its old weight."""
@@ -199,22 +193,12 @@ def _transport(Q: IceQuiver, sigma: Mapping[VertexId, Weight],
     return new
 
 
-def mutate_weights(Q: IceQuiver, sigma: Mapping[VertexId, Weight],
-                   u: VertexId) -> WeightConfig:
-    """Transport a weight configuration through the mutation at u.
-
-    The new weight at u is the in-sum minus the old weight; all other
-    weights are unchanged.  The configuration identity B*sigma = 0 is
-    verified on Q before transporting.
-    """
-    _check_balanced(Q, sigma)
-    return _transport(Q, sigma, u)
-
-
 def mutate_weights_seq(Q: IceQuiver, sigma: Mapping[VertexId, Weight],
                        seq: Sequence[VertexId]) -> tuple[IceQuiver, WeightConfig]:
     """Transport weights along a mutation sequence, checked at both ends."""
-    _check_balanced(Q, sigma)
+    bad = weight_defect(Q, sigma)
+    if bad:
+        raise OutOfRange(f"in/out weight sums differ at {bad[:3]}")
     sig = dict(sigma)
     for u in seq:
         sig = _transport(Q, sig, u)

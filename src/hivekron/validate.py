@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass, field
 
 from .diamonds import build_bar, build_tilde, expected_vertex_count
-from .errors import DegenerateSample
+from .errors import DegenerateSample, OutOfRange
 from .kron import kronecker, kronecker_oracle, partitions_of
 from .pathmods import boundary_path, diagonal_module
 from .polyhedra import build_cone
@@ -32,6 +32,8 @@ class ValidationReport:
 
 def run_validation(l: int, m: int, level: str = "quick",
                    seed: int = 20240501) -> ValidationReport:
+    if level not in ("quick", "full"):
+        raise OutOfRange(f"level must be 'quick' or 'full', not {level!r}")
     rep = ValidationReport(l, m, level)
     rng = random.Random(seed)
 

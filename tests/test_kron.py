@@ -249,8 +249,27 @@ def test_every_input_order_gives_one_result(small_builds):
             if key not in seen:
                 assert res.value == kronecker_oracle(*triple), triple
                 assert sorted(res.orientation) == list(key)
+                # all orders fit (3,3): the largest under (lambda, mu)
+                assert res.orientation == max(
+                    itertools.permutations(triple),
+                    key=lambda order: (order[2], order[0])), triple
                 seen[key] = res
             got = seen[key]
             assert (res.value, res.orientation, res.breakdown) == \
                 (got.value, got.orientation, got.breakdown), triple
     assert len(seen) == 154
+
+
+def test_planning_solves_no_box(small_builds, monkeypatch):
+    # the order is read off the partitions: the only boxes solved are
+    # those of the fibres counted, one per distinct sorted alpha
+    import hivekron.polyhedra as P
+    real = P._FibreGeometry.box
+    calls = []
+
+    def spy(self, theta):
+        calls.append(theta)
+        return real(self, theta)
+    monkeypatch.setattr(P._FibreGeometry, "box", spy)
+    res = kronecker((6, 3, 3), (5, 4, 3), (4, 4, 4), l=3, m=3)
+    assert len(calls) == len({alpha for _, alpha, _, _ in res.breakdown}) == 6

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,14 +38,14 @@ def test_cone_facet_breakdown(small_builds):
     assert not (path_facets & diag_facets)
 
 
-def test_facets_normalized_and_distinct(small_builds):
-    for lm, built in small_builds.items():
-        c = built["cone"]
-        seen = set(c.facets)
-        assert len(seen) == len(c.facets)
-        import math
-        for f in c.facets:
-            assert math.gcd(*[abs(x) for x in f if x] or [1]) == 1
+def test_facets_normalized_and_distinct():
+    # build_cone keeps each submodule dimension vector as it comes: none
+    # repeats and each has gcd 1
+    for l, m in itertools.product(range(2, 6), range(2, 7)):
+        facets = build_cone(l, m).facets
+        assert len(set(facets)) == len(facets), (l, m)
+        for f in facets:
+            assert math.gcd(*f) == 1, (l, m, f)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +373,7 @@ def test_node_counts_pinned(small_builds, monkeypatch):
 
 
 def test_planned_node_counts_pinned(small_builds, monkeypatch):
-    # kronecker counts each sorted alpha once, in its cheapest order
+    # kronecker counts each sorted alpha once, in the order _plan fixes
     import hivekron.polyhedra as P
     from hivekron.kron import kronecker
     rows = _spy_nodes(P, monkeypatch)

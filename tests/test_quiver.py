@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from hivekron.errors import HivekronError, OutOfRange
 from hivekron.quiver import (b_matrix, b_matrix_rank, hive_vertex, make_quiver,
-                             mutate_quiver, mutate_weights, mutate_weights_seq,
+                             mutate_quiver, mutate_weights_seq,
                              weight_defect)
 
 
@@ -124,7 +124,7 @@ def test_b_matrix_commutes_with_mutation(Q, data):
 def test_mutate_weights_zero_at_symmetric_cycle():
     Q = quiver_from_arrows(3, [(1, 2, 1), (2, 3, 1), (3, 1, 1)])
     w = {V(k): (1, 2) for k in range(1, 4)}
-    w2 = mutate_weights(Q, w, V(2))
+    w2 = mutate_weights_seq(Q, w, [V(2)])[1]
     assert w2[V(2)] == (0, 0)
     assert w2[V(1)] == (1, 2)
 
@@ -135,14 +135,12 @@ def test_mutate_weights_in_sum_rule():
                            frozen=(2, 3, 4, 5))
     w = {V(1): (1,), V(2): (2,), V(3): (3,), V(4): (1,), V(5): (4,)}
     assert not weight_defect(Q, w)
-    w2 = mutate_weights(Q, w, V(1))
+    w2 = mutate_weights_seq(Q, w, [V(1)])[1]
     assert w2[V(1)] == (2 + 3 - 1,)
 
 
 def test_mutate_weights_rejects_bad_config():
     Q = quiver_from_arrows(2, [(1, 2, 1)], frozen=(2,))
-    with pytest.raises(OutOfRange, match="in/out weight sums differ"):
-        mutate_weights(Q, {V(1): (1,), V(2): (5,)}, V(1))
     with pytest.raises(OutOfRange, match="in/out weight sums differ"):
         mutate_weights_seq(Q, {V(1): (1,), V(2): (5,)}, [V(1)])
 
@@ -152,14 +150,12 @@ def test_mutate_weights_rejects_non_vertex():
     Q, sigma = build_tilde(3, 3)
     u = hive_vertex(9, 1, 1)
     with pytest.raises(OutOfRange, match="is not a vertex"):
-        mutate_weights(Q, sigma, u)
-    with pytest.raises(OutOfRange, match="is not a vertex"):
         mutate_weights_seq(Q, sigma, [u])
 
 
 def test_frozen_weights_never_altered():
     Q = quiver_from_arrows(3, [(2, 1, 1), (1, 3, 1)], frozen=(2, 3))
     w = {V(1): (7,), V(2): (5,), V(3): (5,)}
-    w2 = mutate_weights(Q, w, V(1))
+    w2 = mutate_weights_seq(Q, w, [V(1)])[1]
     assert w2[V(2)] == (5,) and w2[V(3)] == (5,)
     assert not weight_defect(mutate_quiver(Q, V(1)), w2)
