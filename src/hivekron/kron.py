@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .errors import (OutOfRange, SizeTooLargeForOracle, as_ints,
                      as_worker_count)
-from .polyhedra import build_cone, count_lattice_points
+from .polyhedra import build_cone, count_fibres, count_lattice_points
 
 # cold at n = 24 the character sum takes at most 0.7 s on a 2-core host
 # (worst measured: (12,1^12),(8,8,8),(7,6,5,4,2)); it grows with p(n)
@@ -135,8 +135,10 @@ def kronecker(mu, nu, lam, l: int = None, m: int = None,
     the input's own: c is the lexicographically largest partition that
     fits, and a the larger of the other two.  The breakdown has one term
     per shift of c, with its alpha sorted, and each distinct sorted alpha
-    is counted once.  With workers > 1 the distinct fibres are counted in
-    one fork pool of at most that many processes.
+    is counted once.  With one worker the distinct fibres are counted
+    together, in one block DFS whose blocks mix their nodes; with
+    workers > 1 each is counted on its own, in one fork pool of at most
+    that many processes.
     """
     mu, nu, lam = partition(mu), partition(nu), partition(lam)
     workers = as_worker_count(workers)
@@ -152,7 +154,7 @@ def kronecker(mu, nu, lam, l: int = None, m: int = None,
     orientation, sigma, shifts, alphas = _plan(cone, (mu, nu, lam))
     thetas = [sigma + alpha for alpha in alphas]
     if workers == 1 or len(thetas) == 1:
-        counts = [count_lattice_points(cone, theta) for theta in thetas]
+        counts = count_fibres(cone, thetas)
     else:
         import multiprocessing as mp
         cone.geometry  # built here once, so the forked children share it

@@ -123,72 +123,90 @@ def _tighten_block(plan, rf, u):
     """Tighten every node (row of u) to its own fixpoint; drop the empty ones.
 
     Each term of facet f is at most |c'| u[sel] over the box, so with rest
-    the facet's constant rf_f plus the bounds of its other terms, the
-    facet holds only where c z_j >= -rest, that is
+    the facet's constant (row rf_f of the node's fibre) plus the bounds of
+    its other terms, the facet holds only where c z_j >= -rest, that is
     u[j + d [c < 0]] <= floor(rest / |c|).  A node that a pass leaves
     unchanged leaves the active set; one with lo > hi is dropped.  The
-    rows of u are overwritten.
+    rows of u are overwritten in place, and the indices of the surviving
+    rows are returned in the order they reached their fixpoint.
     """
     import numpy as np
 
     if not plan.nnz:
-        return u
+        return np.arange(len(u))
     d = u.shape[1] // 2
     a = np.array(plan.coef, dtype=u.dtype)
-    done = [u[:0]]
-    while len(u):
-        best = u[:, plan.sel]
+    act, w = np.arange(len(u)), u
+    done = [act[:0]]
+    while len(act):
+        best = w[:, plan.sel]
         if len(a):
             best[:, plan.big] *= a
         facet = np.add.reduceat(best, plan.fstart, axis=1) + rf
         rest = np.subtract(facet[:, plan.fof], best, out=best)
         if len(a):
             rest[:, plan.big] //= a
-        old = u[:, plan.cols]
+        old = w[:, plan.cols]
         new = np.minimum(old, rest[:, plan.runs].min(axis=1))
         moved = (new < old).any(axis=1)
-        done.append(u[~moved])
-        u[:, plan.cols] = new
-        u = u[moved & (u[:, :d] + u[:, d:] >= 0).all(axis=1)]
+        u[act[~moved]] = w[~moved]
+        done.append(act[~moved])
+        w[:, plan.cols] = new
+        moved &= (w[:, :d] + w[:, d:] >= 0).all(axis=1)
+        act, w, rf = act[moved], w[moved], rf[moved]
     return np.concatenate(done)
 
 
 def _block_count(plan, r0, lo, hi):
-    """Exact count of the integer points z with R z + r0 >= 0 in the boxes
-    (rows of lo, hi), on int64 or on Python-int object arrays.
+    """Exact counts of the integer points z with R z + r0[k] >= 0 in the
+    box (lo[k], hi[k]), one fibre k per row, on int64 or on Python-int
+    object arrays.
 
-    Depth first over blocks of nodes.  After tightening, a node with at most
-    one coordinate of positive width is exact: every facet holds at its
-    fixed coordinates and the one free interval is its 1-D fibre, so it adds
-    sum(widths) + 1.  Any other node branches on its narrowest positive-width
-    coordinate, lowest index first.  Children are pushed in blocks of at most
-    _BLOCK_ENTRIES // nnz rows, and a block taken off the stack is topped up
-    to that size from the blocks below it.
+    Depth first over blocks of nodes.  A node is a box and the index of its
+    fibre, which it passes to its children; nodes of different fibres share
+    blocks, and each tightens against its own fibre's residuals.  A fibre
+    with a negative residual on a facet without nonzeros, or with
+    lo > hi, counts 0.  After tightening, a node with at most one
+    coordinate of positive width is exact: every facet holds at its fixed
+    coordinates and the one free interval is its 1-D fibre, so it adds
+    sum(widths) + 1 to its fibre's total.  Any other node branches on its
+    narrowest positive-width coordinate, lowest index first.  Nodes are
+    pushed in blocks of at most _BLOCK_ENTRIES // nnz rows, and a block
+    taken off the stack is topped up to that size from the blocks below
+    it.  Leaf counts add into Python-int totals per fibre.
     """
     import numpy as np
 
-    if (r0[plan.empty] < 0).any():
-        return 0
-    rf = r0[plan.facets]
     d = lo.shape[1]
     rows = max(1, _BLOCK_ENTRIES // max(plan.nnz, 1))
-    u = np.concatenate((-lo, hi), axis=1)
-    total = 0
-    stack = [u[(lo <= hi).all(axis=1)]]
+    rf_all = r0[:, plan.facets]
+    totals = np.zeros(len(r0), dtype=object)
+    stack = []
+
+    def push(u, fid):
+        for s in range(0, len(u), rows):
+            stack.append((u[s:s + rows], fid[s:s + rows]))
+
+    live = (lo <= hi).all(axis=1) & (r0[:, plan.empty] >= 0).all(axis=1)
+    fid = np.flatnonzero(live)
+    push(np.concatenate((-lo, hi), axis=1)[fid], fid)
     while stack:
-        u = stack.pop()
+        u, fid = stack.pop()
         while stack and len(u) < rows:
-            below = stack.pop()
+            below, below_fid = stack.pop()
             k = rows - len(u)
             u = np.concatenate((u, below[:k]))
+            fid = np.concatenate((fid, below_fid[:k]))
             if len(below) > k:
-                stack.append(below[k:])
-        u = _tighten_block(plan, rf, u)
+                stack.append((below[k:], below_fid[k:]))
+        keep = _tighten_block(plan, rf_all[fid], u)
+        u, fid = u[keep], fid[keep]
         widths = u[:, :d] + u[:, d:]
         free = widths > 0
         leaf = np.count_nonzero(free, axis=1) <= 1
-        total += int(widths[leaf].sum()) + int(np.count_nonzero(leaf))
-        u, widths, free = u[~leaf], widths[~leaf], free[~leaf]
+        np.add.at(totals, fid[leaf],
+                  (widths[leaf].sum(axis=1) + 1).astype(object))
+        u, fid, widths, free = u[~leaf], fid[~leaf], widths[~leaf], free[~leaf]
         if not len(u):
             continue
         j = np.argmin(np.where(free, widths, widths.max() + 1), axis=1)
@@ -199,34 +217,8 @@ def _block_count(plan, r0, lo, hi):
         u = u[parent]
         u[at, d + jc] = (at - np.repeat(np.cumsum(n) - n, n)) - u[at, jc]
         u[at, jc] = -u[at, d + jc]
-        for s in range(0, len(u), rows):
-            stack.append(u[s:s + rows])
-    return total
-
-
-def _np_count(geo, r0, lo, hi):
-    """Exact count by the block DFS on the dtype that a magnitude guard picks.
-
-    Live boxes only shrink, so with max_b the largest bound of the initial
-    box, a term |c| u is at most max_r max_b, a facet's sum with its
-    constant and a term left out at most
-    B = max_res + (d + 1) max_r max_b, and so is every candidate bound.
-    A width is at least -2 B, also on a node that a pass empties, and a
-    block's summed widths and child counts stay within
-    2 _BLOCK_ENTRIES (max_b + 1).  The int64 arrays are used when the sum
-    of those two bounds is below _INT64_SAFE, object arrays of Python
-    integers otherwise.
-    """
-    import numpy as np
-
-    max_b = max([abs(x) for x in lo] + [abs(x) for x in hi] + [1])
-    max_res = max((abs(x) for x in r0), default=0)
-    bound = max_res + (geo.d + 1) * geo.max_r * max_b
-    safe = 2 * bound + 2 * _BLOCK_ENTRIES * (max_b + 1) < _INT64_SAFE
-    dtype = np.int64 if safe else object
-    return _block_count(geo.plan, np.array(r0, dtype=dtype),
-                        np.array(lo, dtype=dtype).reshape(1, geo.d),
-                        np.array(hi, dtype=dtype).reshape(1, geo.d))
+        push(u, fid[parent])
+    return totals.tolist()
 
 
 def _size_reduce(rows):
@@ -390,15 +382,47 @@ class _FibreGeometry:
         return w, lo, hi
 
 
-def count_lattice_points(c: Cone, theta) -> int:
-    """Exact number of integer points of the fibre at theta (2l+m ints)."""
-    theta = as_ints(theta, "theta")
-    if len(theta) != 2 * c.l + c.m:
+def count_fibres(c: Cone, thetas) -> list[int]:
+    """Exact number of integer points of the fibre at each theta of thetas
+    (2l+m ints each), in order: every fibre on the grading is counted in
+    one block DFS.
+
+    Live boxes only shrink, so with max_b the largest bound of any initial
+    box, a term |c| u is at most max_r max_b, a facet's sum with its
+    constant and a term left out at most
+    B = max_res + (d + 1) max_r max_b, and so is every candidate bound.
+    A width is at least -2 B, also on a node that a pass empties, and a
+    block's summed widths and child counts stay within
+    2 _BLOCK_ENTRIES (max_b + 1).  The whole batch runs on int64 arrays
+    when the sum of those two bounds is below _INT64_SAFE, and on object
+    arrays of Python integers otherwise.
+    """
+    thetas = [as_ints(theta, "theta") for theta in thetas]
+    if any(len(theta) != 2 * c.l + c.m for theta in thetas):
         raise OutOfRange(f"theta must have length {2 * c.l + c.m}")
     geo = c.geometry
-    fibre = geo.box(theta)
-    if fibre is None:
-        return 0
-    w, lo, hi = fibre
-    r0 = [sum(map(mul, row, w)) for row in geo.FU]
-    return _np_count(geo, r0, lo, hi)
+    counts = [0] * len(thetas)
+    fibres = [(k, fibre) for k, fibre in enumerate(map(geo.box, thetas))
+              if fibre is not None]
+    if not fibres:
+        return counts
+    import numpy as np
+
+    on, boxes = zip(*fibres)
+    ws, lo, hi = zip(*boxes)
+    r0 = [[sum(map(mul, row, w)) for row in geo.FU] for w in ws]
+    max_b = max([abs(x) for box in lo + hi for x in box] + [1])
+    max_res = max((abs(x) for res in r0 for x in res), default=0)
+    bound = max_res + (geo.d + 1) * geo.max_r * max_b
+    safe = 2 * bound + 2 * _BLOCK_ENTRIES * (max_b + 1) < _INT64_SAFE
+    dtype = np.int64 if safe else object
+    found = _block_count(geo.plan, np.array(r0, dtype=dtype),
+                         np.array(lo, dtype=dtype), np.array(hi, dtype=dtype))
+    for k, count in zip(on, found):
+        counts[k] = count
+    return counts
+
+
+def count_lattice_points(c: Cone, theta) -> int:
+    """Exact number of integer points of the fibre at theta (2l+m ints)."""
+    return count_fibres(c, [theta])[0]

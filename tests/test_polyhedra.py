@@ -8,7 +8,8 @@ import pytest
 
 from hivekron.kron import lambda_shifts, partitions_of, sigma_of
 from hivekron.lp import INFEASIBLE, OPTIMAL, UNBOUNDED
-from hivekron.polyhedra import Cone, build_cone, count_lattice_points
+from hivekron.polyhedra import (Cone, build_cone, count_fibres,
+                                count_lattice_points)
 from hivekron.quiver import VertexId, hive_vertex
 from test_intlin import fraction_rank, hnf_solve
 from test_lp import general_lp
@@ -192,25 +193,28 @@ def _distinct_fibres(res):
     return len({shift for _, shift, _, _ in res.breakdown})
 
 
-def _wrap_count(monkeypatch):
-    """kron with count_lattice_points swapped for a closure, as a tracer
-    does, and the list of thetas it is called with."""
+def _wrap_count(monkeypatch, name):
+    """kron with its counting function name swapped for a closure, as a
+    tracer does, and the list of second arguments it is called with."""
     import hivekron.kron as K
-    real = K.count_lattice_points
+    real = getattr(K, name)
     calls = []
 
     def traced(*args, **kwargs):
         calls.append(args[1])
         return real(*args, **kwargs)
-    monkeypatch.setattr(K, "count_lattice_points", traced)
+    monkeypatch.setattr(K, name, traced)
     return K, calls
 
 
 def test_pool_target_survives_a_wrapped_count(small_builds, monkeypatch):
-    # a pool cannot pickle the tracer's closure
-    K, calls = _wrap_count(monkeypatch)
+    # a pool cannot pickle the tracer's closure; one worker counts all the
+    # distinct fibres in one batch
+    K, batches = _wrap_count(monkeypatch, "count_fibres")
+    _wrap_count(monkeypatch, "count_lattice_points")
     one = K.kronecker((4, 2, 2), (4, 2, 2), (4, 2, 2), l=3, m=3, workers=1)
-    assert len(calls) == len(set(calls)) == _distinct_fibres(one)
+    [thetas] = batches
+    assert len(thetas) == len(set(thetas)) == _distinct_fibres(one)
     two = K.kronecker((4, 2, 2), (4, 2, 2), (4, 2, 2), l=3, m=3, workers=2)
     assert two.value == one.value == 6
     assert two.breakdown == one.breakdown
@@ -219,11 +223,12 @@ def test_pool_target_survives_a_wrapped_count(small_builds, monkeypatch):
 def test_each_distinct_fibre_counted_once(small_builds, monkeypatch):
     # the six shifts of (4,4,4) at m = 3 sort to five distinct alphas:
     # (5,3,4) and (4,5,3) are both (3,4,5)
-    K, calls = _wrap_count(monkeypatch)
+    K, batches = _wrap_count(monkeypatch, "count_fibres")
     lam = (4, 4, 4)
     one = K.kronecker(lam, lam, lam, l=3, m=3, workers=1)
     assert len(one.breakdown) == 6
-    assert len(calls) == len(set(calls)) == _distinct_fibres(one) == 5
+    [thetas] = batches
+    assert len(thetas) == len(set(thetas)) == _distinct_fibres(one) == 5
     two = K.kronecker(lam, lam, lam, l=3, m=3, workers=2)
     assert two.breakdown == one.breakdown and two.value == one.value == 2
 
@@ -383,6 +388,18 @@ def test_planned_node_counts_pinned(small_builds, monkeypatch):
         assert sum(rows) == planned <= nodes
 
 
+def test_planned_block_counts_pinned(small_builds, monkeypatch):
+    # a kronecker call counts its distinct fibres in one block DFS, so its
+    # blocks mix fibres; one DFS per fibre makes 35, 49 and 117 blocks
+    import hivekron.polyhedra as P
+    from hivekron.kron import kronecker
+    rows = _spy_nodes(P, monkeypatch)
+    for (triple, value, _, planned), blocks in zip(NODE_PINS, (8, 15, 85)):
+        rows.clear()
+        assert kronecker(*triple, l=3, m=3).value == value
+        assert sum(rows) == planned and len(rows) == blocks
+
+
 def test_unbounded_fibre_detected():
     from hivekron.errors import UnboundedFibre
     from hivekron.quiver import hive_vertex
@@ -424,6 +441,62 @@ def test_huge_fibre_counts_on_python_integers():
     line = line_cone()
     for t in (5, 2 ** 61, 2 ** 62, 2 ** 70):
         assert count_lattice_points(line, (t, 0, 0, 0, 0, 0)) == t + 1
+
+
+@pytest.mark.parametrize("block_entries", [None, 2 ** 9])
+def test_batch_equals_its_fibres_one_at_a_time(small_builds, monkeypatch,
+                                               block_entries):
+    # with small blocks the top-up from below mixes the fibres' nodes
+    import hivekron.polyhedra as P
+    if block_entries:
+        monkeypatch.setattr(P, "_BLOCK_ENTRIES", block_entries)
+    rng = random.Random(19)
+    batches = []
+    for c in (build_cone(2, 3), build_cone(3, 3)):
+        k = 2 * c.l + c.m
+        # off the grading or empty, and real fibres; one repeated
+        thetas = [tuple(rng.randint(-2, 2) for _ in range(k))
+                  for _ in range(6)] + real_fibres(c.l, c.m, 12, k)
+        thetas.insert(3, thetas[-1])
+        batches += [(c, thetas), (c, [])]
+    point, line = point_cone(), line_cone()
+    batches.append((point, [(2, 3, 0, 0, 0, 0), (-1, 3, 0, 0, 0, 0),
+                            (2, 3, 1, 0, 0, 0), (0,) * 6]))
+    huge = [(t, 0, 0, 0, 0, 0) for t in (5, 2 ** 62, 2 ** 70)]
+    batches.append((line, huge))
+    # each block's dtype and its number of distinct fibres (rows of rf)
+    blocks = []
+    real = P._tighten_block
+
+    def spy(plan, rf, u):
+        blocks.append((u.dtype.name, len({tuple(r) for r in rf.tolist()})))
+        return real(plan, rf, u)
+    monkeypatch.setattr(P, "_tighten_block", spy)
+    found = [count_fibres(c, thetas) for c, thetas in batches]
+    last, mixed = blocks[-1], sum(1 for _, fibres in blocks if fibres > 1)
+    one = [[count_lattice_points(c, t) for t in thetas]
+           for c, thetas in batches]
+    assert found == one
+    assert found[1] == found[3] == [] and found[4] == [1, 0, 0, 1]
+    assert found[5] == [6, 2 ** 62 + 1, 2 ** 70 + 1]
+    assert sum(1 for n in found[0] + found[2] if n == 0) >= 4
+    assert sum(1 for n in found[0] + found[2] if n > 1) >= 10
+    # the line's batch is one block on Python integers
+    assert last == ("object", 3) and mixed > (5 if block_entries else 1)
+
+
+def test_batch_raises_as_one_fibre(small_builds):
+    from hivekron.errors import OutOfRange, UnboundedFibre
+    c = build_cone(2, 2)
+    with pytest.raises(OutOfRange):
+        count_fibres(c, [(0,) * 6, (0,) * 7])
+    with pytest.raises(OutOfRange):
+        count_fibres(c, [(0,) * 6, (0.5,) * 6])
+    verts = (hive_vertex(1, 0, 1), hive_vertex(1, 0, 2))
+    fake = Cone(1, 1, verts, ((1, 1),), ((1, 0, 0), (1, 0, 0)))
+    assert count_fibres(fake, [(2, 1, 0), (0, 1, 0)]) == [0, 0]
+    with pytest.raises(UnboundedFibre):
+        count_fibres(fake, [(2, 1, 0), (2, 0, 0)])
 
 
 def test_geometry_follows_the_cone_object():
@@ -657,12 +730,15 @@ def test_int64_count_reads_no_python_rows(monkeypatch):
 
 
 def block_count(R, res, boxes, d, dtype):
-    """The block engine on the boxes [(lo, hi), ...] in one block."""
+    """The block engine on the boxes [(lo, hi), ...], one fibre per box,
+    each with the residuals res: the sum of their counts."""
     import numpy as np
     import hivekron.polyhedra as P
-    lo = np.array([b[0] for b in boxes], dtype=dtype).reshape(len(boxes), d)
-    hi = np.array([b[1] for b in boxes], dtype=dtype).reshape(len(boxes), d)
-    return P._block_count(P._Plan(R, d), np.array(res, dtype=dtype), lo, hi)
+    k = len(boxes)
+    lo = np.array([b[0] for b in boxes], dtype=dtype).reshape(k, d)
+    hi = np.array([b[1] for b in boxes], dtype=dtype).reshape(k, d)
+    r0 = np.array([res] * k, dtype=dtype).reshape(k, len(res))
+    return sum(P._block_count(P._Plan(R, d), r0, lo, hi))
 
 
 def test_block_count_equals_brute_force():
@@ -670,7 +746,7 @@ def test_block_count_equals_brute_force():
     # R z + res >= 0, as a certificate box does: the facets include the
     # box's own, and every other trial passes the tighter bounding box of
     # the points instead; the box also goes in once more, cut along its
-    # first coordinate into one row per value
+    # first coordinate into one fibre per value with the same residuals
     import numpy as np
     rng = random.Random(200)
     counts = []
