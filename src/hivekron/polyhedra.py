@@ -4,9 +4,11 @@ The cone is cut out by the submodule dimension vectors of the boundary
 and diagonal modules; its fibres under the weight grading are enumerated
 by a depth-first search over an integral parametrization of the fibre
 lattice, pruned by exact interval propagation.  The search runs on blocks
-of nodes: a node is its integer box, and one vectorized pass over the
-nonzeros of the facet matrix tightens every box of a block at once, on
-int64 when a proven bound allows and on Python integers otherwise.
+of nodes: a node is its integer box, and one pass tightens every box of a
+block at once, bounding every facet over every box by one matrix product
+with the dense facet matrix.  The pass runs on float64 when a proven
+bound keeps every value an exact integer below 2^53, so the product is
+one BLAS call, and on Python integers otherwise.
 """
 
 from __future__ import annotations
@@ -74,23 +76,27 @@ def build_cone(l: int, m: int) -> Cone:
 # counting
 
 
-# int64 magnitude that every value of the block DFS must stay below
-_INT64_SAFE = 2 ** 63
+# every integer of smaller magnitude is a float64, so the block DFS runs on
+# float64 when count_fibres proves that its values stay below this
+_EXACT_BOUND = 2 ** 53
 # cap on rows x nonzeros of R in one block of nodes, so memory stays flat
-_BLOCK_ENTRIES = 2 ** 13
+_BLOCK_ENTRIES = 2 ** 15
 
 
 class _Plan:
-    """The nonzeros (f, j, c) of R, laid out for the block DFS.
+    """The facet matrix R laid out for the block DFS.
 
-    A node's box is one row u = [-lo | hi] of 2d upper bounds.  The
-    nonzeros are ordered by facet, then coordinate: ``fstart`` opens each
-    facet's run (``facets`` lists the facets that have one, ``empty`` the
-    others) and ``fof`` maps a nonzero to its run.  Term c z_j is at most
-    |c| u[sel] with sel = j + d [c > 0], and its facet bounds
-    u[j + d [c < 0]] from above; column k of ``runs`` lists the nonzeros
-    that bound u[cols[k]].  Only the nonzeros ``big`` with |c| > 1 need a
-    product and a division; ``coef`` holds their |c|.
+    A node's box is one row u = [-lo | hi] of 2d upper bounds.  Term c z_j
+    of facet f is at most |c| u[j + d [c > 0]] over the box, so the upper
+    bounds of the facets that have a nonzero (``facets``; ``empty`` lists
+    the others) are u S + rf, with S the dense 2d x F matrix that holds |c|
+    at (j + d [c > 0], f).  The same term bounds u[t] for t = j + d [c < 0]
+    by floor(facet_f / |c|) - u[other(t)], where other(t) = t +- d is the
+    other half of coordinate j, so every bound reads one entry of the
+    extended facet row [facet | facet[:, bf] // bc], which appends one
+    quotient per pair (facet, |c| > 1).  Column k of ``qruns`` lists the
+    entries that bound u[cols[k]], and ``other`` holds other(cols[k]).  S
+    and bc are built once per dtype (``matrix``).
     """
 
     def __init__(self, R, d):
@@ -102,52 +108,65 @@ class _Plan:
         self.facets = np.array(facets, dtype=np.intp)
         self.empty = np.array(sorted(set(range(len(R))) - set(facets)),
                               dtype=np.intp)
-        self.fof = np.searchsorted(self.facets, [f for f, _, _ in nz])
-        self.fstart = np.flatnonzero(np.diff(self.fof, prepend=-1))
-        self.sel = np.array([j + d * (c > 0) for _, j, c in nz], dtype=np.intp)
-        target = [j + d * (c < 0) for _, j, c in nz]
-        self.cols = np.array(sorted(set(target)), dtype=np.intp)
-        runs = [[k for k, t in enumerate(target) if t == col]
-                for col in self.cols]
+        at = {f: k for k, f in enumerate(facets)}
+        self._S = [[0] * len(facets) for _ in range(2 * d)]
+        for f, j, c in nz:
+            self._S[j + d * (c > 0)][at[f]] = abs(c)
+        pairs = sorted({(at[f], abs(c)) for f, _, c in nz if abs(c) > 1})
+        self.bf = np.array([k for k, _ in pairs], dtype=np.intp)
+        self._bc = [a for _, a in pairs]
+        ext = {p: len(facets) + i for i, p in enumerate(pairs)}
+        target = [(j + d * (c < 0), ext.get((at[f], abs(c)), at[f]))
+                  for f, j, c in nz]
+        self.cols = np.array(sorted({t for t, _ in target}), dtype=np.intp)
+        self.other = np.where(self.cols < d, self.cols + d, self.cols - d)
+        runs = [[q for t, q in target if t == col] for col in self.cols]
         # each target's run, padded by repeating its own members: a minimum
         # over the padded column equals the minimum over the run
         width = max(map(len, runs), default=0)
-        self.runs = np.array([[run[i % len(run)] for run in runs]
-                              for i in range(width)], dtype=np.intp)
-        big = [k for k, (_, _, c) in enumerate(nz) if abs(c) > 1]
-        self.big = np.array(big, dtype=np.intp)
-        self.coef = [abs(nz[k][2]) for k in big]
+        self.qruns = np.array([[run[i % len(run)] for run in runs]
+                               for i in range(width)], dtype=np.intp)
+        self._dense = {}
+
+    def matrix(self, dtype):
+        """(S, bc) as arrays of dtype, built on the first request for it."""
+        import numpy as np
+        if dtype not in self._dense:
+            S = np.array(self._S, dtype=dtype).reshape(len(self._S),
+                                                        len(self.facets))
+            self._dense[dtype] = S, np.array(self._bc, dtype=dtype)
+        return self._dense[dtype]
 
 
 def _tighten_block(plan, rf, u):
     """Tighten every node (row of u) to its own fixpoint; drop the empty ones.
 
-    Each term of facet f is at most |c'| u[sel] over the box, so with rest
-    the facet's constant (row rf_f of the node's fibre) plus the bounds of
-    its other terms, the facet holds only where c z_j >= -rest, that is
-    u[j + d [c < 0]] <= floor(rest / |c|).  A node that a pass leaves
-    unchanged leaves the active set; one with lo > hi is dropped.  The
-    rows of u are overwritten in place, and the indices of the surviving
-    rows are returned in the order they reached their fixpoint.
+    One pass computes the upper bound of every facet over each box as one
+    matrix product, facet = u S + rf (rf: the node's fibre's constants),
+    and lowers each u[t] to floor(facet_f / |c|) - u[other(t)] over the
+    terms (f, j, c) that bound it.  That is floor(rest / |c|) with rest
+    the facet's bound less the term's own, |c| u[other(t)]: the facet holds
+    only where c z_j >= -rest.  A node that a pass leaves unchanged leaves
+    the active set; one with lo > hi is dropped.  The rows of u are
+    overwritten in place, and the indices of the surviving rows are
+    returned in the order they reached their fixpoint.
     """
     import numpy as np
 
     if not plan.nnz:
         return np.arange(len(u))
     d = u.shape[1] // 2
-    a = np.array(plan.coef, dtype=u.dtype)
+    S, bc = plan.matrix(u.dtype)
     act, w = np.arange(len(u)), u
     done = [act[:0]]
     while len(act):
-        best = w[:, plan.sel]
-        if len(a):
-            best[:, plan.big] *= a
-        facet = np.add.reduceat(best, plan.fstart, axis=1) + rf
-        rest = np.subtract(facet[:, plan.fof], best, out=best)
-        if len(a):
-            rest[:, plan.big] //= a
+        facet = w @ S
+        facet += rf
+        if len(bc):
+            facet = np.concatenate((facet, facet[:, plan.bf] // bc), axis=1)
         old = w[:, plan.cols]
-        new = np.minimum(old, rest[:, plan.runs].min(axis=1))
+        new = np.minimum(old, facet[:, plan.qruns].min(axis=1)
+                         - w[:, plan.other])
         moved = (new < old).any(axis=1)
         u[act[~moved]] = w[~moved]
         done.append(act[~moved])
@@ -159,8 +178,8 @@ def _tighten_block(plan, rf, u):
 
 def _block_count(plan, r0, lo, hi):
     """Exact counts of the integer points z with R z + r0[k] >= 0 in the
-    box (lo[k], hi[k]), one fibre k per row, on int64 or on Python-int
-    object arrays.
+    box (lo[k], hi[k]), one fibre k per row, on float64 arrays of exact
+    integers or on Python-int object arrays.
 
     Depth first over blocks of nodes.  A node is a box and the index of its
     fibre, which it passes to its children; nodes of different fibres share
@@ -173,7 +192,8 @@ def _block_count(plan, r0, lo, hi):
     narrowest positive-width coordinate, lowest index first.  Nodes are
     pushed in blocks of at most _BLOCK_ENTRIES // nnz rows, and a block
     taken off the stack is topped up to that size from the blocks below
-    it.  Leaf counts add into Python-int totals per fibre.
+    it.  Leaf counts pass through int64, so that none is a float, and add
+    into Python-int totals per fibre.
     """
     import numpy as np
 
@@ -204,8 +224,10 @@ def _block_count(plan, r0, lo, hi):
         widths = u[:, :d] + u[:, d:]
         free = widths > 0
         leaf = np.count_nonzero(free, axis=1) <= 1
-        np.add.at(totals, fid[leaf],
-                  (widths[leaf].sum(axis=1) + 1).astype(object))
+        found = widths[leaf].sum(axis=1) + 1
+        if found.dtype != object:
+            found = found.astype(np.int64)
+        np.add.at(totals, fid[leaf], found.astype(object))
         u, fid, widths, free = u[~leaf], fid[~leaf], widths[~leaf], free[~leaf]
         if not len(u):
             continue
@@ -387,15 +409,24 @@ def count_fibres(c: Cone, thetas) -> list[int]:
     (2l+m ints each), in order: every fibre on the grading is counted in
     one block DFS.
 
-    Live boxes only shrink, so with max_b the largest bound of any initial
-    box, a term |c| u is at most max_r max_b, a facet's sum with its
-    constant and a term left out at most
-    B = max_res + (d + 1) max_r max_b, and so is every candidate bound.
-    A width is at least -2 B, also on a node that a pass empties, and a
-    block's summed widths and child counts stay within
-    2 _BLOCK_ENTRIES (max_b + 1).  The whole batch runs on int64 arrays
-    when the sum of those two bounds is below _INT64_SAFE, and on object
-    arrays of Python integers otherwise.
+    The whole batch runs on float64 arrays when a proven bound keeps every
+    value an exact integer, and on object arrays of Python integers
+    otherwise.  A pass reads only live boxes, and live boxes only shrink,
+    so with max_b the largest bound of any initial box every entry of u
+    is at most max_b in magnitude and a product |c| u[s] at most
+    max_r max_b.  A facet has at most d products, so every partial sum of
+    u S + rf, in whatever order BLAS adds, blocks or fuses them (an FMA
+    rounds once, after its exact product), is at most
+    max_res + d max_r max_b.  A quotient facet // |c|, less one entry of
+    u, is then within B = max_res + (d + 1) max_r max_b, and so is every
+    candidate bound.  A width is at least -2 B, also on a node that a pass
+    empties, and a block's summed widths and child counts stay within
+    2 _BLOCK_ENTRIES (max_b + 1).  When the sum of those two bounds is
+    below _EXACT_BOUND = 2^53, every one of these values is an integer
+    that float64 holds exactly.  A sum, product, FMA, minimum or
+    comparison of such integers, whose true result is such an integer,
+    returns that result, and so does floor division, which numpy derives
+    from the exact fmod: nothing is rounded.
     """
     thetas = [as_ints(theta, "theta") for theta in thetas]
     if any(len(theta) != 2 * c.l + c.m for theta in thetas):
@@ -414,8 +445,8 @@ def count_fibres(c: Cone, thetas) -> list[int]:
     max_b = max([abs(x) for box in lo + hi for x in box] + [1])
     max_res = max((abs(x) for res in r0 for x in res), default=0)
     bound = max_res + (geo.d + 1) * geo.max_r * max_b
-    safe = 2 * bound + 2 * _BLOCK_ENTRIES * (max_b + 1) < _INT64_SAFE
-    dtype = np.int64 if safe else object
+    safe = 2 * bound + 2 * _BLOCK_ENTRIES * (max_b + 1) < _EXACT_BOUND
+    dtype = np.float64 if safe else object
     found = _block_count(geo.plan, np.array(r0, dtype=dtype),
                          np.array(lo, dtype=dtype), np.array(hi, dtype=dtype))
     for k, count in zip(on, found):

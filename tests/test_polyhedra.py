@@ -317,7 +317,7 @@ def real_fibres(l, m, k, seed):
 
 
 def test_python_fallback_matches_numpy(small_builds, monkeypatch):
-    # the DFS on Python integers (dtype=object) must agree with int64
+    # the DFS on Python integers (dtype=object) must agree with float64
     import hivekron.polyhedra as P
     c23, c33 = build_cone(2, 3), build_cone(3, 3)
     rng = random.Random(99)
@@ -333,9 +333,9 @@ def test_python_fallback_matches_numpy(small_builds, monkeypatch):
         return real(plan, rf, u)
     monkeypatch.setattr(P, "_tighten_block", spy)
     fast = [count_lattice_points(c, th) for c, th in fibres]
-    assert dtypes == {"int64"}
+    assert dtypes == {"float64"}
     dtypes.clear()
-    monkeypatch.setattr(P, "_INT64_SAFE", 0)
+    monkeypatch.setattr(P, "_EXACT_BOUND", 0)
     slow = [count_lattice_points(c, th) for c, th in fibres]
     assert dtypes == {"object"}
     assert fast == slow
@@ -390,11 +390,11 @@ def test_planned_node_counts_pinned(small_builds, monkeypatch):
 
 def test_planned_block_counts_pinned(small_builds, monkeypatch):
     # a kronecker call counts its distinct fibres in one block DFS, so its
-    # blocks mix fibres; one DFS per fibre makes 35, 49 and 117 blocks
+    # blocks mix fibres; one DFS per fibre makes 35, 49 and 70 blocks
     import hivekron.polyhedra as P
     from hivekron.kron import kronecker
     rows = _spy_nodes(P, monkeypatch)
-    for (triple, value, _, planned), blocks in zip(NODE_PINS, (8, 15, 85)):
+    for (triple, value, _, planned), blocks in zip(NODE_PINS, (8, 11, 26)):
         rows.clear()
         assert kronecker(*triple, l=3, m=3).value == value
         assert sum(rows) == planned and len(rows) == blocks
@@ -436,11 +436,32 @@ def test_fibre_without_free_coordinate():
 
 
 def test_huge_fibre_counts_on_python_integers():
-    # the bounds of the line's open coordinate pass int64 range once t
-    # nears 2^62
+    # the bounds of the line's open coordinate pass float64's exact range
+    # long before t nears 2^62
     line = line_cone()
     for t in (5, 2 ** 61, 2 ** 62, 2 ** 70):
         assert count_lattice_points(line, (t, 0, 0, 0, 0, 0)) == t + 1
+
+
+def test_float_path_ends_at_the_exact_bound(monkeypatch):
+    # t = 2^53 + 1 is no float64, so a float pass would miscount its
+    # 2^53 + 2 points; the guard sends it to Python integers, and also
+    # t = 2^40, which the old int64 guard of 2^63 kept on the fast path
+    import hivekron.polyhedra as P
+    dtypes = []
+    real = P._tighten_block
+
+    def spy(plan, rf, u):
+        dtypes.append(u.dtype.name)
+        return real(plan, rf, u)
+    monkeypatch.setattr(P, "_tighten_block", spy)
+    line = line_cone()
+    for t, dtype in ((2 ** 30, "float64"), (2 ** 40, "object"),
+                     (2 ** 53 + 1, "object")):
+        dtypes.clear()
+        count = count_lattice_points(line, (t, 0, 0, 0, 0, 0))
+        assert count == t + 1 and type(count) is int
+        assert dtypes == [dtype]
 
 
 @pytest.mark.parametrize("block_entries", [None, 2 ** 9])
@@ -719,13 +740,14 @@ def test_counting_a_fibre_creates_no_fraction(monkeypatch):
     assert [count_lattice_points(c, th) for c, th in fibres] == expected
 
 
-def test_int64_count_reads_no_python_rows(monkeypatch):
-    # the int64 DFS runs on the geometry's matrix, built once per cone
+def test_float_count_reads_no_python_rows(monkeypatch):
+    # the float64 DFS runs on the plan's dense matrix, built once per cone
     import hivekron.polyhedra as P
     fibres = fibres_23_33()
     expected = [count_lattice_points(c, th) for c, th in fibres]
     for c in {c for c, _ in fibres}:
         monkeypatch.delattr(c.geometry, "R")
+        monkeypatch.setattr(c.geometry.plan, "_S", None)
     assert [count_lattice_points(c, th) for c, th in fibres] == expected
 
 
@@ -769,7 +791,7 @@ def test_block_count_equals_brute_force():
             hi = [max(c) for c in zip(*points)]
         cut = [([v] + lo[1:], [v] + hi[1:]) for v in range(lo[0], hi[0] + 1)
                ] if d else []
-        for dtype in (np.int64, object):
+        for dtype in (np.int64, np.float64, object):
             assert block_count(R, res, [(lo, hi)], d, dtype) == len(points), \
                 (R, res, lo, hi, dtype)
             assert block_count(R, res, cut, d, dtype) == \
@@ -778,7 +800,7 @@ def test_block_count_equals_brute_force():
     assert counts.count(0) >= 20 and sum(1 for n in counts if n > 5) >= 20
 
 
-@pytest.mark.parametrize("dtype", ["int64", "object"])
+@pytest.mark.parametrize("dtype", ["int64", "float64", "object"])
 def test_block_count_edge_cases(dtype):
     d2 = [[1, 0], [0, 1], [-1, -1]]          # z >= 0, z1 + z2 <= 3: 10 points
     box = ([0, 0], [3, 3])
@@ -794,6 +816,63 @@ def test_block_count_edge_cases(dtype):
     assert block_count(d2, [0, 0, 3], [([0, 2], [3, 1])], 2, dtype) == 0
     assert block_count([], [], [([2], [1])], 1, dtype) == 0
     assert block_count([], [], [([2], [1]), ([1], [4])], 1, dtype) == 4
+
+
+def reference_tightening(R, res, lo, hi):
+    """One box tightened to its fixpoint on Python integers, term by term
+    of R: (lo, hi, passes), or None once a pass leaves lo > hi."""
+    passes = 0
+    while True:
+        passes += 1
+        new_lo, new_hi = list(lo), list(hi)
+        for row, r in zip(R, res):
+            terms = [max(c * a, c * b) for c, a, b in zip(row, lo, hi)]
+            top = r + sum(terms)
+            for j, c in enumerate(row):
+                # the facet holds only where c z_j >= -(top - terms[j])
+                if c > 0:
+                    new_lo[j] = max(new_lo[j], -((top - terms[j]) // c))
+                elif c < 0:
+                    new_hi[j] = min(new_hi[j], (top - terms[j]) // -c)
+        if (new_lo, new_hi) == (lo, hi):
+            return lo, hi, passes
+        lo, hi = new_lo, new_hi
+        if any(a > b for a, b in zip(lo, hi)):
+            return None
+
+
+@pytest.mark.parametrize("dtype", ["float64", "object"])
+@pytest.mark.parametrize("lm", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4)])
+def test_tighten_block_matches_python_reference(small_builds, lm, dtype):
+    # random sub-boxes of real fibres' certificate boxes, one block; the
+    # survivors come back in the order of their pass count, then of row
+    import numpy as np
+    import hivekron.polyhedra as P
+    geo = build_cone(*lm).geometry
+    rng = random.Random(31 * lm[0] + lm[1])
+    boxes, res = [], []
+    for theta in real_fibres(*lm, 10, 7):
+        w, lo, hi = geo.box(theta)
+        if any(a > b for a, b in zip(lo, hi)):
+            continue
+        r0 = [sum(x * y for x, y in zip(row, w)) for row in geo.FU]
+        for k in range(8):
+            a = [rng.randint(x, y) for x, y in zip(lo, hi)] if k else lo
+            b = [rng.randint(x, y) for x, y in zip(a, hi)] if k else hi
+            boxes.append((a, b))
+            res.append(r0)
+    u = np.array([[-x for x in a] + b for a, b in boxes], dtype=dtype)
+    rf = np.array(res, dtype=dtype)[:, geo.plan.facets]
+    keep = P._tighten_block(geo.plan, rf, u).tolist()
+    ref = [reference_tightening(geo.R, r, *box) for r, box in zip(res, boxes)]
+    assert keep == sorted((k for k, t in enumerate(ref) if t),
+                          key=lambda k: (ref[k][2], k))
+    for k in keep:
+        assert u[k].tolist() == [-x for x in ref[k][0]] + ref[k][1]
+    passes = [t[2] for t in ref if t]
+    assert len(boxes) >= 40 and len(keep) < len(boxes)
+    assert max(passes) >= 3 and (geo.max_r > 1) == (lm in {(2, 2), (2, 3),
+                                                            (3, 4)})
 
 
 def test_one_column_reduction_per_cone(monkeypatch, fresh_geometry):

@@ -1,8 +1,11 @@
 """Each program in scripts/ runs from the repository root on a tiny input."""
 
+import importlib.util
 import os
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -37,3 +40,26 @@ def test_dfs_ladder():
     assert [line.split()[:2] for line in out] == [["n=4", "g=1"],
                                                    ["n=8", "g=6"]]
     assert all(line.endswith("s") for line in out)
+
+
+def test_dfs_ladder_verify():
+    out = run_script("dfs_ladder.py", "--verify", "1", "2")
+    assert [line.split()[:2] for line in out] == [["n=4", "g=1"],
+                                                   ["n=8", "g=6"]]
+
+
+def test_dfs_ladder_verify_exits_2_on_a_mismatch(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "dfs_ladder", os.path.join(ROOT, "scripts", "dfs_ladder.py"))
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    # n = 4 is wrong, n = 8 right and n = 12 past the bound
+    monkeypatch.setattr(ladder, "ORACLE_BOUND", 8)
+    monkeypatch.setattr(ladder, "kronecker_oracle",
+                        lambda mu, nu, lam: {4: 7, 8: 6}[sum(mu)])
+    with pytest.raises(SystemExit) as exit_:
+        ladder.main(["--verify", "1", "2", "3"])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "n=4: the oracle gives g=7", "n=12: past the oracle bound 8, unverified"]
