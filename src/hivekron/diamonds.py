@@ -9,9 +9,7 @@ even form in every diamond and relabels its odd diamonds.  ``_glue``
 turns either walk into an ice quiver: within a diamond the two hives are
 glued along the j = 0 edge (non-consistently: the two sides induce the
 same arrows there, stored once); adjacent diamonds are glued
-consistently (their induced arrows along the shared edge cancel).  The
-twisted quiver's arrow types a, b, c are read off the same walk by
-family index.
+consistently (their induced arrows along the shared edge cancel).
 """
 
 from __future__ import annotations
@@ -262,27 +260,6 @@ def build_bar(l: int, m: int):
             sigma[v] = w
     sigma.update(_solve_interior_weights(Q, sigma, 2 * l + m))
     return _balanced(Q, sigma, "twisted")
-
-
-def bar_arrow_types(l: int, m: int) -> dict:
-    """Type map of the twisted quiver's arrows: 'a', 'b', 'c', or 'bc'.
-
-    East arrows are 'a'; in even diamonds the template's southwest family
-    is 'b', in odd diamonds the roles of 'b' and 'c' swap.  Arrows along
-    the self-glued edge serve as both 'b' and 'c'.
-    """
-    Q, _ = build_bar(l, m)
-    label_of = bar_label(l, m)
-    typed = [(("acb" if n % 2 else "abc")[k], src, tgt)
-             for n, k, src, tgt in _hive_steps(l, m, label_of, _bar_families)]
-    types: dict = {}
-    for ty, s, t in typed + _det_arrows(l, m, label_of):
-        if (s, t) in Q.arrows:
-            types[(s, t)] = ty if types.get((s, t), ty) == ty else "bc"
-    missing = set(Q.arrows) - set(types)
-    if missing:
-        raise Inconsistent(f"untyped arrows: {sorted(missing)[:4]}")
-    return types
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,10 @@
 The cone is cut out by the submodule dimension vectors of the boundary
 and diagonal modules; its fibres under the weight grading are enumerated
 by a depth-first search over an integral parametrization of the fibre
-lattice, pruned by exact interval propagation.  The search runs on blocks
-of nodes: a node is its integer box, and one pass tightens every box of a
-block at once, bounding every facet over every box by one matrix product
-with the dense facet matrix.  The pass runs on float64 when a proven
-bound keeps every value an exact integer below 2^53, so the product is
-one BLAS call, and on Python integers otherwise.
+lattice, pruned by exact interval propagation on blocks of integer boxes:
+a pass bounds every facet over every box of a block by one matrix product,
+on float64 when a proven bound keeps every value an exact integer below
+2^53 (one BLAS call), and on Python integers otherwise.
 """
 
 from __future__ import annotations
@@ -94,9 +92,10 @@ class _Plan:
     by floor(facet_f / |c|) - u[other(t)], where other(t) = t +- d is the
     other half of coordinate j, so every bound reads one entry of the
     extended facet row [facet | facet[:, bf] // bc], which appends one
-    quotient per pair (facet, |c| > 1).  Column k of ``qruns`` lists the
-    entries that bound u[cols[k]], and ``other`` holds other(cols[k]).  S
-    and bc are built once per dtype (``matrix``).
+    quotient per pair (facet, |c| > 1).  Column t of ``qruns`` lists the
+    entries that bound u[t]: on a cone each u[t] has one (both certificates
+    of a coordinate need a term of each sign), and on a hand-built R one
+    without reads an extra column of S, u[t] + u[other(t)] with constant 0.
     """
 
     def __init__(self, R, d):
@@ -110,18 +109,22 @@ class _Plan:
                               dtype=np.intp)
         at = {f: k for k, f in enumerate(facets)}
         self._S = [[0] * len(facets) for _ in range(2 * d)]
+        runs = [[] for _ in range(2 * d)]
         for f, j, c in nz:
             self._S[j + d * (c > 0)][at[f]] = abs(c)
-        pairs = sorted({(at[f], abs(c)) for f, _, c in nz if abs(c) > 1})
+            runs[j + d * (c < 0)].append((at[f], abs(c)))
+        self.other = np.roll(np.arange(2 * d), d)
+        for t in [t for t in range(2 * d) if nz and not runs[t]]:
+            runs[t].append((len(self._S[t]), 1))
+            for s, row in enumerate(self._S):
+                row.append(int(s in (t, self.other[t])))
+        self.columns = len(self._S[0]) if d else len(facets)
+        pairs = sorted({p for run in runs for p in run if p[1] > 1})
         self.bf = np.array([k for k, _ in pairs], dtype=np.intp)
         self._bc = [a for _, a in pairs]
-        ext = {p: len(facets) + i for i, p in enumerate(pairs)}
-        target = [(j + d * (c < 0), ext.get((at[f], abs(c)), at[f]))
-                  for f, j, c in nz]
-        self.cols = np.array(sorted({t for t, _ in target}), dtype=np.intp)
-        self.other = np.where(self.cols < d, self.cols + d, self.cols - d)
-        runs = [[q for t, q in target if t == col] for col in self.cols]
-        # each target's run, padded by repeating its own members: a minimum
+        ext = {p: self.columns + i for i, p in enumerate(pairs)}
+        runs = [[ext.get(p, p[0]) for p in run] for run in runs]
+        # each u[t]'s run, padded by repeating its own members: a minimum
         # over the padded column equals the minimum over the run
         width = max(map(len, runs), default=0)
         self.qruns = np.array([[run[i % len(run)] for run in runs]
@@ -132,48 +135,53 @@ class _Plan:
         """(S, bc) as arrays of dtype, built on the first request for it."""
         import numpy as np
         if dtype not in self._dense:
-            S = np.array(self._S, dtype=dtype).reshape(len(self._S),
-                                                        len(self.facets))
-            self._dense[dtype] = S, np.array(self._bc, dtype=dtype)
+            self._dense[dtype] = (np.array(self._S, dtype=dtype),
+                                  np.array(self._bc, dtype=dtype))
         return self._dense[dtype]
 
 
-def _tighten_block(plan, rf, u):
-    """Tighten every node (row of u) to its own fixpoint; drop the empty ones.
+def _tighten_block(plan, rf, u, fid):
+    """Tighten every node (row of u, of fibre fid) to its own fixpoint;
+    return the nonempty ones and their fibre ids, leaving u as it was.
 
-    One pass computes the upper bound of every facet over each box as one
-    matrix product, facet = u S + rf (rf: the node's fibre's constants),
-    and lowers each u[t] to floor(facet_f / |c|) - u[other(t)] over the
-    terms (f, j, c) that bound it.  That is floor(rest / |c|) with rest
-    the facet's bound less the term's own, |c| u[other(t)]: the facet holds
-    only where c z_j >= -rest.  A node that a pass leaves unchanged leaves
-    the active set; one with lo > hi is dropped.  The rows of u are
-    overwritten in place, and the indices of the surviving rows are
-    returned in the order they reached their fixpoint.
+    A pass bounds every facet over each box by one matrix product,
+    facet = u S + rf (rf: the node's fibre's constants), and lowers each
+    u[t] to floor(facet_f / |c|) - u[other(t)] over its terms (f, j, c):
+    floor(rest / |c|), rest the facet's bound less the term's own
+    |c| u[other(t)], as the facet holds only where c z_j >= -rest.  A node
+    at its fixpoint stays in the pass, which leaves it unchanged, until a
+    node empties (lo > hi) or at most half moved; then the unmoved are set
+    aside (returned first) and the empty dropped, so no pass reads an
+    empty box.  Passes end when none moved.
     """
     import numpy as np
 
     if not plan.nnz:
-        return np.arange(len(u))
+        return u, fid
     d = u.shape[1] // 2
     S, bc = plan.matrix(u.dtype)
-    act, w = np.arange(len(u)), u
-    done = [act[:0]]
-    while len(act):
-        facet = w @ S
-        facet += rf
+    done = []
+    while len(u):
+        facet = u @ S + rf
         if len(bc):
             facet = np.concatenate((facet, facet[:, plan.bf] // bc), axis=1)
-        old = w[:, plan.cols]
-        new = np.minimum(old, facet[:, plan.qruns].min(axis=1)
-                         - w[:, plan.other])
-        moved = (new < old).any(axis=1)
-        u[act[~moved]] = w[~moved]
-        done.append(act[~moved])
-        w[:, plan.cols] = new
-        moved &= (w[:, :d] + w[:, d:] >= 0).all(axis=1)
-        act, w, rf = act[moved], w[moved], rf[moved]
-    return np.concatenate(done)
+        new = np.minimum(u, np.minimum.reduce(facet[:, plan.qruns], axis=1)
+                         - u[:, plan.other])
+        moved, u = (new < u).any(axis=1), new
+        if not (n := np.count_nonzero(moved)):
+            break
+        widths = u[:, :d] + u[:, d:]
+        if (full := widths.min() >= 0) and 2 * n > len(u):
+            continue
+        still = ~moved
+        done.append((u[still], fid[still]))
+        if not full:
+            moved &= (widths >= 0).all(axis=1)
+        u, fid, rf = u[moved], fid[moved], rf[moved]
+    if done:
+        us, fids = zip(*done, (u, fid))
+        u, fid = np.concatenate(us), np.concatenate(fids)
+    return u, fid
 
 
 def _block_count(plan, r0, lo, hi):
@@ -182,30 +190,27 @@ def _block_count(plan, r0, lo, hi):
     integers or on Python-int object arrays.
 
     Depth first over blocks of nodes.  A node is a box and the index of its
-    fibre, which it passes to its children; nodes of different fibres share
-    blocks, and each tightens against its own fibre's residuals.  A fibre
-    with a negative residual on a facet without nonzeros, or with
-    lo > hi, counts 0.  After tightening, a node with at most one
-    coordinate of positive width is exact: every facet holds at its fixed
-    coordinates and the one free interval is its 1-D fibre, so it adds
-    sum(widths) + 1 to its fibre's total.  Any other node branches on its
-    narrowest positive-width coordinate, lowest index first.  Nodes are
-    pushed in blocks of at most _BLOCK_ENTRIES // nnz rows, and a block
-    taken off the stack is topped up to that size from the blocks below
-    it.  Leaf counts pass through int64, so that none is a float, and add
-    into Python-int totals per fibre.
+    fibre, which its children inherit; nodes of different fibres share
+    blocks, each tightened against its own fibre's residuals.  A fibre with
+    a negative residual on a facet without nonzeros, or with lo > hi,
+    counts 0.  A tightened node with at most one open coordinate is exact
+    (every facet holds at its fixed coordinates, the free interval is its
+    1-D fibre) and adds its open width + 1 to its fibre's Python-int total.
+    Others branch on their narrowest open coordinate, lowest index first.
+    A block off the stack is topped up from those below to the row cap.
     """
     import numpy as np
 
     d = lo.shape[1]
-    rows = max(1, _BLOCK_ENTRIES // max(plan.nnz, 1))
-    rf_all = r0[:, plan.facets]
-    totals = np.zeros(len(r0), dtype=object)
+    rows = max(1, _BLOCK_ENTRIES // max(plan.nnz, 1))     # the row cap
+    rf_all = np.zeros((len(r0), plan.columns), dtype=r0.dtype)
+    rf_all[:, :len(plan.facets)] = r0[:, plan.facets]
+    totals = [0] * len(r0)
     stack = []
 
     def push(u, fid):
-        for s in range(0, len(u), rows):
-            stack.append((u[s:s + rows], fid[s:s + rows]))
+        stack.extend((u[s:s + rows], fid[s:s + rows])
+                     for s in range(0, len(u), rows))
 
     live = (lo <= hi).all(axis=1) & (r0[:, plan.empty] >= 0).all(axis=1)
     fid = np.flatnonzero(live)
@@ -219,28 +224,24 @@ def _block_count(plan, r0, lo, hi):
             fid = np.concatenate((fid, below_fid[:k]))
             if len(below) > k:
                 stack.append((below[k:], below_fid[k:]))
-        keep = _tighten_block(plan, rf_all[fid], u)
-        u, fid = u[keep], fid[keep]
+        u, fid = _tighten_block(plan, rf_all[fid], u, fid)
         widths = u[:, :d] + u[:, d:]
-        free = widths > 0
-        leaf = np.count_nonzero(free, axis=1) <= 1
-        found = widths[leaf].sum(axis=1) + 1
-        if found.dtype != object:
-            found = found.astype(np.int64)
-        np.add.at(totals, fid[leaf], found.astype(object))
-        u, fid, widths, free = u[~leaf], fid[~leaf], widths[~leaf], free[~leaf]
-        if not len(u):
+        # a leaf's widths sum to at most its narrowest positive one
+        key = np.where(widths, widths, np.inf)
+        size, narrow = widths.sum(axis=1), key.min(axis=1, initial=np.inf)
+        leaf = size <= narrow
+        for k, w in zip(fid[leaf].tolist(), size[leaf].tolist()):
+            totals[k] += int(w) + 1
+        if leaf.all():
             continue
-        j = np.argmin(np.where(free, widths, widths.max() + 1), axis=1)
-        n = (widths[np.arange(len(j)), j] + 1).astype(np.intp)
-        parent = np.repeat(np.arange(len(j)), n)
-        at = np.arange(len(parent))
-        jc = j[parent]
-        u = u[parent]
-        u[at, d + jc] = (at - np.repeat(np.cumsum(n) - n, n)) - u[at, jc]
-        u[at, jc] = -u[at, d + jc]
-        push(u, fid[parent])
-    return totals.tolist()
+        n = np.where(leaf, 0, narrow + 1).astype(np.intp)
+        u, fid, j = u.repeat(n, axis=0), fid.repeat(n), key.argmin(1).repeat(n)
+        at = np.arange(len(u))
+        # child k of its parent fixes z_j = lo_j + k
+        t = u[at, j] - (at - (n.cumsum() - n).repeat(n))
+        u[at, j], u[at, j + d] = t, -t
+        push(u, fid)
+    return totals
 
 
 def _size_reduce(rows):
@@ -420,13 +421,13 @@ def count_fibres(c: Cone, thetas) -> list[int]:
     max_res + d max_r max_b.  A quotient facet // |c|, less one entry of
     u, is then within B = max_res + (d + 1) max_r max_b, and so is every
     candidate bound.  A width is at least -2 B, also on a node that a pass
-    empties, and a block's summed widths and child counts stay within
-    2 _BLOCK_ENTRIES (max_b + 1).  When the sum of those two bounds is
-    below _EXACT_BOUND = 2^53, every one of these values is an integer
-    that float64 holds exactly.  A sum, product, FMA, minimum or
-    comparison of such integers, whose true result is such an integer,
-    returns that result, and so does floor division, which numpy derives
-    from the exact fmod: nothing is rounded.
+    empties.  A node's summed widths and its number of children are at
+    most 2 d max_b + 1 <= 2 B (max_r >= 1 when d > 0, as every coordinate
+    has a certificate), and a leaf's count leaves float64 as its one open
+    width.  So when 2 B < _EXACT_BOUND = 2^53 every value is an integer
+    that float64 holds exactly, and a sum, product, FMA, minimum or
+    comparison of such integers, or a floor division (numpy derives it
+    from the exact fmod), whose true result is one, returns it exactly.
     """
     thetas = [as_ints(theta, "theta") for theta in thetas]
     if any(len(theta) != 2 * c.l + c.m for theta in thetas):
@@ -445,8 +446,7 @@ def count_fibres(c: Cone, thetas) -> list[int]:
     max_b = max([abs(x) for box in lo + hi for x in box] + [1])
     max_res = max((abs(x) for res in r0 for x in res), default=0)
     bound = max_res + (geo.d + 1) * geo.max_r * max_b
-    safe = 2 * bound + 2 * _BLOCK_ENTRIES * (max_b + 1) < _EXACT_BOUND
-    dtype = np.float64 if safe else object
+    dtype = np.float64 if 2 * bound < _EXACT_BOUND else object
     found = _block_count(geo.plan, np.array(r0, dtype=dtype),
                          np.array(lo, dtype=dtype), np.array(hi, dtype=dtype))
     for k, count in zip(on, found):

@@ -123,6 +123,27 @@ def test_bar_interior_weight_fixture():
     assert s[hive_vertex(3, 1, 1, True)] == (-1, 0, -1, 0, 2, 0, 2, 1, 1)
 
 
+def bar_arrow_types(l, m):
+    """Type map of the twisted quiver's arrows: 'a', 'b', 'c', or 'bc'.
+
+    Read off the hive walk by family index: east arrows are 'a'; in even
+    diamonds the template's southwest family is 'b', in odd diamonds the
+    roles of 'b' and 'c' swap.  Arrows along the self-glued edge serve as
+    both 'b' and 'c'.
+    """
+    from hivekron.diamonds import (_bar_families, _det_arrows, _hive_steps,
+                                   bar_label)
+    Q, _ = build_bar(l, m)
+    label_of = bar_label(l, m)
+    typed = [(("acb" if n % 2 else "abc")[k], src, tgt)
+             for n, k, src, tgt in _hive_steps(l, m, label_of, _bar_families)]
+    types = {}
+    for ty, s, t in typed + _det_arrows(l, m, label_of):
+        if (s, t) in Q.arrows:
+            types[(s, t)] = ty if types.get((s, t), ty) == ty else "bc"
+    return types
+
+
 @pytest.mark.parametrize("l,m", SIZES)
 def test_bar_abc_typing(l, m):
     """Every 3-cycle of the twisted quiver carries one arrow of each type.
@@ -131,7 +152,6 @@ def test_bar_abc_typing(l, m):
     between even and odd diamonds; arrows on the self-glued edge count as
     either 'b' or 'c' per cycle.
     """
-    from hivekron.diamonds import bar_arrow_types
     Q, _ = build_bar(l, m)
     types = bar_arrow_types(l, m)
     assert set(types) == set(Q.arrows)

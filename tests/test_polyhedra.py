@@ -328,9 +328,9 @@ def test_python_fallback_matches_numpy(small_builds, monkeypatch):
     dtypes = set()
     real = P._tighten_block
 
-    def spy(plan, rf, u):
+    def spy(plan, rf, u, fid):
         dtypes.add(u.dtype.name)
-        return real(plan, rf, u)
+        return real(plan, rf, u, fid)
     monkeypatch.setattr(P, "_tighten_block", spy)
     fast = [count_lattice_points(c, th) for c, th in fibres]
     assert dtypes == {"float64"}
@@ -348,10 +348,10 @@ def _spy_nodes(P, monkeypatch):
     rows = []
     real = P._tighten_block
 
-    def spy(plan, rf, u):
+    def spy(plan, rf, u, fid):
         rows.append(len(u))
         assert len(u) * plan.nnz <= P._BLOCK_ENTRIES
-        return real(plan, rf, u)
+        return real(plan, rf, u, fid)
     monkeypatch.setattr(P, "_tighten_block", spy)
     return rows
 
@@ -445,18 +445,22 @@ def test_huge_fibre_counts_on_python_integers():
 
 def test_float_path_ends_at_the_exact_bound(monkeypatch):
     # t = 2^53 + 1 is no float64, so a float pass would miscount its
-    # 2^53 + 2 points; the guard sends it to Python integers, and also
-    # t = 2^40, which the old int64 guard of 2^63 kept on the fast path
+    # 2^53 + 2 points; the guard sends it to Python integers.  On the line
+    # (d = max_r = 1, max_b = max_res = t) it bounds every float value by
+    # 2 (max_res + (d + 1) max_r max_b) = 6 t, so float64 runs up to
+    # t = 2^53 // 6 and no further
     import hivekron.polyhedra as P
     dtypes = []
     real = P._tighten_block
 
-    def spy(plan, rf, u):
+    def spy(plan, rf, u, fid):
         dtypes.append(u.dtype.name)
-        return real(plan, rf, u)
+        return real(plan, rf, u, fid)
     monkeypatch.setattr(P, "_tighten_block", spy)
     line = line_cone()
-    for t, dtype in ((2 ** 30, "float64"), (2 ** 40, "object"),
+    edge = 2 ** 53 // 6
+    for t, dtype in ((2 ** 30, "float64"), (2 ** 40, "float64"),
+                     (edge, "float64"), (edge + 1, "object"),
                      (2 ** 53 + 1, "object")):
         dtypes.clear()
         count = count_lattice_points(line, (t, 0, 0, 0, 0, 0))
@@ -489,9 +493,9 @@ def test_batch_equals_its_fibres_one_at_a_time(small_builds, monkeypatch,
     blocks = []
     real = P._tighten_block
 
-    def spy(plan, rf, u):
+    def spy(plan, rf, u, fid):
         blocks.append((u.dtype.name, len({tuple(r) for r in rf.tolist()})))
-        return real(plan, rf, u)
+        return real(plan, rf, u, fid)
     monkeypatch.setattr(P, "_tighten_block", spy)
     found = [count_fibres(c, thetas) for c, thetas in batches]
     last, mixed = blocks[-1], sum(1 for _, fibres in blocks if fibres > 1)
@@ -768,7 +772,9 @@ def test_block_count_equals_brute_force():
     # R z + res >= 0, as a certificate box does: the facets include the
     # box's own, and every other trial passes the tighter bounding box of
     # the points instead; the box also goes in once more, cut along its
-    # first coordinate into one fibre per value with the same residuals
+    # first coordinate into one fibre per value with the same residuals;
+    # every third trial leaves the box's own facets off its last
+    # coordinate, so some of its bounds have no facet term
     import numpy as np
     rng = random.Random(200)
     counts = []
@@ -778,7 +784,7 @@ def test_block_count_equals_brute_force():
         hi = [rng.randint(a - 1, 4) for a in lo]
         R = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(F)]
         res = [rng.randint(-1, 4) for _ in range(F)]
-        for j in range(d):
+        for j in range(d - (trial % 3 == 0)):
             unit = [int(k == j) for k in range(d)]
             R += [unit, [-x for x in unit]]
             res += [-lo[j], hi[j]]
@@ -812,6 +818,10 @@ def test_block_count_edge_cases(dtype):
     assert block_count([[], []], [0, 2], [([], [])], 0, dtype) == 1
     assert block_count([[], []], [0, -2], [([], [])], 0, dtype) == 0
     assert block_count([], [], [([], [])], 0, dtype) == 1
+    # a coordinate's bound that no facet term lowers stays the box's
+    assert block_count([[1, 0]], [0], [([-1, 0], [2, 3])], 2, dtype) == 12
+    assert block_count([[-1, 0], [0, 2]], [1, -1], [([-1, 0], [2, 3])], 2,
+                       dtype) == 9
     # a box with lo > hi is empty, with facets or without
     assert block_count(d2, [0, 0, 3], [([0, 2], [3, 1])], 2, dtype) == 0
     assert block_count([], [], [([2], [1])], 1, dtype) == 0
@@ -820,7 +830,7 @@ def test_block_count_edge_cases(dtype):
 
 def reference_tightening(R, res, lo, hi):
     """One box tightened to its fixpoint on Python integers, term by term
-    of R: (lo, hi, passes), or None once a pass leaves lo > hi."""
+    of R: ((lo, hi), passes), or (None, passes) once a pass leaves lo > hi."""
     passes = 0
     while True:
         passes += 1
@@ -835,17 +845,20 @@ def reference_tightening(R, res, lo, hi):
                 elif c < 0:
                     new_hi[j] = min(new_hi[j], (top - terms[j]) // -c)
         if (new_lo, new_hi) == (lo, hi):
-            return lo, hi, passes
+            return (lo, hi), passes
         lo, hi = new_lo, new_hi
         if any(a > b for a, b in zip(lo, hi)):
-            return None
+            return None, passes
 
 
 @pytest.mark.parametrize("dtype", ["float64", "object"])
 @pytest.mark.parametrize("lm", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4)])
 def test_tighten_block_matches_python_reference(small_builds, lm, dtype):
-    # random sub-boxes of real fibres' certificate boxes, one block; the
-    # survivors come back in the order of their pass count, then of row
+    # one block of real fibres' certificate boxes: random sub-boxes, each
+    # fibre's fixpoint, which comes back unchanged, and children (one
+    # coordinate fixed), some of which empty only on a later pass; every
+    # survivor comes back with its row's id as its fibre id, so rows are
+    # compared one by one whatever order the pass returns them in
     import numpy as np
     import hivekron.polyhedra as P
     geo = build_cone(*lm).geometry
@@ -856,23 +869,33 @@ def test_tighten_block_matches_python_reference(small_builds, lm, dtype):
         if any(a > b for a, b in zip(lo, hi)):
             continue
         r0 = [sum(x * y for x, y in zip(row, w)) for row in geo.FU]
-        for k in range(8):
-            a = [rng.randint(x, y) for x, y in zip(lo, hi)] if k else lo
-            b = [rng.randint(x, y) for x, y in zip(a, hi)] if k else hi
-            boxes.append((a, b))
-            res.append(r0)
+        fixpoint = reference_tightening(geo.R, r0, lo, hi)[0]
+        mine = [(lo, hi)] + ([fixpoint] if fixpoint else [])
+        for _ in range(7):
+            a = [rng.randint(x, y) for x, y in zip(lo, hi)]
+            mine.append((a, [rng.randint(x, y) for x, y in zip(a, hi)]))
+        for _ in range(5):
+            j = rng.randrange(len(lo))
+            v = [rng.randint(lo[j], hi[j])]
+            mine.append((lo[:j] + v + lo[j + 1:], hi[:j] + v + hi[j + 1:]))
+        boxes += mine
+        res += [r0] * len(mine)
     u = np.array([[-x for x in a] + b for a, b in boxes], dtype=dtype)
+    given = u.copy()
     rf = np.array(res, dtype=dtype)[:, geo.plan.facets]
-    keep = P._tighten_block(geo.plan, rf, u).tolist()
+    out, fid = P._tighten_block(geo.plan, rf, u, np.arange(len(boxes)))
     ref = [reference_tightening(geo.R, r, *box) for r, box in zip(res, boxes)]
-    assert keep == sorted((k for k, t in enumerate(ref) if t),
-                          key=lambda k: (ref[k][2], k))
-    for k in keep:
-        assert u[k].tolist() == [-x for x in ref[k][0]] + ref[k][1]
-    passes = [t[2] for t in ref if t]
-    assert len(boxes) >= 40 and len(keep) < len(boxes)
-    assert max(passes) >= 3 and (geo.max_r > 1) == (lm in {(2, 2), (2, 3),
-                                                            (3, 4)})
+    assert (u == given).all()
+    assert sorted(fid.tolist()) == [k for k, (box, _) in enumerate(ref) if box]
+    for k, row in zip(fid.tolist(), out.tolist()):
+        lo, hi = ref[k][0]
+        assert row == [-x for x in lo] + hi
+    at_fixpoint = [k for k, (box, _) in enumerate(ref) if box == boxes[k]]
+    emptied = [passes for box, passes in ref if box is None]
+    assert len(boxes) >= 40 and len(at_fixpoint) >= 5
+    assert max(emptied) >= (1 if lm == (2, 2) else 2)
+    assert max(passes for box, passes in ref if box) >= 3
+    assert (geo.max_r > 1) == (lm in {(2, 2), (2, 3), (3, 4)})
 
 
 def test_one_column_reduction_per_cone(monkeypatch, fresh_geometry):
