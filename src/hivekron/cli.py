@@ -28,9 +28,10 @@ EXIT_UNBOUNDED = 3
 
 
 def _parse_ints(text: str, convert=tuple):
-    """Comma-separated integers passed to convert; OutOfRange if bad."""
+    """Comma-separated integers passed to convert, a blank string none;
+    OutOfRange if a field is empty or not an integer."""
     try:
-        ints = [int(x) for x in text.split(",") if x.strip() != ""]
+        ints = [int(x) for x in text.split(",")] if text.strip() else []
     except ValueError as exc:
         raise OutOfRange(f"bad integer list {text!r}: {exc}") from None
     return convert(ints)
@@ -94,7 +95,7 @@ def cmd_coeff(args) -> int:
     mu = _parse_partition(args.mu)
     nu = _parse_partition(args.nu)
     lam = _parse_partition(args.lam)
-    res = kronecker(mu, nu, lam, l=args.l, m=args.m, workers=args.workers)
+    res = kronecker(mu, nu, lam, l=args.l, m=args.m)
     if args.json:
         doc = {
             "value": res.value,
@@ -188,9 +189,6 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--lam", required=True)
     q.add_argument("--l", type=int, default=None)
     q.add_argument("--m", type=int, default=None)
-    q.add_argument("--workers", type=int, default=1,
-                   help="fork one pool of up to this many processes per call "
-                        "and count that call's fibres over it")
     q.add_argument("--verify", action="store_true",
                    help="cross-check against the character oracle")
     q.add_argument("--json", action="store_true")

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .errors import (OutOfRange, SizeTooLargeForOracle, as_ints,
                      as_worker_count)
-from .polyhedra import build_cone, count_fibres, count_lattice_points
+from .polyhedra import build_cone, count_fibres
 
 # cold at n = 24 the character sum takes at most 0.7 s on a 2-core host
 # (worst measured: (12,1^12),(8,8,8),(7,6,5,4,2)); it grows with p(n)
@@ -95,14 +95,6 @@ class KroneckerResult:
     breakdown: tuple      # ((omega, sorted lam_shift, sign, count), ...)
 
 
-def _count_fibre(l, m, theta) -> int:
-    # the pool's target: a pool pickles it by name and a task as ints; it
-    # looks up build_cone and count_lattice_points at call time, so a
-    # wrapper put there still runs, and in a forked child build_cone
-    # returns the parent's cone with the geometry built before the fork
-    return count_lattice_points(build_cone(l, m), theta)
-
-
 def _plan(cone, triple):
     """(orientation, sigma, shifts, alphas) of the order (a, b, c) of triple
     to count on cone: sigma(a, b), the shifts of c with each alpha sorted
@@ -135,13 +127,14 @@ def kronecker(mu, nu, lam, l: int = None, m: int = None,
     the input's own: c is the lexicographically largest partition that
     fits, and a the larger of the other two.  The breakdown has one term
     per shift of c, with its alpha sorted, and each distinct sorted alpha
-    is counted once.  With one worker the distinct fibres are counted
-    together, in one block DFS whose blocks mix their nodes; with
-    workers > 1 each is counted on its own, in one fork pool of at most
-    that many processes.
+    is counted once: all of them together, in one block DFS whose blocks
+    mix their nodes.
+
+    workers must be an int >= 1 (else OutOfRange) and has no other effect:
+    every call counts in one process.
     """
     mu, nu, lam = partition(mu), partition(nu), partition(lam)
-    workers = as_worker_count(workers)
+    as_worker_count(workers)
     n = sum(mu)
     if sum(nu) != n or sum(lam) != n:
         raise OutOfRange(
@@ -153,17 +146,7 @@ def kronecker(mu, nu, lam, l: int = None, m: int = None,
     cone = build_cone(l, m)
     orientation, sigma, shifts, alphas = _plan(cone, (mu, nu, lam))
     thetas = [sigma + alpha for alpha in alphas]
-    if workers == 1 or len(thetas) == 1:
-        counts = count_fibres(cone, thetas)
-    else:
-        import multiprocessing as mp
-        cone.geometry  # built here once, so the forked children share it
-        ctx = mp.get_context("fork")
-        with ctx.Pool(processes=min(workers, len(thetas))) as pool:
-            counts = pool.starmap(_count_fibre,
-                                  [(l, m, theta) for theta in thetas],
-                                  chunksize=1)
-    count_of = dict(zip(alphas, counts))
+    count_of = dict(zip(alphas, count_fibres(cone, thetas)))
     breakdown = tuple(shift + (count_of[shift[1]],) for shift in shifts)
     total = sum(sign * cnt for _, _, sign, cnt in breakdown)
     return KroneckerResult(total, l, m, orientation, breakdown)

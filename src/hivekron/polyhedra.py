@@ -327,8 +327,9 @@ class _FibreGeometry:
     nonzeros, with max|R| for the magnitude guard.  Dual certificates,
     integer rows Y with one denominator D each, bound every reduced
     coordinate by y . r0; each is premultiplied by FU once, so ``box``
-    turns theta into its certificate box by floor divisions of dot
-    products of length rank, and no rational arithmetic runs per fibre.
+    turns theta into r0 and into its certificate box by floor divisions
+    of dot products of length rank, and no rational arithmetic runs per
+    fibre.
     """
 
     def __init__(self, c: Cone):
@@ -388,7 +389,8 @@ class _FibreGeometry:
         return ups, dns
 
     def box(self, theta):
-        """(w, lo, hi) of the fibre at theta, or None when the grading
+        """(r0, lo, hi) of the fibre at theta: its facet residuals
+        r0 = FU . w and its certificate box, or None when the grading
         misses theta (checked before any bound, so also on an unbounded
         cone).  A bound is (K . w) // D with K = Y . FU, which equals
         (Y . r0) // D because Y . (FU . w) = (Y . FU) . w in integers."""
@@ -402,7 +404,7 @@ class _FibreGeometry:
                     f"the grading fibres are unbounded in direction {j}")
             hi.append(sum(map(mul, up[0], w)) // up[1])
             lo.append(-(sum(map(mul, dn[0], w)) // dn[1]))
-        return w, lo, hi
+        return [sum(map(mul, row, w)) for row in self.FU], lo, hi
 
 
 def count_fibres(c: Cone, thetas) -> list[int]:
@@ -441,8 +443,7 @@ def count_fibres(c: Cone, thetas) -> list[int]:
     import numpy as np
 
     on, boxes = zip(*fibres)
-    ws, lo, hi = zip(*boxes)
-    r0 = [[sum(map(mul, row, w)) for row in geo.FU] for w in ws]
+    r0, lo, hi = zip(*boxes)
     max_b = max([abs(x) for box in lo + hi for x in box] + [1])
     max_res = max((abs(x) for res in r0 for x in res), default=0)
     bound = max_res + (geo.d + 1) * geo.max_r * max_b

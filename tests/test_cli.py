@@ -200,18 +200,13 @@ def test_validate_bad_size(capsys):
     assert code == 1
 
 
-def test_coeff_zero_workers_usage_error(capsys):
-    code, out, err = run(capsys, "coeff", "--mu", "2,1", "--nu", "2,1",
-                         "--lam", "2,1", "--workers", "0")
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
-
-
 def test_count_bad_theta_literal(capsys):
-    code, out, err = run(capsys, "count", "--l", "2", "--m", "2",
-                         "--theta", "1,x,0,0,0,0")
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    # an empty field is an error, not a dropped coordinate
+    for theta in ("1,x,0,0,0,0", "0,0,,0,0,0,0"):
+        code, out, err = run(capsys, "count", "--l", "2", "--m", "2",
+                             "--theta", theta)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 def assert_one_error_line(code, out, err):
@@ -220,8 +215,14 @@ def assert_one_error_line(code, out, err):
 
 
 def test_coeff_bad_partition_literal(capsys):
-    assert_one_error_line(*run(capsys, "coeff", "--mu", "2,x", "--nu", "2,1",
-                               "--lam", "2,1"))
+    for mu in ("2,x", "2,,1"):
+        assert_one_error_line(*run(capsys, "coeff", "--mu", mu, "--nu", "2,1",
+                                   "--lam", "2,1"))
+
+
+def test_coeff_blank_partitions_are_empty(capsys):
+    code, out, _ = run(capsys, "coeff", "--mu", "", "--nu", "", "--lam", "")
+    assert code == 0 and out.strip() == "1"
 
 
 def test_coeff_increasing_partition(capsys):
@@ -243,6 +244,7 @@ def test_build_quiver_out_under_a_file(capsys, tmp_path):
     ["cone", "--l", "2", "--m", "2", "--cache-dir", "d"],
     ["count", "--l", "2", "--m", "2", "--theta", "0,0,0,0,0,0",
      "--workers", "2"],
+    ["coeff", "--mu", "2,1", "--nu", "2,1", "--lam", "2,1", "--workers", "2"],
 ])
 def test_bad_command_line_is_a_usage_error(capsys, argv):
     # exit 2 belongs to failed verification, so argparse's own 2 is replaced

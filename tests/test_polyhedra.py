@@ -150,24 +150,6 @@ def test_dfs_equals_brute_force_22(small_builds):
         assert count_lattice_points(c, theta) == brute_force_count(c, theta)
 
 
-def _same_on_two_workers(mu, nu, lam, l, m):
-    # a fork pool over the fibres gives the breakdown of the plain loop
-    from hivekron.kron import kronecker
-    one = kronecker(mu, nu, lam, l=l, m=m, workers=1)
-    two = kronecker(mu, nu, lam, l=l, m=m, workers=2)
-    assert len(one.breakdown) > 1
-    assert two.breakdown == one.breakdown and two.value == one.value
-
-
-def test_worker_count_invariance(small_builds):
-    _same_on_two_workers((2, 1), (2, 1), (2, 1), 2, 2)
-
-
-def test_worker_count_invariance_33(small_builds):
-    for lam in ((3, 2, 1), (4, 2, 2)):
-        _same_on_two_workers(lam, lam, lam, 3, 3)
-
-
 def test_zero_workers_rejected(small_builds):
     from hivekron.errors import OutOfRange
     from hivekron.kron import kronecker
@@ -207,17 +189,23 @@ def _wrap_count(monkeypatch, name):
     return K, calls
 
 
-def test_pool_target_survives_a_wrapped_count(small_builds, monkeypatch):
-    # a pool cannot pickle the tracer's closure; one worker counts all the
-    # distinct fibres in one batch
+@pytest.mark.parametrize("workers", [1, 2, 10 ** 6])
+def test_any_worker_count_counts_in_one_batch(small_builds, monkeypatch,
+                                              workers):
+    # a valid worker count changes nothing: each call makes one batch, of
+    # its distinct sorted alphas, through the name a tracer wraps
     K, batches = _wrap_count(monkeypatch, "count_fibres")
-    _wrap_count(monkeypatch, "count_lattice_points")
-    one = K.kronecker((4, 2, 2), (4, 2, 2), (4, 2, 2), l=3, m=3, workers=1)
-    [thetas] = batches
-    assert len(thetas) == len(set(thetas)) == _distinct_fibres(one)
-    two = K.kronecker((4, 2, 2), (4, 2, 2), (4, 2, 2), l=3, m=3, workers=2)
-    assert two.value == one.value == 6
-    assert two.breakdown == one.breakdown
+    lam = (4, 2, 2)
+    one = K.kronecker(lam, lam, lam, l=3, m=3, workers=1)
+    res = K.kronecker(lam, lam, lam, l=3, m=3, workers=workers)
+    [first, thetas] = batches
+    alphas = [theta[6:] for theta in thetas]    # theta = sigma (2l) + alpha
+    assert thetas == first and alphas == sorted(set(alphas))
+    assert all(list(alpha) == sorted(alpha) for alpha in alphas)
+    assert len(alphas) == _distinct_fibres(res)
+    assert (res.value, res.orientation, res.breakdown) == \
+        (one.value, one.orientation, one.breakdown)
+    assert res.value == 6
 
 
 def test_each_distinct_fibre_counted_once(small_builds, monkeypatch):
@@ -231,53 +219,6 @@ def test_each_distinct_fibre_counted_once(small_builds, monkeypatch):
     assert len(thetas) == len(set(thetas)) == _distinct_fibres(one) == 5
     two = K.kronecker(lam, lam, lam, l=3, m=3, workers=2)
     assert two.breakdown == one.breakdown and two.value == one.value == 2
-
-
-class _FakeContext:
-    """Stands in for a multiprocessing context: records the pool sizes
-    asked for and the tasks, and maps in this process."""
-
-    def __init__(self):
-        self.processes = []
-        self.tasks = []
-
-    def Pool(self, processes):
-        self.processes.append(processes)
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def starmap(self, fn, args, chunksize=None):
-        self.tasks += args
-        return [fn(*a) for a in args]
-
-
-def test_pool_size_bounded_by_fibres(small_builds, monkeypatch):
-    import multiprocessing
-    from hivekron.kron import kronecker
-    fake = _FakeContext()
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: fake)
-    # lambda = (3) at m = 2 has one fibre: no pool at all
-    assert len(kronecker((2, 1), (2, 1), (3,), m=2, workers=2).breakdown) == 1
-    assert fake.processes == []
-    res = kronecker((4, 2, 2), (4, 2, 2), (4, 2, 2), l=3, m=3,
-                    workers=10 ** 6)
-    assert fake.processes == [_distinct_fibres(res)] and res.value == 6
-    # six shifts, five distinct fibres, so five processes
-    res = kronecker((4, 4, 4), (4, 4, 4), (4, 4, 4), l=3, m=3,
-                    workers=10 ** 6)
-    assert fake.processes[1:] == [5] and len(res.breakdown) == 6
-    res = kronecker((4, 4, 4), (4, 4, 4), (4, 4, 4), l=3, m=3, workers=2)
-    assert fake.processes[2:] == [2]
-    # a task is (l, m, theta) in ints: no Cone is pickled per fibre
-    assert len(fake.tasks) == fake.processes[0] + 2 * 5
-    for l, m, theta in fake.tasks:
-        assert (l, m) == (3, 3) and len(theta) == 9
-        assert all(type(x) is int for x in (l, m) + theta)
 
 
 def test_facet_essentiality_22(small_builds):
@@ -613,25 +554,6 @@ def fresh_geometry():
     P.build_cone.cache_clear()
 
 
-def test_cold_pool_builds_geometry_once_in_parent(fresh_geometry, monkeypatch,
-                                                  tmp_path):
-    # the forked children inherit the parent's geometry, not build their own
-    import os
-    from hivekron.kron import kronecker
-    P = fresh_geometry
-    log = tmp_path / "pids"
-    real = P._FibreGeometry.__init__
-
-    def spy(self, cone):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        real(self, cone)
-    monkeypatch.setattr(P._FibreGeometry, "__init__", spy)
-    res = kronecker((4, 2, 2), (4, 2, 2), (4, 2, 2), l=3, m=3, workers=2)
-    assert res.value == 6 and len(res.breakdown) > 1
-    assert log.read_text().split() == [str(os.getpid())]
-
-
 def counting_solve_lp(monkeypatch):
     import hivekron.polyhedra as P
     calls = []
@@ -719,9 +641,7 @@ def test_integer_fibre_map_matches_fraction_reference():
             if ref is None:
                 assert theta in uniform and fibre is None
                 continue
-            w, lo, hi = fibre
-            r0 = [sum(x * y for x, y in zip(row, w)) for row in geo.FU]
-            assert (r0, lo, hi) == ref
+            assert fibre == ref
 
 
 def fibres_23_33():
@@ -865,10 +785,9 @@ def test_tighten_block_matches_python_reference(small_builds, lm, dtype):
     rng = random.Random(31 * lm[0] + lm[1])
     boxes, res = [], []
     for theta in real_fibres(*lm, 10, 7):
-        w, lo, hi = geo.box(theta)
+        r0, lo, hi = geo.box(theta)
         if any(a > b for a, b in zip(lo, hi)):
             continue
-        r0 = [sum(x * y for x, y in zip(row, w)) for row in geo.FU]
         fixpoint = reference_tightening(geo.R, r0, lo, hi)[0]
         mine = [(lo, hi)] + ([fixpoint] if fixpoint else [])
         for _ in range(7):
