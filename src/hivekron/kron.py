@@ -34,12 +34,6 @@ def partition(parts) -> tuple:
     return p
 
 
-def transpose(p: tuple) -> tuple:
-    if not p:
-        return ()
-    return tuple(sum(1 for x in p if x > j) for j in range(p[0]))
-
-
 def partitions_of(n: int, max_len: int = None):
     """All partitions of n (optionally of bounded length), lexicographic."""
     def gen(rest, most, length):
@@ -61,14 +55,18 @@ def sigma_of(mu, nu, l: int) -> tuple:
         raise OutOfRange(f"|mu|={sum(mu)} differs from |nu|={sum(nu)}")
     if len(mu) > l or len(nu) > l:
         raise OutOfRange(f"partition length exceeds l={l}")
-    mu_t, nu_t = transpose(mu), transpose(nu)
-    neg = [0] * l
-    pos = [0] * l
-    for part in mu_t:
-        neg[part - 1] -= 1
-    for part in nu_t:
-        pos[part - 1] += 1
-    return tuple(neg + pos)
+    return _sigma(mu, nu, l)
+
+
+def _sigma(mu, nu, l: int) -> tuple:
+    """sigma_of for normalized partitions of one size and at most l parts.
+
+    sigma(-k) is minus the number of columns of mu of length k, which is
+    mu_k - mu_{k+1}, and sigma(k) is nu_k - nu_{k+1}: O(l), whatever n."""
+    def steps(p):
+        p += (0,) * (l + 1 - len(p))
+        return [a - b for a, b in zip(p, p[1:])]
+    return tuple([-x for x in steps(mu)] + steps(nu))
 
 
 def lambda_shifts(lam, m: int):
@@ -76,7 +74,12 @@ def lambda_shifts(lam, m: int):
     lam = partition(lam)
     if len(lam) > m:
         raise OutOfRange(f"lambda has more than m={m} parts")
-    padded = list(lam) + [0] * (m - len(lam))
+    return _shifts(lam, m)
+
+
+def _shifts(lam, m: int):
+    """lambda_shifts for a normalized partition of at most m parts."""
+    padded = lam + (0,) * (m - len(lam))
     out = []
     for omega in itertools.permutations(range(1, m + 1)):
         shifted = tuple(padded[i - 1] - i + omega[i - 1] for i in range(1, m + 1))
@@ -96,11 +99,12 @@ class KroneckerResult:
 
 
 def _plan(cone, triple):
-    """(orientation, sigma, shifts, alphas) of the order (a, b, c) of triple
-    to count on cone: sigma(a, b), the shifts of c with each alpha sorted
-    ascending, and the distinct sorted alphas.  The fibre at
-    sigma(a, b) + alpha counts the weight multiplicity <s_a * s_b, h_alpha>,
-    which depends only on the sorted alpha.
+    """(orientation, sigma, shifts, alphas) of the order (a, b, c) of the
+    normalized triple, of one size, to count on cone: sigma(a, b), the
+    shifts of c with each alpha sorted ascending, and the distinct sorted
+    alphas.  The fibre at sigma(a, b) + alpha counts the weight
+    multiplicity <s_a * s_b, h_alpha>, which depends only on the sorted
+    alpha.
 
     Of the orders with a, b of at most l parts and c of at most m, the one
     taken is the largest under the key (c, a): c is the lexicographically
@@ -113,9 +117,9 @@ def _plan(cone, triple):
                          f"m={cone.m}")
     a, b, c = max(fitting, key=lambda order: (order[2], order[0]))
     shifts = [(omega, tuple(sorted(alpha)), sign)
-              for omega, alpha, sign in lambda_shifts(c, cone.m)]
+              for omega, alpha, sign in _shifts(c, cone.m)]
     alphas = sorted({alpha for _, alpha, _ in shifts})
-    return (a, b, c), sigma_of(a, b, cone.l), shifts, alphas
+    return (a, b, c), _sigma(a, b, cone.l), shifts, alphas
 
 
 def kronecker(mu, nu, lam, l: int = None, m: int = None,

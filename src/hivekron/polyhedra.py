@@ -3,10 +3,13 @@
 The cone is cut out by the submodule dimension vectors of the boundary
 and diagonal modules; its fibres under the weight grading are enumerated
 by a depth-first search over an integral parametrization of the fibre
-lattice, pruned by exact interval propagation on blocks of integer boxes:
-a pass bounds every facet over every box of a block by one matrix product,
-on float64 when a proven bound keeps every value an exact integer below
-2^53 (one BLAS call), and on Python integers otherwise.
+lattice, pruned by exact interval propagation on blocks of integer boxes.
+A batch of target weights reaches its facet constants and root boxes by
+one integer product with a per-cone matrix, on int64 when a proven bound
+keeps every partial sum below 2^63 and on Python integers otherwise.  A
+pass then bounds every facet over every box of a block by one matrix
+product, on float64 when a proven bound keeps every value an exact
+integer below 2^53 (one BLAS call), and on Python integers otherwise.
 """
 
 from __future__ import annotations
@@ -77,6 +80,9 @@ def build_cone(l: int, m: int) -> Cone:
 # every integer of smaller magnitude is a float64, so the block DFS runs on
 # float64 when count_fibres proves that its values stay below this
 _EXACT_BOUND = 2 ** 53
+# every integer of smaller magnitude is an int64, so a fibre map product
+# runs on int64 when _FibreGeometry.fibres proves that it stays below this
+_INT64_BOUND = 2 ** 63
 # cap on rows x nonzeros of R in one block of nodes, so memory stays flat
 _BLOCK_ENTRIES = 2 ** 15
 
@@ -184,37 +190,35 @@ def _tighten_block(plan, rf, u, fid):
     return u, fid
 
 
-def _block_count(plan, r0, lo, hi):
-    """Exact counts of the integer points z with R z + r0[k] >= 0 in the
-    box (lo[k], hi[k]), one fibre k per row, on float64 arrays of exact
-    integers or on Python-int object arrays.
+def _block_count(plan, rf, u):
+    """Exact counts of the integer points z with R z + rf[k] >= 0 in the
+    box u[k] = [-lo | hi], one fibre k per row, on float64 arrays of exact
+    integers or on Python-int object arrays; rf holds the constants of
+    the plan's columns, so the facets without nonzeros are the caller's.
 
     Depth first over blocks of nodes.  A node is a box and the index of its
     fibre, which its children inherit; nodes of different fibres share
-    blocks, each tightened against its own fibre's residuals.  A fibre with
-    a negative residual on a facet without nonzeros, or with lo > hi,
-    counts 0.  A tightened node with at most one open coordinate is exact
-    (every facet holds at its fixed coordinates, the free interval is its
-    1-D fibre) and adds its open width + 1 to its fibre's Python-int total.
-    Others branch on their narrowest open coordinate, lowest index first.
-    A block off the stack is topped up from those below to the row cap.
+    blocks, each tightened against its own fibre's constants.  A fibre
+    with lo > hi counts 0.  A tightened node with at most one open
+    coordinate is exact (every facet holds at its fixed coordinates, the
+    free interval is its 1-D fibre) and adds its open width + 1 to its
+    fibre's Python-int total.  Others branch on their narrowest open
+    coordinate, lowest index first.  A block off the stack is topped up
+    from those below to the row cap.
     """
     import numpy as np
 
-    d = lo.shape[1]
+    d = u.shape[1] // 2
     rows = max(1, _BLOCK_ENTRIES // max(plan.nnz, 1))     # the row cap
-    rf_all = np.zeros((len(r0), plan.columns), dtype=r0.dtype)
-    rf_all[:, :len(plan.facets)] = r0[:, plan.facets]
-    totals = [0] * len(r0)
+    totals = [0] * len(u)
     stack = []
 
     def push(u, fid):
         stack.extend((u[s:s + rows], fid[s:s + rows])
                      for s in range(0, len(u), rows))
 
-    live = (lo <= hi).all(axis=1) & (r0[:, plan.empty] >= 0).all(axis=1)
-    fid = np.flatnonzero(live)
-    push(np.concatenate((-lo, hi), axis=1)[fid], fid)
+    fid = np.flatnonzero((u[:, :d] + u[:, d:] >= 0).all(axis=1))
+    push(u[fid], fid)
     while stack:
         u, fid = stack.pop()
         while stack and len(u) < rows:
@@ -224,7 +228,7 @@ def _block_count(plan, r0, lo, hi):
             fid = np.concatenate((fid, below_fid[:k]))
             if len(below) > k:
                 stack.append((below[k:], below_fid[k:]))
-        u, fid = _tighten_block(plan, rf_all[fid], u, fid)
+        u, fid = _tighten_block(plan, rf[fid], u, fid)
         widths = u[:, :d] + u[:, d:]
         # a leaf's widths sum to at most its narrowest positive one
         key = np.where(widths, widths, np.inf)
@@ -326,19 +330,23 @@ class _FibreGeometry:
     exact certificate checks and once as the block DFS's plan of its
     nonzeros, with max|R| for the magnitude guard.  Dual certificates,
     integer rows Y with one denominator D each, bound every reduced
-    coordinate by y . r0; each is premultiplied by FU once, so ``box``
-    turns theta into r0 and into its certificate box by floor divisions
-    of dot products of length rank, and no rational arithmetic runs per
-    fibre.
+    coordinate by y . r0.
+
+    Everything the DFS reads off a fibre is linear in w, so it is one
+    integer matrix K per cone (rank x columns; see ``fibres``): a batch
+    of weights becomes its facet constants, the residuals of the facets
+    without nonzeros and its root boxes by one exact product W K and one
+    floor division, and no rational arithmetic runs per fibre.
     """
 
     def __init__(self, c: Cone):
+        import numpy as np
         n = c.ambient_dim
         rows = [[g[t] for g in c.grading] for t in range(len(c.grading[0]))]
-        self.M, U, self.pivots, rank = hnf(rows)
-        self.FU = [[sum(f[v] * U[v][k] for v in range(n)) for k in range(rank)]
-                   for f in c.facets]
-        kernel = [[u[k] for u in U] for k in range(rank, n)]
+        self.M, U, self.pivots, self.rank = hnf(rows)
+        FU = [[sum(f[v] * U[v][k] for v in range(n)) for k in range(self.rank)]
+              for f in c.facets]
+        kernel = [[u[k] for u in U] for k in range(self.rank, n)]
         if kernel:
             embedded = [list(kv) + [sum(map(mul, f, kv)) for f in c.facets]
                         for kv in kernel]
@@ -348,12 +356,29 @@ class _FibreGeometry:
         self.max_r = max((abs(x) for row in self.R for x in row), default=0)
         self.plan = _Plan(self.R, self.d)
         self.up_cert, self.dn_cert = self._certificates()
-        # (K, D) with K = Y . FU: a bound is then a dot product of length
-        # rank with w, not one of length F with r0
-        cols = list(zip(*self.FU))
-        self.up_bound, self.dn_bound = (
-            [cert and ([sum(map(mul, cert[0], col)) for col in cols], cert[1])
-             for cert in certs] for certs in (self.up_cert, self.dn_cert))
+        self.unbounded = next((j for j, pair in
+                               enumerate(zip(self.up_cert, self.dn_cert))
+                               if None in pair), None)
+        # the columns of K: FU's rows in the plan's column order, with its
+        # zero columns, then the facets without nonzeros, then each
+        # certificate premultiplied by FU, for [-lo | hi] = [dn | up]
+        facets, empty = self.plan.facets.tolist(), self.plan.empty.tolist()
+        cols = [FU[f] for f in facets]
+        cols += [[0] * self.rank] * (self.plan.columns - len(facets))
+        cols += [FU[f] for f in empty]
+        dens = []
+        if self.unbounded is None:
+            FUt = list(zip(*FU))
+            for Y, D in self.dn_cert + self.up_cert:
+                cols.append([sum(map(mul, Y, col)) for col in FUt])
+                dens.append(D)
+        # the largest column 1-norm of K or denominator, at least 1
+        self.k_max = max([sum(map(abs, col)) for col in cols] + dens + [1])
+        K = np.array(cols, dtype=object).reshape(len(cols), self.rank).T
+        D = np.array(dens, dtype=object)
+        self.K = {object: (K, D)}
+        if self.k_max < _INT64_BOUND:
+            self.K[np.int64] = (K.astype(np.int64), D.astype(np.int64))
 
     def _certificates(self):
         """Dual certificates (Y, D) bounding each reduced coordinate.
@@ -388,69 +413,104 @@ class _FibreGeometry:
                 out.append(cert)
         return ups, dns
 
+    def fibres(self, thetas):
+        """(on, rf, rest, u) of the fibres at thetas: on lists the indices
+        of the thetas on the grading, in order, and row k of each array
+        belongs to theta on[k].  rf holds the constants of the plan's
+        columns, rest the residuals of the facets without nonzeros, and
+        u = [-lo | hi] the certificate box.  UnboundedFibre when the cone
+        has an unbounded direction and some theta is on the grading; the
+        grading is checked first, so thetas off it map to no rows.
+
+        The w of the thetas are stacked into W, and P = W K is one product:
+        rf is P's first plan.columns columns, rest the next len(empty), and
+        u the rest of P floor-divided by D, the certificates' denominators,
+        since a bound (Y . r0) // D equals ((Y . FU) . w) // D in integers.
+        The product runs on int64 when max(max|w|, 1) k_max < 2^63 and on
+        Python integers otherwise: k_max >= 1 bounds every column 1-norm
+        of K and every entry of D, so every entry of W, K and D, and every
+        partial sum of a column product, sum_i w_i K_ij, is at most
+        max(max|w|, 1) ||K_j||_1 < 2^63 in magnitude, which int64 holds;
+        no step wraps, so P and its floor quotients are exact.
+        """
+        import numpy as np
+        on, ws = [], []
+        for k, theta in enumerate(thetas):
+            w = back_solve(self.M, self.pivots, theta)
+            if w is not None:
+                on.append(k)
+                ws.append(w)
+        if ws and self.unbounded is not None:
+            raise UnboundedFibre("the grading fibres are unbounded in "
+                                 f"direction {self.unbounded}")
+        top = max((max(map(abs, w), default=0) for w in ws), default=0)
+        dtype = np.int64 if max(top, 1) * self.k_max < _INT64_BOUND else object
+        K, D = self.K[dtype]
+        P = np.array(ws, dtype=dtype).reshape(len(ws), self.rank) @ K
+        head = self.plan.columns
+        tail = head + len(self.plan.empty)
+        return on, P[:, :head], P[:, head:tail], P[:, tail:] // D
+
     def box(self, theta):
-        """(r0, lo, hi) of the fibre at theta: its facet residuals
-        r0 = FU . w and its certificate box, or None when the grading
-        misses theta (checked before any bound, so also on an unbounded
-        cone).  A bound is (K . w) // D with K = Y . FU, which equals
-        (Y . r0) // D because Y . (FU . w) = (Y . FU) . w in integers."""
-        w = back_solve(self.M, self.pivots, theta)
-        if w is None:
+        """(r0, lo, hi) of the fibre at theta, as Python ints: its facet
+        residuals, in facet order, and its certificate box, or None when
+        the grading misses theta.  The one-theta view of ``fibres``."""
+        on, rf, rest, u = self.fibres([theta])
+        if not on:
             return None
-        lo, hi = [], []
-        for j, (up, dn) in enumerate(zip(self.up_bound, self.dn_bound)):
-            if up is None or dn is None:
-                raise UnboundedFibre(
-                    f"the grading fibres are unbounded in direction {j}")
-            hi.append(sum(map(mul, up[0], w)) // up[1])
-            lo.append(-(sum(map(mul, dn[0], w)) // dn[1]))
-        return [sum(map(mul, row, w)) for row in self.FU], lo, hi
+        facets, empty = self.plan.facets.tolist(), self.plan.empty.tolist()
+        r0 = [0] * (len(facets) + len(empty))
+        for f, x in zip(facets + empty,
+                        rf[0, :len(facets)].tolist() + rest[0].tolist()):
+            r0[f] = x
+        return r0, [-x for x in u[0, :self.d].tolist()], u[0, self.d:].tolist()
 
 
 def count_fibres(c: Cone, thetas) -> list[int]:
     """Exact number of integer points of the fibre at each theta of thetas
     (2l+m ints each), in order: every fibre on the grading is counted in
-    one block DFS.
+    one block DFS, from the roots that ``_FibreGeometry.fibres`` maps the
+    whole batch to in one product.  A fibre with a negative residual on a
+    facet without nonzeros counts 0 and enters no block.
 
-    The whole batch runs on float64 arrays when a proven bound keeps every
-    value an exact integer, and on object arrays of Python integers
-    otherwise.  A pass reads only live boxes, and live boxes only shrink,
-    so with max_b the largest bound of any initial box every entry of u
-    is at most max_b in magnitude and a product |c| u[s] at most
-    max_r max_b.  A facet has at most d products, so every partial sum of
-    u S + rf, in whatever order BLAS adds, blocks or fuses them (an FMA
-    rounds once, after its exact product), is at most
-    max_res + d max_r max_b.  A quotient facet // |c|, less one entry of
-    u, is then within B = max_res + (d + 1) max_r max_b, and so is every
-    candidate bound.  A width is at least -2 B, also on a node that a pass
-    empties.  A node's summed widths and its number of children are at
-    most 2 d max_b + 1 <= 2 B (max_r >= 1 when d > 0, as every coordinate
-    has a certificate), and a leaf's count leaves float64 as its one open
-    width.  So when 2 B < _EXACT_BOUND = 2^53 every value is an integer
-    that float64 holds exactly, and a sum, product, FMA, minimum or
-    comparison of such integers, or a floor division (numpy derives it
-    from the exact fmod), whose true result is one, returns it exactly.
+    The DFS runs on float64 arrays when a proven bound keeps every value
+    an exact integer, and on object arrays of Python integers otherwise.
+    A pass reads only live boxes, and live boxes only shrink, so with
+    max_b the largest bound of any root box every entry of u is at most
+    max_b in magnitude and a product |c| u[s] at most max_r max_b.  With
+    max_res the largest constant of rf, a facet has at most d products,
+    so every partial sum of u S + rf, in whatever order BLAS adds, blocks
+    or fuses them (an FMA rounds once, after its exact product), is at
+    most max_res + d max_r max_b.  A quotient facet // |c|, less one
+    entry of u, is then within B = max_res + (d + 1) max_r max_b, and so
+    is every candidate bound.  A width is at least -2 B, also on a node
+    that a pass empties.  A node's summed widths and its number of
+    children are at most 2 d max_b + 1 <= 2 B (max_r >= 1 when d > 0, as
+    every coordinate has a certificate), and a leaf's count leaves
+    float64 as its one open width.  So when 2 B < _EXACT_BOUND = 2^53
+    every value is an integer that float64 holds exactly, and a sum,
+    product, FMA, minimum or comparison of such integers, or a floor
+    division (numpy derives it from the exact fmod), whose true result is
+    one, returns it exactly.
     """
     thetas = [as_ints(theta, "theta") for theta in thetas]
     if any(len(theta) != 2 * c.l + c.m for theta in thetas):
         raise OutOfRange(f"theta must have length {2 * c.l + c.m}")
     geo = c.geometry
     counts = [0] * len(thetas)
-    fibres = [(k, fibre) for k, fibre in enumerate(map(geo.box, thetas))
-              if fibre is not None]
-    if not fibres:
+    on, rf, rest, u = geo.fibres(thetas)
+    if not on:
         return counts
     import numpy as np
 
-    on, boxes = zip(*fibres)
-    r0, lo, hi = zip(*boxes)
-    max_b = max([abs(x) for box in lo + hi for x in box] + [1])
-    max_res = max((abs(x) for res in r0 for x in res), default=0)
+    live = (rest >= 0).all(axis=1)
+    rf, u = rf[live], u[live]
+    max_res = int(abs(rf).max(initial=0))
+    max_b = int(abs(u).max(initial=1))
     bound = max_res + (geo.d + 1) * geo.max_r * max_b
     dtype = np.float64 if 2 * bound < _EXACT_BOUND else object
-    found = _block_count(geo.plan, np.array(r0, dtype=dtype),
-                         np.array(lo, dtype=dtype), np.array(hi, dtype=dtype))
-    for k, count in zip(on, found):
+    found = _block_count(geo.plan, rf.astype(dtype), u.astype(dtype))
+    for k, count in zip(np.array(on)[live].tolist(), found):
         counts[k] = count
     return counts
 

@@ -10,7 +10,7 @@ from hivekron.diamonds import build_bar
 from hivekron.errors import HivekronError, OutOfRange, SizeTooLargeForOracle
 from hivekron.kron import (class_size_inverse, kronecker, kronecker_oracle,
                            lambda_shifts, mn_character, partition,
-                           partitions_of, sigma_of, transpose)
+                           partitions_of, sigma_of)
 from hivekron.polyhedra import build_cone, count_lattice_points
 
 
@@ -29,6 +29,13 @@ def test_bad_partition_is_a_package_error(bad):
             compute(bad, (2, 1), (2, 1))
 
 
+def transpose(p: tuple) -> tuple:
+    """The conjugate partition: the reference sigma is read off."""
+    if not p:
+        return ()
+    return tuple(sum(1 for x in p if x > j) for j in range(p[0]))
+
+
 def test_transpose_involution():
     for p in partitions_of(6):
         assert transpose(transpose(tuple(p))) == tuple(p)
@@ -41,6 +48,32 @@ def test_sigma_of_21():
 
 def test_sigma_of_row():
     assert sigma_of((3,), (3,), 3) == (-3, 0, 0, 3, 0, 0)
+
+
+def test_sigma_of_matches_the_transpose_formula():
+    # sigma(-k) = -#{columns of mu of length k}, sigma(k) likewise for nu
+    pairs = 0
+    for n in range(9):
+        shapes = partitions_of(n)
+        for mu, nu in itertools.product(shapes, repeat=2):
+            for l in (max(len(mu), len(nu), 1), max(len(mu), len(nu)) + 1):
+                neg, pos = [0] * l, [0] * l
+                for part in transpose(mu):
+                    neg[part - 1] -= 1
+                for part in transpose(nu):
+                    pos[part - 1] += 1
+                assert sigma_of(mu, nu, l) == tuple(neg + pos), (mu, nu, l)
+                pairs += 1
+    assert pairs == 2 * sum(len(partitions_of(n)) ** 2 for n in range(9))
+
+
+def test_one_row_triples_past_any_enumeration():
+    # sigma costs O(l) and the fibre map is exact at any size: at
+    # N = 10^20 the fibres are single points or empty
+    N = 10 ** 20
+    assert sigma_of((N,), (N,), 2) == (-N, 0, N, 0)
+    assert kronecker((N,), (N,), (N,)).value == 1
+    assert kronecker((N + 1, N - 1), (N, N), (2 * N,)).value == 0
 
 
 def test_sigma_of_size_mismatch():
@@ -261,15 +294,18 @@ def test_every_input_order_gives_one_result(small_builds):
 
 
 def test_planning_solves_no_box(small_builds, monkeypatch):
-    # the order is read off the partitions: the only boxes solved are
-    # those of the fibres counted, one per distinct sorted alpha
+    # the order is read off the partitions: the call maps only the fibres
+    # it counts, one per distinct sorted alpha, in one fibre map product
     import hivekron.polyhedra as P
-    real = P._FibreGeometry.box
+    real = P._FibreGeometry.fibres
     calls = []
 
-    def spy(self, theta):
-        calls.append(theta)
-        return real(self, theta)
-    monkeypatch.setattr(P._FibreGeometry, "box", spy)
+    def spy(self, thetas):
+        calls.append(list(thetas))
+        return real(self, thetas)
+    monkeypatch.setattr(P._FibreGeometry, "fibres", spy)
     res = kronecker((6, 3, 3), (5, 4, 3), (4, 4, 4), l=3, m=3)
-    assert len(calls) == len({alpha for _, alpha, _, _ in res.breakdown}) == 6
+    sigma = sigma_of(*res.orientation[:2], 3)
+    alphas = {alpha for _, alpha, _, _ in res.breakdown}
+    assert len(calls) == 1 and len(alphas) == 6
+    assert sorted(calls[0]) == sorted(sigma + alpha for alpha in alphas)

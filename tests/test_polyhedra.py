@@ -622,11 +622,13 @@ def fraction_fibre(geo, c, theta):
 
 
 def test_integer_fibre_map_matches_fraction_reference():
-    import hivekron.polyhedra as P
+    # box (one theta) and one batch of every theta (one product) both
+    # equal the rational reference; the batch in the engine's layout
     rng = random.Random(40)
     for lm in GEOMETRY_CONES:
         c = build_cone(*lm)
         geo, n, k = c.geometry, c.ambient_dim, 2 * c.l + c.m
+        plan = geo.plan
         image, uniform = [], []
         for _ in range(20):
             g = [rng.randint(-2, 2) for _ in range(n)]
@@ -635,13 +637,47 @@ def test_integer_fibre_map_matches_fraction_reference():
             uniform.append(tuple(rng.randint(-2, 2) for _ in range(k)))
         # the image of an integer point and a real triple are solvable
         solvable = image + real_fibres(c.l, c.m, 40, sum(lm))
-        for theta in solvable + uniform:
-            ref = fraction_fibre(geo, c, theta)
+        thetas = solvable + uniform
+        refs = [fraction_fibre(geo, c, theta) for theta in thetas]
+        for theta, ref in zip(thetas, refs):
             fibre = geo.box(theta)
             if ref is None:
                 assert theta in uniform and fibre is None
                 continue
             assert fibre == ref
+        on, rf, rest, u = geo.fibres(thetas)
+        assert on == [i for i, ref in enumerate(refs) if ref is not None]
+        assert len(on) >= len(solvable) and rf.dtype == "int64"
+        pad = [0] * (plan.columns - len(plan.facets))
+        for i, rf_row, rest_row, u_row in zip(on, rf.tolist(), rest.tolist(),
+                                             u.tolist()):
+            r0, lo, hi = refs[i]
+            assert rf_row == [r0[f] for f in plan.facets.tolist()] + pad
+            assert rest_row == [r0[f] for f in plan.empty.tolist()]
+            assert u_row == [-x for x in lo] + hi
+
+
+def test_fibre_map_product_leaves_int64_at_its_guard():
+    # the fibre at sigma((N), (N)) + (0, N) on (2,2) is one point for
+    # every N, and w is linear in N; the product runs on int64 while
+    # max|w| k_max < 2^63 and on Python integers from there on
+    import hivekron.polyhedra as P
+    from hivekron.intlin import back_solve
+    c = build_cone(2, 2)
+    geo = c.geometry
+
+    def theta(N):
+        return sigma_of((N,), (N,), 2) + (0, N)
+    w1 = max(map(abs, back_solve(geo.M, geo.pivots, theta(1))))
+    edge = (P._INT64_BOUND - 1) // (w1 * geo.k_max)
+    assert edge > 2 ** 50
+    for N, dtype in ((1, "int64"), (edge, "int64"), (edge + 1, "object"),
+                     (10 ** 30, "object")):
+        on, rf, rest, u = geo.fibres([theta(N)])
+        assert on == [0] and rf.dtype == u.dtype == dtype, N
+        assert count_fibres(c, [theta(N)]) == [1]
+        r0, lo, hi = geo.box(theta(N))
+        assert all(type(x) is int for x in r0 + lo + hi)
 
 
 def fibres_23_33():
@@ -677,14 +713,21 @@ def test_float_count_reads_no_python_rows(monkeypatch):
 
 def block_count(R, res, boxes, d, dtype):
     """The block engine on the boxes [(lo, hi), ...], one fibre per box,
-    each with the residuals res: the sum of their counts."""
+    each with the residuals res: the sum of their counts.  As in
+    count_fibres, a negative residual on a facet without nonzeros empties
+    every fibre, and the others' residuals are the plan's constants."""
     import numpy as np
     import hivekron.polyhedra as P
+    plan = P._Plan(R, d)
+    if any(res[f] < 0 for f in plan.empty.tolist()):
+        return 0
     k = len(boxes)
-    lo = np.array([b[0] for b in boxes], dtype=dtype).reshape(k, d)
-    hi = np.array([b[1] for b in boxes], dtype=dtype).reshape(k, d)
-    r0 = np.array([res] * k, dtype=dtype).reshape(k, len(res))
-    return sum(P._block_count(P._Plan(R, d), r0, lo, hi))
+    rf = [res[f] for f in plan.facets.tolist()]
+    rf += [0] * (plan.columns - len(rf))
+    rf = np.array([rf] * k, dtype=dtype).reshape(k, plan.columns)
+    u = np.array([[-x for x in lo] + hi for lo, hi in boxes],
+                 dtype=dtype).reshape(k, 2 * d)
+    return sum(P._block_count(plan, rf, u))
 
 
 def test_block_count_equals_brute_force():
