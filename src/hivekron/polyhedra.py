@@ -10,6 +10,9 @@ keeps every partial sum below 2^63 and on Python integers otherwise.  A
 pass then bounds every facet over every box of a block by one matrix
 product, on float64 when a proven bound keeps every value an exact
 integer below 2^53 (one BLAS call), and on Python integers otherwise.
+A block runs passes while most of its boxes still move; the boxes still
+moving then go on with the next block, and only boxes at their fixpoint
+are counted or branched.
 """
 
 from __future__ import annotations
@@ -147,47 +150,42 @@ class _Plan:
 
 
 def _tighten_block(plan, rf, u, fid):
-    """Tighten every node (row of u, of fibre fid) to its own fixpoint;
-    return the nonempty ones and their fibre ids, leaving u as it was.
+    """Tighten the nodes of a block (rows of u, of fibres fid) together;
+    return (u, fid) of the nodes at their fixpoint and (u, fid) of the
+    nodes still moving, all nonempty, leaving u as it was.
 
     A pass bounds every facet over each box by one matrix product,
     facet = u S + rf (rf: the node's fibre's constants), and lowers each
     u[t] to floor(facet_f / |c|) - u[other(t)] over its terms (f, j, c):
     floor(rest / |c|), rest the facet's bound less the term's own
     |c| u[other(t)], as the facet holds only where c z_j >= -rest.  A node
-    at its fixpoint stays in the pass, which leaves it unchanged, until a
-    node empties (lo > hi) or at most half moved; then the unmoved are set
-    aside (returned first) and the empty dropped, so no pass reads an
-    empty box.  Passes end when none moved.
+    at its fixpoint stays in the pass, which leaves it unchanged.  Passes
+    go on while more than 3/4 of the nodes moved and none emptied
+    (lo > hi); after the first pass that breaks this, the nodes it left
+    unchanged are at their fixpoint, the empty are dropped and the others
+    are still moving, so no pass reads an empty box.
     """
     import numpy as np
 
     if not plan.nnz:
-        return u, fid
+        return u, fid, u[:0], fid[:0]
     d = u.shape[1] // 2
     S, bc = plan.matrix(u.dtype)
-    done = []
-    while len(u):
+    while True:
         facet = u @ S + rf
         if len(bc):
             facet = np.concatenate((facet, facet[:, plan.bf] // bc), axis=1)
         new = np.minimum(u, np.minimum.reduce(facet[:, plan.qruns], axis=1)
                          - u[:, plan.other])
         moved, u = (new < u).any(axis=1), new
-        if not (n := np.count_nonzero(moved)):
-            break
         widths = u[:, :d] + u[:, d:]
-        if (full := widths.min() >= 0) and 2 * n > len(u):
-            continue
-        still = ~moved
-        done.append((u[still], fid[still]))
-        if not full:
-            moved &= (widths >= 0).all(axis=1)
-        u, fid, rf = u[moved], fid[moved], rf[moved]
-    if done:
-        us, fids = zip(*done, (u, fid))
-        u, fid = np.concatenate(us), np.concatenate(fids)
-    return u, fid
+        empty = widths.min() < 0
+        if empty or 4 * np.count_nonzero(moved) <= 3 * len(u):
+            break
+    still = ~moved
+    if empty:
+        moved &= (widths >= 0).all(axis=1)
+    return u[still], fid[still], u[moved], fid[moved]
 
 
 def _block_count(plan, rf, u):
@@ -199,12 +197,16 @@ def _block_count(plan, rf, u):
     Depth first over blocks of nodes.  A node is a box and the index of its
     fibre, which its children inherit; nodes of different fibres share
     blocks, each tightened against its own fibre's constants.  A fibre
-    with lo > hi counts 0.  A tightened node with at most one open
-    coordinate is exact (every facet holds at its fixed coordinates, the
-    free interval is its 1-D fibre) and adds its open width + 1 to its
-    fibre's Python-int total.  Others branch on their narrowest open
-    coordinate, lowest index first.  A block off the stack is topped up
-    from those below to the row cap.
+    with lo > hi counts 0.  A block off the stack is topped up from those
+    below to the row cap and tightened; the nodes it leaves still moving
+    go back on the stack, to be tightened on with the next block, and
+    only the nodes at their fixpoint are counted or branched.  A node with
+    at most one open coordinate is exact (every facet holds at its fixed
+    coordinates, the free interval is its 1-D fibre) and adds its open
+    width + 1 to its fibre's Python-int total.  Others branch on their
+    narrowest open coordinate, lowest index first: one child per value,
+    or two halves of its interval when that would make more children than
+    the row cap, so no node makes more rows than a block holds.
     """
     import numpy as np
 
@@ -228,7 +230,8 @@ def _block_count(plan, rf, u):
             fid = np.concatenate((fid, below_fid[:k]))
             if len(below) > k:
                 stack.append((below[k:], below_fid[k:]))
-        u, fid = _tighten_block(plan, rf[fid], u, fid)
+        u, fid, moving, moving_fid = _tighten_block(plan, rf[fid], u, fid)
+        push(moving, moving_fid)
         widths = u[:, :d] + u[:, d:]
         # a leaf's widths sum to at most its narrowest positive one
         key = np.where(widths, widths, np.inf)
@@ -238,13 +241,26 @@ def _block_count(plan, rf, u):
             totals[k] += int(w) + 1
         if leaf.all():
             continue
-        n = np.where(leaf, 0, narrow + 1).astype(np.intp)
-        u, fid, j = u.repeat(n, axis=0), fid.repeat(n), key.argmin(1).repeat(n)
-        at = np.arange(len(u))
+        # one child per value of the narrowest open coordinate, and two for
+        # a node with more values than the row cap
+        n = np.where(leaf, 0, narrow + 1)
+        wide = n > rows
+        n[wide] = 2
+        n = n.astype(np.intp)
+        first, j = n.cumsum() - n, key.argmin(1)
+        kids, fid, jk = u.repeat(n, axis=0), fid.repeat(n), j.repeat(n)
+        at = np.arange(len(kids))
         # child k of its parent fixes z_j = lo_j + k
-        t = u[at, j] - (at - (n.cumsum() - n).repeat(n))
-        u[at, j], u[at, j + d] = t, -t
-        push(u, fid)
+        t = kids[at, jk] - (at - first.repeat(n))
+        kids[at, jk], kids[at, jk + d] = t, -t
+        if wide.any():
+            # a wide node's two children hold the halves of its interval,
+            # lo_j <= z_j <= lo_j + h - 1 and lo_j + h <= z_j <= hi_j
+            a, jw, h = first[wide], j[wide], (narrow[wide] + 1) // 2
+            lo = -u[wide, jw]
+            kids[a, jw + d], kids[a + 1, jw] = lo + h - 1, -(lo + h)
+            kids[a + 1, jw + d] = u[wide, jw + d]
+        push(kids, fid)
     return totals
 
 

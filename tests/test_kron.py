@@ -168,6 +168,16 @@ def test_pipeline_matches_oracle_at_n15(small_builds):
     assert kronecker(mu, nu, lam).value == kronecker_oracle(mu, nu, lam) == 45
 
 
+def test_four_part_coefficient_on_the_44_cone():
+    # the (4,4) cone is the one whose R has coefficients |c| > 1 in two
+    # quotient columns of the block DFS
+    mu, lam = (4, 2, 2, 2), (3, 3, 2, 2)
+    res = kronecker(mu, mu, lam)
+    assert (res.l, res.m) == (4, 4)
+    assert build_cone(4, 4).geometry.plan.bf.size == 2
+    assert res.value == kronecker_oracle(mu, mu, lam) == 4
+
+
 def test_kronecker_explicit_l_m(small_builds):
     base = kronecker((2, 1), (2, 1), (2, 1))
     assert kronecker((2, 1), (2, 1), (2, 1), l=3, m=3).value == base.value

@@ -284,23 +284,26 @@ def test_python_fallback_matches_numpy(small_builds, monkeypatch):
 
 
 def _spy_nodes(P, monkeypatch):
-    # nodes entered are the rows passed to the block tightener; the
-    # branching rule (narrowest open coordinate, lowest index) fixes them
+    # the nodes of the search tree are the rows that the block tightener
+    # returns at their fixpoint, however many blocks a row passes through
+    # before; the branching rule (narrowest open coordinate, lowest index)
+    # fixes them
     rows = []
     real = P._tighten_block
 
     def spy(plan, rf, u, fid):
-        rows.append(len(u))
         assert len(u) * plan.nnz <= P._BLOCK_ENTRIES
-        return real(plan, rf, u, fid)
+        out = real(plan, rf, u, fid)
+        rows.append(len(out[0]))
+        return out
     monkeypatch.setattr(P, "_tighten_block", spy)
     return rows
 
 
 # (triple, value, nodes counting every shift as given, nodes of kronecker)
-NODE_PINS = ((((4, 2, 2),) * 3, 6, 420, 204),
-             (((6, 3, 3), (5, 4, 3), (4, 4, 4)), 3, 4261, 500),
-             (((8, 4, 4),) * 3, 43, 8997, 4527))
+NODE_PINS = ((((4, 2, 2),) * 3, 6, 278, 163),
+             (((6, 3, 3), (5, 4, 3), (4, 4, 4)), 3, 3338, 438),
+             (((8, 4, 4),) * 3, 43, 6555, 3634))
 
 
 def test_node_counts_pinned(small_builds, monkeypatch):
@@ -331,11 +334,11 @@ def test_planned_node_counts_pinned(small_builds, monkeypatch):
 
 def test_planned_block_counts_pinned(small_builds, monkeypatch):
     # a kronecker call counts its distinct fibres in one block DFS, so its
-    # blocks mix fibres; one DFS per fibre makes 35, 49 and 70 blocks
+    # blocks mix fibres; one DFS per fibre makes 69, 91 and 172 blocks
     import hivekron.polyhedra as P
     from hivekron.kron import kronecker
     rows = _spy_nodes(P, monkeypatch)
-    for (triple, value, _, planned), blocks in zip(NODE_PINS, (8, 11, 26)):
+    for (triple, value, _, planned), blocks in zip(NODE_PINS, (19, 20, 74)):
         rows.clear()
         assert kronecker(*triple, l=3, m=3).value == value
         assert sum(rows) == planned and len(rows) == blocks
@@ -791,6 +794,38 @@ def test_block_count_edge_cases(dtype):
     assert block_count([], [], [([2], [1]), ([1], [4])], 1, dtype) == 4
 
 
+def test_wide_node_splits_in_halves(monkeypatch):
+    # a node whose narrowest open width + 1 is more than the row cap makes
+    # two children, the halves of that coordinate's interval, instead of
+    # one per value.  On the line x = y, 0 <= x, y <= N no bound moves, so
+    # one child per value would make N + 1 rows at once at the root
+    import tracemalloc
+    import hivekron.polyhedra as P
+    monkeypatch.setattr(P, "_BLOCK_ENTRIES", 4 * 16)   # 16 rows of 4 nonzeros
+    line = [[1, -1], [-1, 1]]
+    for n in (1, 2, 15, 16, 17, 100):
+        for dtype in ("float64", "object"):
+            assert block_count(line, [0, 0], [([0, 0], [n, n])], 2,
+                               dtype) == n + 1
+    n = 5000
+    tracemalloc.start()
+    try:
+        assert block_count(line, [0, 0], [([0, 0], [n, n])], 2,
+                           "float64") == n + 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (n + 1) * 4 * 8     # one float64 array of N + 1 children
+    # the one-point fibre sigma((N), (N)) + (N, 0, 0) on (3,3) keeps open
+    # widths of about 2N/3, N/2 and N after root tightening
+    c = build_cone(3, 3)
+    monkeypatch.setattr(P, "_BLOCK_ENTRIES", 8 * c.geometry.plan.nnz)
+    theta = sigma_of((50,), (50,), 3) + (50, 0, 0)
+    assert count_lattice_points(c, theta) == 1
+    monkeypatch.setattr(P, "_EXACT_BOUND", 0)
+    assert count_lattice_points(c, theta) == 1
+
+
 def reference_tightening(R, res, lo, hi):
     """One box tightened to its fixpoint on Python integers, term by term
     of R: ((lo, hi), passes), or (None, passes) once a pass leaves lo > hi."""
@@ -820,8 +855,8 @@ def test_tighten_block_matches_python_reference(small_builds, lm, dtype):
     # one block of real fibres' certificate boxes: random sub-boxes, each
     # fibre's fixpoint, which comes back unchanged, and children (one
     # coordinate fixed), some of which empty only on a later pass; every
-    # survivor comes back with its row's id as its fibre id, so rows are
-    # compared one by one whatever order the pass returns them in
+    # row at its fixpoint comes back with its row's id as its fibre id, so
+    # rows are compared one by one whatever order and call returns them
     import numpy as np
     import hivekron.polyhedra as P
     geo = build_cone(*lm).geometry
@@ -843,15 +878,26 @@ def test_tighten_block_matches_python_reference(small_builds, lm, dtype):
         boxes += mine
         res += [r0] * len(mine)
     u = np.array([[-x for x in a] + b for a, b in boxes], dtype=dtype)
-    given = u.copy()
     rf = np.array(res, dtype=dtype)[:, geo.plan.facets]
-    out, fid = P._tighten_block(geo.plan, rf, u, np.arange(len(boxes)))
+    # the rows still moving go in again, as a block DFS hands them on,
+    # until every row is at its fixpoint or empty
+    fid, handoffs, out, out_fid = np.arange(len(boxes)), 0, [], []
+    while len(fid):
+        given, block = u, u.copy()
+        done, done_fid, u, fid = P._tighten_block(geo.plan, rf[fid], given,
+                                                  fid)
+        assert (given == block).all()
+        # a handed-off row is nonempty
+        assert (u[:, :geo.d] + u[:, geo.d:] >= 0).all()
+        handoffs += len(fid) > 0
+        out += done.tolist()
+        out_fid += done_fid.tolist()
     ref = [reference_tightening(geo.R, r, *box) for r, box in zip(res, boxes)]
-    assert (u == given).all()
-    assert sorted(fid.tolist()) == [k for k, (box, _) in enumerate(ref) if box]
-    for k, row in zip(fid.tolist(), out.tolist()):
+    assert sorted(out_fid) == [k for k, (box, _) in enumerate(ref) if box]
+    for k, row in zip(out_fid, out):
         lo, hi = ref[k][0]
         assert row == [-x for x in lo] + hi
+    assert handoffs >= 1
     at_fixpoint = [k for k, (box, _) in enumerate(ref) if box == boxes[k]]
     emptied = [passes for box, passes in ref if box is None]
     assert len(boxes) >= 40 and len(at_fixpoint) >= 5
