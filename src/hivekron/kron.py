@@ -89,6 +89,15 @@ def _shifts(lam, m: int):
     return out
 
 
+def _triple(mu, nu, lam) -> tuple:
+    """The three partitions normalized; OutOfRange unless of one size."""
+    mu, nu, lam = partition(mu), partition(nu), partition(lam)
+    if not sum(mu) == sum(nu) == sum(lam):
+        raise OutOfRange(
+            f"sizes differ: |mu|={sum(mu)}, |nu|={sum(nu)}, |lambda|={sum(lam)}")
+    return mu, nu, lam
+
+
 @dataclass(frozen=True)
 class KroneckerResult:
     value: int
@@ -137,12 +146,8 @@ def kronecker(mu, nu, lam, l: int = None, m: int = None,
     workers must be an int >= 1 (else OutOfRange) and has no other effect:
     every call counts in one process.
     """
-    mu, nu, lam = partition(mu), partition(nu), partition(lam)
+    mu, nu, lam = _triple(mu, nu, lam)
     as_worker_count(workers)
-    n = sum(mu)
-    if sum(nu) != n or sum(lam) != n:
-        raise OutOfRange(
-            f"sizes differ: |mu|={sum(mu)}, |nu|={sum(nu)}, |lambda|={sum(lam)}")
     if l is None:
         l = max(2, len(mu), len(nu))
     if m is None:
@@ -203,11 +208,8 @@ def class_size_inverse(rho: tuple) -> Fraction:
 
 def kronecker_oracle(mu, nu, lam) -> int:
     """Independent character-sum evaluation of the Kronecker coefficient."""
-    mu, nu, lam = partition(mu), partition(nu), partition(lam)
+    mu, nu, lam = _triple(mu, nu, lam)
     n = sum(mu)
-    if sum(nu) != n or sum(lam) != n:
-        raise OutOfRange(
-            f"sizes differ: |mu|={sum(mu)}, |nu|={sum(nu)}, |lambda|={sum(lam)}")
     if n > ORACLE_BOUND:
         raise SizeTooLargeForOracle(
             f"n={n} exceeds the oracle bound {ORACLE_BOUND}")

@@ -5,11 +5,11 @@ and diagonal modules; its fibres under the weight grading are enumerated
 by a depth-first search over an integral parametrization of the fibre
 lattice, pruned by exact interval propagation on blocks of integer boxes.
 A batch of target weights reaches its facet constants and root boxes by
-one integer product with a per-cone matrix, on int64 when a proven bound
-keeps every partial sum below 2^63 and on Python integers otherwise.  A
-pass then bounds every facet over every box of a block by one matrix
-product, on float64 when a proven bound keeps every value an exact
-integer below 2^53 (one BLAS call), and on Python integers otherwise.
+one integer product with a per-cone matrix, and a pass then bounds every
+facet over every box of a block by one matrix product.  Both run on one
+number type per call, chosen before the first product: float64 when a
+proven bound keeps every value an exact integer below 2^53 (one BLAS
+call each), and Python integers otherwise.
 A block runs passes while most of its boxes still move; the boxes still
 moving then go on with the next block, and only boxes at their fixpoint
 are counted or branched.
@@ -80,12 +80,10 @@ def build_cone(l: int, m: int) -> Cone:
 # counting
 
 
-# every integer of smaller magnitude is a float64, so the block DFS runs on
-# float64 when count_fibres proves that its values stay below this
+# every integer of smaller magnitude is a float64, so a call's fibre map
+# and block DFS run on float64 when _FibreGeometry.fibres proves that
+# their values stay below this
 _EXACT_BOUND = 2 ** 53
-# every integer of smaller magnitude is an int64, so a fibre map product
-# runs on int64 when _FibreGeometry.fibres proves that it stays below this
-_INT64_BOUND = 2 ** 63
 # cap on rows x nonzeros of R in one block of nodes, so memory stays flat
 _BLOCK_ENTRIES = 2 ** 15
 
@@ -388,13 +386,15 @@ class _FibreGeometry:
             for Y, D in self.dn_cert + self.up_cert:
                 cols.append([sum(map(mul, Y, col)) for col in FUt])
                 dens.append(D)
-        # the largest column 1-norm of K or denominator, at least 1
-        self.k_max = max([sum(map(abs, col)) for col in cols] + dens + [1])
+        # the largest column 1-norm of K or denominator, at least 1, and
+        # the factor by which the block DFS can outgrow it (see fibres)
+        k_max = max([sum(map(abs, col)) for col in cols] + dens + [1])
+        self.growth = k_max * (1 + (self.d + 1) * self.max_r)
         K = np.array(cols, dtype=object).reshape(len(cols), self.rank).T
         D = np.array(dens, dtype=object)
         self.K = {object: (K, D)}
-        if self.k_max < _INT64_BOUND:
-            self.K[np.int64] = (K.astype(np.int64), D.astype(np.int64))
+        if 2 * self.growth < _EXACT_BOUND:
+            self.K[np.float64] = (K.astype(np.float64), D.astype(np.float64))
 
     def _certificates(self):
         """Dual certificates (Y, D) bounding each reduced coordinate.
@@ -442,12 +442,17 @@ class _FibreGeometry:
         rf is P's first plan.columns columns, rest the next len(empty), and
         u the rest of P floor-divided by D, the certificates' denominators,
         since a bound (Y . r0) // D equals ((Y . FU) . w) // D in integers.
-        The product runs on int64 when max(max|w|, 1) k_max < 2^63 and on
-        Python integers otherwise: k_max >= 1 bounds every column 1-norm
-        of K and every entry of D, so every entry of W, K and D, and every
-        partial sum of a column product, sum_i w_i K_ij, is at most
-        max(max|w|, 1) ||K_j||_1 < 2^63 in magnitude, which int64 holds;
-        no step wraps, so P and its floor quotients are exact.
+
+        The call's one number type is chosen here: float64 when
+        2 max(max|w|, 1) growth < _EXACT_BOUND, and Python integers
+        otherwise.  k_max >= 1 bounds every column 1-norm of K and every
+        entry of D, so every entry of W, K and D, every partial sum of a
+        column product, and so every entry of rf and of u (D >= 1), is at
+        most T = max(max|w|, 1) k_max in magnitude.  count_fibres' proof
+        with this T keeps every value of the block DFS within
+        T (1 + (d + 1) max_r) = max(max|w|, 1) growth.  So under the guard
+        every value of the call is an integer that float64 holds exactly,
+        and so are P's floor quotients.
         """
         import numpy as np
         on, ws = [], []
@@ -460,26 +465,13 @@ class _FibreGeometry:
             raise UnboundedFibre("the grading fibres are unbounded in "
                                  f"direction {self.unbounded}")
         top = max((max(map(abs, w), default=0) for w in ws), default=0)
-        dtype = np.int64 if max(top, 1) * self.k_max < _INT64_BOUND else object
+        dtype = (np.float64 if 2 * max(top, 1) * self.growth < _EXACT_BOUND
+                 else object)
         K, D = self.K[dtype]
         P = np.array(ws, dtype=dtype).reshape(len(ws), self.rank) @ K
         head = self.plan.columns
         tail = head + len(self.plan.empty)
         return on, P[:, :head], P[:, head:tail], P[:, tail:] // D
-
-    def box(self, theta):
-        """(r0, lo, hi) of the fibre at theta, as Python ints: its facet
-        residuals, in facet order, and its certificate box, or None when
-        the grading misses theta.  The one-theta view of ``fibres``."""
-        on, rf, rest, u = self.fibres([theta])
-        if not on:
-            return None
-        facets, empty = self.plan.facets.tolist(), self.plan.empty.tolist()
-        r0 = [0] * (len(facets) + len(empty))
-        for f, x in zip(facets + empty,
-                        rf[0, :len(facets)].tolist() + rest[0].tolist()):
-            r0[f] = x
-        return r0, [-x for x in u[0, :self.d].tolist()], u[0, self.d:].tolist()
 
 
 def count_fibres(c: Cone, thetas) -> list[int]:
@@ -489,25 +481,23 @@ def count_fibres(c: Cone, thetas) -> list[int]:
     whole batch to in one product.  A fibre with a negative residual on a
     facet without nonzeros counts 0 and enters no block.
 
-    The DFS runs on float64 arrays when a proven bound keeps every value
-    an exact integer, and on object arrays of Python integers otherwise.
-    A pass reads only live boxes, and live boxes only shrink, so with
-    max_b the largest bound of any root box every entry of u is at most
-    max_b in magnitude and a product |c| u[s] at most max_r max_b.  With
-    max_res the largest constant of rf, a facet has at most d products,
-    so every partial sum of u S + rf, in whatever order BLAS adds, blocks
-    or fuses them (an FMA rounds once, after its exact product), is at
-    most max_res + d max_r max_b.  A quotient facet // |c|, less one
-    entry of u, is then within B = max_res + (d + 1) max_r max_b, and so
-    is every candidate bound.  A width is at least -2 B, also on a node
-    that a pass empties.  A node's summed widths and its number of
-    children are at most 2 d max_b + 1 <= 2 B (max_r >= 1 when d > 0, as
-    every coordinate has a certificate), and a leaf's count leaves
-    float64 as its one open width.  So when 2 B < _EXACT_BOUND = 2^53
-    every value is an integer that float64 holds exactly, and a sum,
-    product, FMA, minimum or comparison of such integers, or a floor
-    division (numpy derives it from the exact fmod), whose true result is
-    one, returns it exactly.
+    The DFS runs on the number type that ``fibres`` chose for the batch,
+    from the bound T = max(max|w|, 1) k_max of every constant of rf and
+    every bound of a root box.  A pass reads only live boxes, and live
+    boxes only shrink, so every entry of u is at most T in magnitude and a
+    product |c| u[s] at most max_r T.  A facet has at most d products, so
+    every partial sum of u S + rf, in whatever order BLAS adds, blocks or
+    fuses them (an FMA rounds once, after its exact product), is at most
+    T + d max_r T.  A quotient facet // |c|, less one entry of u, is then
+    within B = (1 + (d + 1) max_r) T, and so is every candidate bound.  A
+    width is at least -2 B, also on a node that a pass empties.  A node's
+    summed widths and its number of children are at most 2 d T + 1 <= 2 B
+    (max_r >= 1 when d > 0, as every coordinate has a certificate), and a
+    leaf's count leaves float64 as its one open width.  So when
+    2 B < _EXACT_BOUND = 2^53 every value is an integer that float64 holds
+    exactly, and a sum, product, FMA, minimum or comparison of such
+    integers, or a floor division (numpy derives it from the exact fmod),
+    whose true result is one, returns it exactly.
     """
     thetas = [as_ints(theta, "theta") for theta in thetas]
     if any(len(theta) != 2 * c.l + c.m for theta in thetas):
@@ -520,12 +510,7 @@ def count_fibres(c: Cone, thetas) -> list[int]:
     import numpy as np
 
     live = (rest >= 0).all(axis=1)
-    rf, u = rf[live], u[live]
-    max_res = int(abs(rf).max(initial=0))
-    max_b = int(abs(u).max(initial=1))
-    bound = max_res + (geo.d + 1) * geo.max_r * max_b
-    dtype = np.float64 if 2 * bound < _EXACT_BOUND else object
-    found = _block_count(geo.plan, rf.astype(dtype), u.astype(dtype))
+    found = _block_count(geo.plan, rf[live], u[live])
     for k, count in zip(np.array(on)[live].tolist(), found):
         counts[k] = count
     return counts

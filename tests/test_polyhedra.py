@@ -625,8 +625,8 @@ def fraction_fibre(geo, c, theta):
 
 
 def test_integer_fibre_map_matches_fraction_reference():
-    # box (one theta) and one batch of every theta (one product) both
-    # equal the rational reference; the batch in the engine's layout
+    # one batch of every theta (one product, on float64 at these sizes)
+    # equals the rational reference row by row, in the engine's layout
     rng = random.Random(40)
     for lm in GEOMETRY_CONES:
         c = build_cone(*lm)
@@ -642,15 +642,12 @@ def test_integer_fibre_map_matches_fraction_reference():
         solvable = image + real_fibres(c.l, c.m, 40, sum(lm))
         thetas = solvable + uniform
         refs = [fraction_fibre(geo, c, theta) for theta in thetas]
-        for theta, ref in zip(thetas, refs):
-            fibre = geo.box(theta)
-            if ref is None:
-                assert theta in uniform and fibre is None
-                continue
-            assert fibre == ref
+        assert all(ref or theta in uniform
+                   for theta, ref in zip(thetas, refs))
         on, rf, rest, u = geo.fibres(thetas)
         assert on == [i for i, ref in enumerate(refs) if ref is not None]
-        assert len(on) >= len(solvable) and rf.dtype == "int64"
+        assert len(on) >= len(solvable)
+        assert rf.dtype == u.dtype == "float64"
         pad = [0] * (plan.columns - len(plan.facets))
         for i, rf_row, rest_row, u_row in zip(on, rf.tolist(), rest.tolist(),
                                              u.tolist()):
@@ -660,10 +657,10 @@ def test_integer_fibre_map_matches_fraction_reference():
             assert u_row == [-x for x in lo] + hi
 
 
-def test_fibre_map_product_leaves_int64_at_its_guard():
+def test_fibre_map_product_leaves_float64_at_its_guard():
     # the fibre at sigma((N), (N)) + (0, N) on (2,2) is one point for
-    # every N, and w is linear in N; the product runs on int64 while
-    # max|w| k_max < 2^63 and on Python integers from there on
+    # every N, and w is linear in N; the call runs on float64 while
+    # 2 max|w| growth < 2^53 and on Python integers from there on
     import hivekron.polyhedra as P
     from hivekron.intlin import back_solve
     c = build_cone(2, 2)
@@ -672,15 +669,16 @@ def test_fibre_map_product_leaves_int64_at_its_guard():
     def theta(N):
         return sigma_of((N,), (N,), 2) + (0, N)
     w1 = max(map(abs, back_solve(geo.M, geo.pivots, theta(1))))
-    edge = (P._INT64_BOUND - 1) // (w1 * geo.k_max)
-    assert edge > 2 ** 50
-    for N, dtype in ((1, "int64"), (edge, "int64"), (edge + 1, "object"),
+    edge = (P._EXACT_BOUND // 2 - 1) // (w1 * geo.growth)
+    assert edge > 2 ** 47
+    for N, dtype in ((1, "float64"), (edge, "float64"), (edge + 1, "object"),
                      (10 ** 30, "object")):
         on, rf, rest, u = geo.fibres([theta(N)])
         assert on == [0] and rf.dtype == u.dtype == dtype, N
         assert count_fibres(c, [theta(N)]) == [1]
-        r0, lo, hi = geo.box(theta(N))
-        assert all(type(x) is int for x in r0 + lo + hi)
+        if dtype == "object":
+            row = rf[0].tolist() + rest[0].tolist() + u[0].tolist()
+            assert all(type(x) is int for x in row)
 
 
 def fibres_23_33():
@@ -862,8 +860,17 @@ def test_tighten_block_matches_python_reference(small_builds, lm, dtype):
     geo = build_cone(*lm).geometry
     rng = random.Random(31 * lm[0] + lm[1])
     boxes, res = [], []
-    for theta in real_fibres(*lm, 10, 7):
-        r0, lo, hi = geo.box(theta)
+    # the root rows of fibres, read back as (r0, lo, hi) in facet order
+    on, rf_roots, rest, u_roots = geo.fibres(real_fibres(*lm, 10, 7))
+    order = geo.plan.facets.tolist() + geo.plan.empty.tolist()
+    assert len(on) == len(u_roots) > 0
+    for rf_row, rest_row, u_row in zip(rf_roots, rest, u_roots):
+        r0 = [0] * len(order)
+        for f, x in zip(order, list(rf_row[:len(geo.plan.facets)]) +
+                        list(rest_row)):
+            r0[f] = int(x)
+        lo = [-int(x) for x in u_row[:geo.d]]
+        hi = [int(x) for x in u_row[geo.d:]]
         if any(a > b for a, b in zip(lo, hi)):
             continue
         fixpoint = reference_tightening(geo.R, r0, lo, hi)[0]

@@ -48,12 +48,34 @@ def test_dfs_ladder_verify():
                                                    ["n=8", "g=6"]]
 
 
-def test_dfs_ladder_verify_exits_2_on_a_mismatch(monkeypatch, capsys):
+def load_script(monkeypatch, name):
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location(
-        "dfs_ladder", os.path.join(ROOT, "scripts", "dfs_ladder.py"))
-    ladder = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ladder)
+        name, os.path.join(ROOT, "scripts", name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_kronecker_table_verify_exits_2_on_a_mismatch(monkeypatch, capsys):
+    table = load_script(monkeypatch, "kronecker_table")
+    # the oracle is wrong on the one triple with every part (2, 1)
+    monkeypatch.setattr(table, "kronecker_oracle", lambda mu, nu, lam:
+                        table.kronecker(mu, nu, lam).value
+                        + ((mu, nu, lam) == ((2, 1),) * 3))
+    with pytest.raises(SystemExit) as exit_:
+        table.main(["3", "--verify"])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert "g[(2, 1) , (2, 1) ; (2, 1)] = 1" in out.splitlines()
+    assert err.splitlines()[0] == \
+        "g[(2, 1) , (2, 1) ; (2, 1)]: the oracle gives 2"
+    assert err.splitlines()[1].endswith(
+        "(mismatches with the character oracle: 1)")
+
+
+def test_dfs_ladder_verify_exits_2_on_a_mismatch(monkeypatch, capsys):
+    ladder = load_script(monkeypatch, "dfs_ladder")
     # n = 4 is wrong, n = 8 right and n = 12 past the bound
     monkeypatch.setattr(ladder, "ORACLE_BOUND", 8)
     monkeypatch.setattr(ladder, "kronecker_oracle",
