@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -229,9 +230,24 @@ def make_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _join_negative_values(argv):
+    """argv with each value that starts with a minus sign and a digit
+    joined to the option before it, as in --theta=-1,0: argparse reads
+    a lone -1,0 as an option, and only -1 alone as a number."""
+    out = []
+    for arg in argv:
+        if (out and re.fullmatch(r"--[\w-]+", out[-1])
+                and re.match(r"-\d", arg)):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     """Run one command; map its errors to one stderr line and an exit code."""
-    args = make_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = make_parser().parse_args(_join_negative_values(argv))
     try:
         return args.func(args)
     except UnboundedFibre as exc:

@@ -6,10 +6,11 @@ by a depth-first search over an integral parametrization of the fibre
 lattice, pruned by exact interval propagation on blocks of integer boxes.
 A batch of target weights reaches its facet constants and root boxes by
 one integer product with a per-cone matrix, and a pass then bounds every
-facet over every box of a block by one matrix product.  Both run on one
-number type per call, chosen before the first product: float64 when a
-proven bound keeps every value an exact integer below 2^53 (one BLAS
-call each), and Python integers otherwise.
+facet over every box of a block by one matrix product.  A block holds
+one node per column, so each bound of its boxes is one contiguous row.
+Both products run on one number type per call, chosen before the first:
+float64 when a proven bound keeps every value an exact integer below
+2^53 (one BLAS call each), and Python integers otherwise.
 A block runs passes while most of its boxes still move; the boxes still
 moving then go on with the next block, and only boxes at their fixpoint
 are counted or branched.
@@ -91,18 +92,20 @@ _BLOCK_ENTRIES = 2 ** 15
 class _Plan:
     """The facet matrix R laid out for the block DFS.
 
-    A node's box is one row u = [-lo | hi] of 2d upper bounds.  Term c z_j
-    of facet f is at most |c| u[j + d [c > 0]] over the box, so the upper
-    bounds of the facets that have a nonzero (``facets``; ``empty`` lists
-    the others) are u S + rf, with S the dense 2d x F matrix that holds |c|
-    at (j + d [c > 0], f).  The same term bounds u[t] for t = j + d [c < 0]
-    by floor(facet_f / |c|) - u[other(t)], where other(t) = t +- d is the
-    other half of coordinate j, so every bound reads one entry of the
-    extended facet row [facet | facet[:, bf] // bc], which appends one
-    quotient per pair (facet, |c| > 1).  Column t of ``qruns`` lists the
-    entries that bound u[t]: on a cone each u[t] has one (both certificates
-    of a coordinate need a term of each sign), and on a hand-built R one
-    without reads an extra column of S, u[t] + u[other(t)] with constant 0.
+    A block holds its nodes one per column: a node's box is one column
+    u = [-lo | hi] of 2d upper bounds, so each bound of a block is one
+    contiguous row.  Term c z_j of facet f is at most |c| u[j + d [c > 0]]
+    over the box, so the upper bounds of the facets that have a nonzero
+    (``facets``; ``empty`` lists the others) are S^T u + rf, with S^T the
+    dense F x 2d matrix that holds |c| at (f, j + d [c > 0]).  The same
+    term bounds u[t] for t = j + d [c < 0] by floor(facet_f / |c|) less
+    the other half of coordinate j, u[t -+ d], so every bound reads one
+    row of the extended facet block [facet ; facet[bf] // bc], which
+    appends one quotient row per pair (facet, |c| > 1).  Column t of
+    ``qruns`` lists the rows that bound u[t]: on a cone each u[t] has one
+    (both certificates of a coordinate need a term of each sign), and on a
+    hand-built R one without reads an extra row of S^T, u[t] + u[t -+ d]
+    with constant 0.
     """
 
     def __init__(self, R, d):
@@ -120,11 +123,10 @@ class _Plan:
         for f, j, c in nz:
             self._S[j + d * (c > 0)][at[f]] = abs(c)
             runs[j + d * (c < 0)].append((at[f], abs(c)))
-        self.other = np.roll(np.arange(2 * d), d)
         for t in [t for t in range(2 * d) if nz and not runs[t]]:
             runs[t].append((len(self._S[t]), 1))
             for s, row in enumerate(self._S):
-                row.append(int(s in (t, self.other[t])))
+                row.append(int(s % d == t % d))
         self.columns = len(self._S[0]) if d else len(facets)
         pairs = sorted({p for run in runs for p in run if p[1] > 1})
         self.bf = np.array([k for k, _ in pairs], dtype=np.intp)
@@ -139,101 +141,114 @@ class _Plan:
         self._dense = {}
 
     def matrix(self, dtype):
-        """(S, bc) as arrays of dtype, built on the first request for it."""
+        """(S^T, bc as a column) as C-contiguous arrays of dtype, built on
+        the first request for it."""
         import numpy as np
         if dtype not in self._dense:
-            self._dense[dtype] = (np.array(self._S, dtype=dtype),
-                                  np.array(self._bc, dtype=dtype))
+            St = np.array(self._S, dtype=dtype).T.copy()
+            bc = np.array(self._bc, dtype=dtype).reshape(-1, 1)
+            self._dense[dtype] = St, bc
         return self._dense[dtype]
 
 
 def _tighten_block(plan, rf, u, fid):
-    """Tighten the nodes of a block (rows of u, of fibres fid) together;
-    return (u, fid) of the nodes at their fixpoint and (u, fid) of the
-    nodes still moving, all nonempty, leaving u as it was.
+    """Tighten the nodes of a block (columns of u, of fibres fid) together;
+    return (u, fid, widths) of the nodes at their fixpoint and (u, fid) of
+    the nodes still moving, all nonempty, leaving u as it was.  The widths
+    hi - lo of a fixpoint node are a column of u[:d] + u[d:].
 
     A pass bounds every facet over each box by one matrix product,
-    facet = u S + rf (rf: the node's fibre's constants), and lowers each
-    u[t] to floor(facet_f / |c|) - u[other(t)] over its terms (f, j, c):
+    facet = S^T u + rf (rf: the node's fibre's constants), and lowers each
+    u[t] to floor(facet_f / |c|) - u[t -+ d] over its terms (f, j, c):
     floor(rest / |c|), rest the facet's bound less the term's own
-    |c| u[other(t)], as the facet holds only where c z_j >= -rest.  A node
-    at its fixpoint stays in the pass, which leaves it unchanged.  Passes
-    go on while more than 3/4 of the nodes moved and none emptied
-    (lo > hi); after the first pass that breaks this, the nodes it left
-    unchanged are at their fixpoint, the empty are dropped and the others
-    are still moving, so no pass reads an empty box.
+    |c| u[t -+ d], as the facet holds only where c z_j >= -rest.  A
+    bound's terms are whole rows of the extended facet block, so the
+    gather and its minimum read contiguous rows.  A node at its fixpoint
+    stays in the pass, which leaves it unchanged.  Passes go on while
+    more than 3/4 of the nodes moved and none emptied (lo > hi); after the
+    first pass that breaks this, the nodes it left unchanged are at their
+    fixpoint, the empty are dropped and the others are still moving, so
+    no pass reads an empty box.
     """
     import numpy as np
 
+    d = len(u) // 2
     if not plan.nnz:
-        return u, fid, u[:0], fid[:0]
-    d = u.shape[1] // 2
-    S, bc = plan.matrix(u.dtype)
+        return u, fid, u[:d] + u[d:], u[:, :0], fid[:0]
+    St, bc = plan.matrix(u.dtype)
     while True:
-        facet = u @ S + rf
+        facet = St @ u
+        facet += rf
         if len(bc):
-            facet = np.concatenate((facet, facet[:, plan.bf] // bc), axis=1)
-        new = np.minimum(u, np.minimum.reduce(facet[:, plan.qruns], axis=1)
-                         - u[:, plan.other])
-        moved, u = (new < u).any(axis=1), new
-        widths = u[:, :d] + u[:, d:]
-        empty = widths.min() < 0
-        if empty or 4 * np.count_nonzero(moved) <= 3 * len(u):
+            facet = np.concatenate((facet, facet[plan.bf] // bc))
+        new = np.minimum.reduce(facet.take(plan.qruns, axis=0))
+        new[:d] -= u[d:]
+        new[d:] -= u[:d]
+        np.minimum(new, u, out=new)
+        moved, u = (new < u).any(axis=0), new
+        widths = u[:d] + u[d:]
+        empty = np.minimum.reduce(widths, axis=None) < 0
+        if empty or 4 * np.count_nonzero(moved) <= 3 * len(fid):
             break
     still = ~moved
     if empty:
-        moved &= (widths >= 0).all(axis=1)
-    return u[still], fid[still], u[moved], fid[moved]
+        moved &= (widths >= 0).all(axis=0)
+    # compress selects columns faster than a mask index
+    return (u.compress(still, axis=1), fid[still],
+            widths.compress(still, axis=1), u.compress(moved, axis=1),
+            fid[moved])
 
 
 def _block_count(plan, rf, u):
-    """Exact counts of the integer points z with R z + rf[k] >= 0 in the
-    box u[k] = [-lo | hi], one fibre k per row, on float64 arrays of exact
-    integers or on Python-int object arrays; rf holds the constants of
-    the plan's columns, so the facets without nonzeros are the caller's.
+    """Exact counts of the integer points z with R z + rf[:, k] >= 0 in
+    the box u[:, k] = [-lo | hi], one fibre k per column, on float64
+    arrays of exact integers or on Python-int object arrays; rf holds the
+    constants of the plan's columns, one row each, so the facets without
+    nonzeros are the caller's.
 
-    Depth first over blocks of nodes.  A node is a box and the index of its
-    fibre, which its children inherit; nodes of different fibres share
-    blocks, each tightened against its own fibre's constants.  A fibre
-    with lo > hi counts 0.  A block off the stack is topped up from those
-    below to the row cap and tightened; the nodes it leaves still moving
-    go back on the stack, to be tightened on with the next block, and
-    only the nodes at their fixpoint are counted or branched.  A node with
-    at most one open coordinate is exact (every facet holds at its fixed
-    coordinates, the free interval is its 1-D fibre) and adds its open
-    width + 1 to its fibre's Python-int total.  Others branch on their
-    narrowest open coordinate, lowest index first: one child per value,
-    or two halves of its interval when that would make more children than
-    the row cap, so no node makes more rows than a block holds.
+    Depth first over blocks of nodes, one node per column.  A node is a
+    box and the index of its fibre, which its children inherit; nodes of
+    different fibres share blocks, each tightened against its own fibre's
+    constants.  A fibre with lo > hi counts 0.  A block off the stack is
+    topped up from those below to the row cap and tightened; the nodes it
+    leaves still moving go back on the stack, to be tightened on with the
+    next block, and only the nodes at their fixpoint are counted or
+    branched.  A node with at most one open coordinate is exact (every
+    facet holds at its fixed coordinates, the free interval is its 1-D
+    fibre) and adds its open width + 1 to its fibre's Python-int total.
+    Others branch on their narrowest open coordinate, lowest index first:
+    one child per value, or two halves of its interval when that would
+    make more children than the row cap, so no node makes more children
+    than a block holds.
     """
     import numpy as np
 
-    d = u.shape[1] // 2
+    d = len(u) // 2
     rows = max(1, _BLOCK_ENTRIES // max(plan.nnz, 1))     # the row cap
-    totals = [0] * len(u)
+    totals = [0] * u.shape[1]
     stack = []
 
     def push(u, fid):
-        stack.extend((u[s:s + rows], fid[s:s + rows])
-                     for s in range(0, len(u), rows))
+        stack.extend((u[:, s:s + rows], fid[s:s + rows])
+                     for s in range(0, len(fid), rows))
 
-    fid = np.flatnonzero((u[:, :d] + u[:, d:] >= 0).all(axis=1))
-    push(u[fid], fid)
+    fid = np.flatnonzero((u[:d] + u[d:] >= 0).all(axis=0))
+    push(u[:, fid], fid)
     while stack:
         u, fid = stack.pop()
-        while stack and len(u) < rows:
+        while stack and len(fid) < rows:
             below, below_fid = stack.pop()
-            k = rows - len(u)
-            u = np.concatenate((u, below[:k]))
+            k = rows - len(fid)
+            u = np.concatenate((u, below[:, :k]), axis=1)
             fid = np.concatenate((fid, below_fid[:k]))
-            if len(below) > k:
-                stack.append((below[k:], below_fid[k:]))
-        u, fid, moving, moving_fid = _tighten_block(plan, rf[fid], u, fid)
+            if len(below_fid) > k:
+                stack.append((below[:, k:], below_fid[k:]))
+        u, fid, widths, moving, moving_fid = _tighten_block(
+            plan, rf.take(fid, axis=1), u, fid)
         push(moving, moving_fid)
-        widths = u[:, :d] + u[:, d:]
         # a leaf's widths sum to at most its narrowest positive one
         key = np.where(widths, widths, np.inf)
-        size, narrow = widths.sum(axis=1), key.min(axis=1, initial=np.inf)
+        size, narrow = widths.sum(axis=0), key.min(axis=0, initial=np.inf)
         leaf = size <= narrow
         for k, w in zip(fid[leaf].tolist(), size[leaf].tolist()):
             totals[k] += int(w) + 1
@@ -245,19 +260,19 @@ def _block_count(plan, rf, u):
         wide = n > rows
         n[wide] = 2
         n = n.astype(np.intp)
-        first, j = n.cumsum() - n, key.argmin(1)
-        kids, fid, jk = u.repeat(n, axis=0), fid.repeat(n), j.repeat(n)
-        at = np.arange(len(kids))
+        first, j = n.cumsum() - n, key.argmin(0)
+        kids, fid, jk = u.repeat(n, axis=1), fid.repeat(n), j.repeat(n)
+        at = np.arange(len(fid))
         # child k of its parent fixes z_j = lo_j + k
-        t = kids[at, jk] - (at - first.repeat(n))
-        kids[at, jk], kids[at, jk + d] = t, -t
+        t = kids[jk, at] - (at - first.repeat(n))
+        kids[jk, at], kids[jk + d, at] = t, -t
         if wide.any():
             # a wide node's two children hold the halves of its interval,
             # lo_j <= z_j <= lo_j + h - 1 and lo_j + h <= z_j <= hi_j
             a, jw, h = first[wide], j[wide], (narrow[wide] + 1) // 2
-            lo = -u[wide, jw]
-            kids[a, jw + d], kids[a + 1, jw] = lo + h - 1, -(lo + h)
-            kids[a + 1, jw + d] = u[wide, jw + d]
+            lo = -u[jw, wide]
+            kids[jw + d, a], kids[jw, a + 1] = lo + h - 1, -(lo + h)
+            kids[jw + d, a + 1] = u[jw + d, wide]
         push(kids, fid)
     return totals
 
@@ -390,11 +405,13 @@ class _FibreGeometry:
         # the factor by which the block DFS can outgrow it (see fibres)
         k_max = max([sum(map(abs, col)) for col in cols] + dens + [1])
         self.growth = k_max * (1 + (self.d + 1) * self.max_r)
-        K = np.array(cols, dtype=object).reshape(len(cols), self.rank).T
-        D = np.array(dens, dtype=object)
-        self.K = {object: (K, D)}
+        # K^T and D as a column, so a product lays its fibres out as the
+        # block DFS does, one per column
+        Kt = np.array(cols, dtype=object).reshape(len(cols), self.rank)
+        D = np.array(dens, dtype=object).reshape(-1, 1)
+        self.K = {object: (Kt, D)}
         if 2 * self.growth < _EXACT_BOUND:
-            self.K[np.float64] = (K.astype(np.float64), D.astype(np.float64))
+            self.K[np.float64] = (Kt.astype(np.float64), D.astype(np.float64))
 
     def _certificates(self):
         """Dual certificates (Y, D) bounding each reduced coordinate.
@@ -431,28 +448,30 @@ class _FibreGeometry:
 
     def fibres(self, thetas):
         """(on, rf, rest, u) of the fibres at thetas: on lists the indices
-        of the thetas on the grading, in order, and row k of each array
-        belongs to theta on[k].  rf holds the constants of the plan's
-        columns, rest the residuals of the facets without nonzeros, and
-        u = [-lo | hi] the certificate box.  UnboundedFibre when the cone
-        has an unbounded direction and some theta is on the grading; the
-        grading is checked first, so thetas off it map to no rows.
+        of the thetas on the grading, in order, and column k of each array
+        belongs to theta on[k], the block DFS's layout.  rf holds the
+        constants of the plan's columns, rest the residuals of the facets
+        without nonzeros, and u = [-lo | hi] the certificate box.
+        UnboundedFibre when the cone has an unbounded direction and some
+        theta is on the grading; the grading is checked first, so thetas
+        off it map to no columns.
 
-        The w of the thetas are stacked into W, and P = W K is one product:
-        rf is P's first plan.columns columns, rest the next len(empty), and
-        u the rest of P floor-divided by D, the certificates' denominators,
-        since a bound (Y . r0) // D equals ((Y . FU) . w) // D in integers.
+        The w of the thetas are the columns of W^T, and P = K^T W^T is one
+        product: rf is P's first plan.columns rows, rest the next
+        len(empty), and u the rest of P floor-divided by D, the
+        certificates' denominators, since a bound (Y . r0) // D equals
+        ((Y . FU) . w) // D in integers.
 
         The call's one number type is chosen here: float64 when
         2 max(max|w|, 1) growth < _EXACT_BOUND, and Python integers
         otherwise.  k_max >= 1 bounds every column 1-norm of K and every
         entry of D, so every entry of W, K and D, every partial sum of a
-        column product, and so every entry of rf and of u (D >= 1), is at
-        most T = max(max|w|, 1) k_max in magnitude.  count_fibres' proof
-        with this T keeps every value of the block DFS within
-        T (1 + (d + 1) max_r) = max(max|w|, 1) growth.  So under the guard
-        every value of the call is an integer that float64 holds exactly,
-        and so are P's floor quotients.
+        row of K^T times a column of W^T, and so every entry of rf and of
+        u (D >= 1), is at most T = max(max|w|, 1) k_max in magnitude.
+        count_fibres' proof with this T keeps every value of the block DFS
+        within T (1 + (d + 1) max_r) = max(max|w|, 1) growth.  So under the
+        guard every value of the call is an integer that float64 holds
+        exactly, and so are P's floor quotients.
         """
         import numpy as np
         on, ws = [], []
@@ -467,11 +486,11 @@ class _FibreGeometry:
         top = max((max(map(abs, w), default=0) for w in ws), default=0)
         dtype = (np.float64 if 2 * max(top, 1) * self.growth < _EXACT_BOUND
                  else object)
-        K, D = self.K[dtype]
-        P = np.array(ws, dtype=dtype).reshape(len(ws), self.rank) @ K
+        Kt, D = self.K[dtype]
+        P = Kt @ np.array(ws, dtype=dtype).reshape(len(ws), self.rank).T
         head = self.plan.columns
         tail = head + len(self.plan.empty)
-        return on, P[:, :head], P[:, head:tail], P[:, tail:] // D
+        return on, P[:head], P[head:tail], P[tail:] // D
 
 
 def count_fibres(c: Cone, thetas) -> list[int]:
@@ -486,11 +505,14 @@ def count_fibres(c: Cone, thetas) -> list[int]:
     every bound of a root box.  A pass reads only live boxes, and live
     boxes only shrink, so every entry of u is at most T in magnitude and a
     product |c| u[s] at most max_r T.  A facet has at most d products, so
-    every partial sum of u S + rf, in whatever order BLAS adds, blocks or
-    fuses them (an FMA rounds once, after its exact product), is at most
-    T + d max_r T.  A quotient facet // |c|, less one entry of u, is then
-    within B = (1 + (d + 1) max_r) T, and so is every candidate bound.  A
-    width is at least -2 B, also on a node that a pass empties.  A node's
+    every partial sum of a row of S^T times a column of u, in whatever
+    order BLAS adds, blocks or fuses them (an FMA rounds once, after its
+    exact product), is at most d max_r T, and adding rf in place keeps
+    the facet within T + d max_r T (an extra row of S^T, on a hand-built
+    R, sums two entries of u, so it stays within 2 T).  A quotient
+    facet // |c|, less one entry of u, is then within
+    B = (1 + (d + 1) max_r) T, and so is every candidate bound.  A width
+    is at least -2 B, also on a node that a pass empties.  A node's
     summed widths and its number of children are at most 2 d T + 1 <= 2 B
     (max_r >= 1 when d > 0, as every coordinate has a certificate), and a
     leaf's count leaves float64 as its one open width.  So when
@@ -509,8 +531,8 @@ def count_fibres(c: Cone, thetas) -> list[int]:
         return counts
     import numpy as np
 
-    live = (rest >= 0).all(axis=1)
-    found = _block_count(geo.plan, rf[live], u[live])
+    live = (rest >= 0).all(axis=0)
+    found = _block_count(geo.plan, rf[:, live], u[:, live])
     for k, count in zip(np.array(on)[live].tolist(), found):
         counts[k] = count
     return counts

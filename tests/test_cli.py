@@ -178,6 +178,18 @@ def test_count_command(capsys, small_builds):
     assert code == 0 and out.strip() == "1"
 
 
+def test_count_negative_theta_as_a_separate_argument(capsys, small_builds):
+    # a value that starts with a minus sign and a digit is the option's
+    # value, whether it follows a space or an equals sign
+    for argv in (["--theta", "-1,-1,-1,1,1,1,1,2,3"],
+                 ["--theta=-1,-1,-1,1,1,1,1,2,3"]):
+        code, out, err = run(capsys, "count", "--l", "3", "--m", "3", *argv)
+        assert (code, out.strip(), err) == (0, "22", "")
+    code, out, err = run(capsys, "count", "--l", "3", "--m", "3",
+                         "--theta", "-1")
+    assert code == 1 and "length 9" in err
+
+
 def test_count_bad_theta_length(capsys):
     code, _, err = run(capsys, "count", "--l", "2", "--m", "2",
                        "--theta", "1,2,3")

@@ -284,17 +284,18 @@ def test_python_fallback_matches_numpy(small_builds, monkeypatch):
 
 
 def _spy_nodes(P, monkeypatch):
-    # the nodes of the search tree are the rows that the block tightener
-    # returns at their fixpoint, however many blocks a row passes through
+    # the nodes of the search tree are the nodes that the block tightener
+    # returns at their fixpoint, however many blocks a node passes through
     # before; the branching rule (narrowest open coordinate, lowest index)
-    # fixes them
+    # fixes them.  A node is counted by its fibre id, whatever the layout
+    # of its box
     rows = []
     real = P._tighten_block
 
     def spy(plan, rf, u, fid):
-        assert len(u) * plan.nnz <= P._BLOCK_ENTRIES
+        assert len(fid) * plan.nnz <= P._BLOCK_ENTRIES
         out = real(plan, rf, u, fid)
-        rows.append(len(out[0]))
+        rows.append(len(out[1]))
         return out
     monkeypatch.setattr(P, "_tighten_block", spy)
     return rows
@@ -433,12 +434,12 @@ def test_batch_equals_its_fibres_one_at_a_time(small_builds, monkeypatch,
                             (2, 3, 1, 0, 0, 0), (0,) * 6]))
     huge = [(t, 0, 0, 0, 0, 0) for t in (5, 2 ** 62, 2 ** 70)]
     batches.append((line, huge))
-    # each block's dtype and its number of distinct fibres (rows of rf)
+    # each block's dtype and its number of distinct fibres (columns of rf)
     blocks = []
     real = P._tighten_block
 
     def spy(plan, rf, u, fid):
-        blocks.append((u.dtype.name, len({tuple(r) for r in rf.tolist()})))
+        blocks.append((u.dtype.name, len({tuple(r) for r in rf.T.tolist()})))
         return real(plan, rf, u, fid)
     monkeypatch.setattr(P, "_tighten_block", spy)
     found = [count_fibres(c, thetas) for c, thetas in batches]
@@ -626,7 +627,8 @@ def fraction_fibre(geo, c, theta):
 
 def test_integer_fibre_map_matches_fraction_reference():
     # one batch of every theta (one product, on float64 at these sizes)
-    # equals the rational reference row by row, in the engine's layout
+    # equals the rational reference fibre by fibre, one per column in the
+    # engine's layout
     rng = random.Random(40)
     for lm in GEOMETRY_CONES:
         c = build_cone(*lm)
@@ -649,8 +651,8 @@ def test_integer_fibre_map_matches_fraction_reference():
         assert len(on) >= len(solvable)
         assert rf.dtype == u.dtype == "float64"
         pad = [0] * (plan.columns - len(plan.facets))
-        for i, rf_row, rest_row, u_row in zip(on, rf.tolist(), rest.tolist(),
-                                             u.tolist()):
+        for i, rf_row, rest_row, u_row in zip(on, rf.T.tolist(),
+                                             rest.T.tolist(), u.T.tolist()):
             r0, lo, hi = refs[i]
             assert rf_row == [r0[f] for f in plan.facets.tolist()] + pad
             assert rest_row == [r0[f] for f in plan.empty.tolist()]
@@ -677,7 +679,7 @@ def test_fibre_map_product_leaves_float64_at_its_guard():
         assert on == [0] and rf.dtype == u.dtype == dtype, N
         assert count_fibres(c, [theta(N)]) == [1]
         if dtype == "object":
-            row = rf[0].tolist() + rest[0].tolist() + u[0].tolist()
+            row = rf[:, 0].tolist() + rest[:, 0].tolist() + u[:, 0].tolist()
             assert all(type(x) is int for x in row)
 
 
@@ -716,7 +718,8 @@ def block_count(R, res, boxes, d, dtype):
     """The block engine on the boxes [(lo, hi), ...], one fibre per box,
     each with the residuals res: the sum of their counts.  As in
     count_fibres, a negative residual on a facet without nonzeros empties
-    every fibre, and the others' residuals are the plan's constants."""
+    every fibre, and the others' residuals are the plan's constants.  The
+    engine's layout holds one fibre per column of rf and u."""
     import numpy as np
     import hivekron.polyhedra as P
     plan = P._Plan(R, d)
@@ -725,9 +728,9 @@ def block_count(R, res, boxes, d, dtype):
     k = len(boxes)
     rf = [res[f] for f in plan.facets.tolist()]
     rf += [0] * (plan.columns - len(rf))
-    rf = np.array([rf] * k, dtype=dtype).reshape(k, plan.columns)
+    rf = np.array([[x] * k for x in rf], dtype=dtype).reshape(plan.columns, k)
     u = np.array([[-x for x in lo] + hi for lo, hi in boxes],
-                 dtype=dtype).reshape(k, 2 * d)
+                 dtype=dtype).reshape(k, 2 * d).T.copy()
     return sum(P._block_count(plan, rf, u))
 
 
@@ -853,18 +856,19 @@ def test_tighten_block_matches_python_reference(small_builds, lm, dtype):
     # one block of real fibres' certificate boxes: random sub-boxes, each
     # fibre's fixpoint, which comes back unchanged, and children (one
     # coordinate fixed), some of which empty only on a later pass; every
-    # row at its fixpoint comes back with its row's id as its fibre id, so
-    # rows are compared one by one whatever order and call returns them
+    # box at its fixpoint comes back with its own id as its fibre id, so
+    # boxes are compared one by one whatever order and call returns them;
+    # the engine holds one box per column
     import numpy as np
     import hivekron.polyhedra as P
     geo = build_cone(*lm).geometry
     rng = random.Random(31 * lm[0] + lm[1])
     boxes, res = [], []
-    # the root rows of fibres, read back as (r0, lo, hi) in facet order
+    # the root columns of fibres, read back as (r0, lo, hi) in facet order
     on, rf_roots, rest, u_roots = geo.fibres(real_fibres(*lm, 10, 7))
     order = geo.plan.facets.tolist() + geo.plan.empty.tolist()
-    assert len(on) == len(u_roots) > 0
-    for rf_row, rest_row, u_row in zip(rf_roots, rest, u_roots):
+    assert len(on) == u_roots.shape[1] > 0
+    for rf_row, rest_row, u_row in zip(rf_roots.T, rest.T, u_roots.T):
         r0 = [0] * len(order)
         for f, x in zip(order, list(rf_row[:len(geo.plan.facets)]) +
                         list(rest_row)):
@@ -884,20 +888,22 @@ def test_tighten_block_matches_python_reference(small_builds, lm, dtype):
             mine.append((lo[:j] + v + lo[j + 1:], hi[:j] + v + hi[j + 1:]))
         boxes += mine
         res += [r0] * len(mine)
-    u = np.array([[-x for x in a] + b for a, b in boxes], dtype=dtype)
-    rf = np.array(res, dtype=dtype)[:, geo.plan.facets]
-    # the rows still moving go in again, as a block DFS hands them on,
-    # until every row is at its fixpoint or empty
+    d = geo.d
+    u = np.array([[-x for x in a] + b for a, b in boxes], dtype=dtype).T.copy()
+    rf = np.array(res, dtype=dtype)[:, geo.plan.facets].T.copy()
+    # the boxes still moving go in again, as a block DFS hands them on,
+    # until every box is at its fixpoint or empty
     fid, handoffs, out, out_fid = np.arange(len(boxes)), 0, [], []
     while len(fid):
         given, block = u, u.copy()
-        done, done_fid, u, fid = P._tighten_block(geo.plan, rf[fid], given,
-                                                  fid)
+        done, done_fid, widths, u, fid = P._tighten_block(
+            geo.plan, rf[:, fid], given, fid)
         assert (given == block).all()
-        # a handed-off row is nonempty
-        assert (u[:, :geo.d] + u[:, geo.d:] >= 0).all()
+        assert (widths == done[:d] + done[d:]).all()
+        # a handed-off box is nonempty
+        assert (u[:d] + u[d:] >= 0).all()
         handoffs += len(fid) > 0
-        out += done.tolist()
+        out += done.T.tolist()
         out_fid += done_fid.tolist()
     ref = [reference_tightening(geo.R, r, *box) for r, box in zip(res, boxes)]
     assert sorted(out_fid) == [k for k, (box, _) in enumerate(ref) if box]
