@@ -19,7 +19,7 @@ from . import __version__
 from .diamonds import build_bar, build_tilde
 from .errors import (HivekronError, OutOfRange, SizeTooLargeForOracle,
                      UnboundedFibre)
-from .kron import ORACLE_BOUND, kronecker, kronecker_oracle, partition
+from .kron import ORACLE_BOUND, kronecker, kronecker_oracle
 from .polyhedra import Cone, build_cone, count_lattice_points
 from .quiver import VertexId
 
@@ -28,18 +28,13 @@ EXIT_VERIFY = 2
 EXIT_UNBOUNDED = 3
 
 
-def _parse_ints(text: str, convert=tuple):
-    """Comma-separated integers passed to convert, a blank string none;
-    OutOfRange if a field is empty or not an integer."""
+def _parse_ints(text: str) -> tuple:
+    """Comma-separated integers as a tuple, a blank string none; OutOfRange
+    if a field is empty or not an integer.  The library checks partitions."""
     try:
-        ints = [int(x) for x in text.split(",")] if text.strip() else []
+        return tuple(int(x) for x in text.split(",")) if text.strip() else ()
     except ValueError as exc:
         raise OutOfRange(f"bad integer list {text!r}: {exc}") from None
-    return convert(ints)
-
-
-def _parse_partition(text: str):
-    return _parse_ints(text, partition)
 
 
 def _wire(x):
@@ -93,9 +88,9 @@ def _atomic_write(path: str, text: str):
 
 
 def cmd_coeff(args) -> int:
-    mu = _parse_partition(args.mu)
-    nu = _parse_partition(args.nu)
-    lam = _parse_partition(args.lam)
+    mu = _parse_ints(args.mu)
+    nu = _parse_ints(args.nu)
+    lam = _parse_ints(args.lam)
     res = kronecker(mu, nu, lam, l=args.l, m=args.m)
     if args.json:
         doc = {
@@ -125,9 +120,9 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    mu = _parse_partition(args.mu)
-    nu = _parse_partition(args.nu)
-    lam = _parse_partition(args.lam)
+    mu = _parse_ints(args.mu)
+    nu = _parse_ints(args.nu)
+    lam = _parse_ints(args.lam)
     print(kronecker_oracle(mu, nu, lam))
     return 0
 

@@ -106,6 +106,10 @@ class _Plan:
     (both certificates of a coordinate need a term of each sign), and on a
     hand-built R one without reads an extra row of S^T, u[t] + u[t -+ d]
     with constant 0.
+
+    ``dense`` maps float64 and object, the number types that
+    ``_FibreGeometry.fibres`` chooses from, to (S^T, bc as a column), both
+    built once; bc holds the |c| of the quotient rows.
     """
 
     def __init__(self, R, d):
@@ -118,19 +122,22 @@ class _Plan:
         self.empty = np.array(sorted(set(range(len(R))) - set(facets)),
                               dtype=np.intp)
         at = {f: k for k, f in enumerate(facets)}
-        self._S = [[0] * len(facets) for _ in range(2 * d)]
+        S = [[0] * len(facets) for _ in range(2 * d)]
         runs = [[] for _ in range(2 * d)]
         for f, j, c in nz:
-            self._S[j + d * (c > 0)][at[f]] = abs(c)
+            S[j + d * (c > 0)][at[f]] = abs(c)
             runs[j + d * (c < 0)].append((at[f], abs(c)))
         for t in [t for t in range(2 * d) if nz and not runs[t]]:
-            runs[t].append((len(self._S[t]), 1))
-            for s, row in enumerate(self._S):
+            runs[t].append((len(S[t]), 1))
+            for s, row in enumerate(S):
                 row.append(int(s % d == t % d))
-        self.columns = len(self._S[0]) if d else len(facets)
+        self.columns = len(S[0]) if d else len(facets)
         pairs = sorted({p for run in runs for p in run if p[1] > 1})
         self.bf = np.array([k for k, _ in pairs], dtype=np.intp)
-        self._bc = [a for _, a in pairs]
+        bc = [a for _, a in pairs]
+        self.dense = {np.dtype(t): (np.array(S, dtype=t).T.copy(),
+                                    np.array(bc, dtype=t).reshape(-1, 1))
+                      for t in (np.float64, object)}
         ext = {p: self.columns + i for i, p in enumerate(pairs)}
         runs = [[ext.get(p, p[0]) for p in run] for run in runs]
         # each u[t]'s run, padded by repeating its own members: a minimum
@@ -138,17 +145,6 @@ class _Plan:
         width = max(map(len, runs), default=0)
         self.qruns = np.array([[run[i % len(run)] for run in runs]
                                for i in range(width)], dtype=np.intp)
-        self._dense = {}
-
-    def matrix(self, dtype):
-        """(S^T, bc as a column) as C-contiguous arrays of dtype, built on
-        the first request for it."""
-        import numpy as np
-        if dtype not in self._dense:
-            St = np.array(self._S, dtype=dtype).T.copy()
-            bc = np.array(self._bc, dtype=dtype).reshape(-1, 1)
-            self._dense[dtype] = St, bc
-        return self._dense[dtype]
 
 
 def _tighten_block(plan, rf, u, fid):
@@ -175,7 +171,7 @@ def _tighten_block(plan, rf, u, fid):
     d = len(u) // 2
     if not plan.nnz:
         return u, fid, u[:d] + u[d:], u[:, :0], fid[:0]
-    St, bc = plan.matrix(u.dtype)
+    St, bc = plan.dense[u.dtype]
     while True:
         facet = St @ u
         facet += rf
@@ -217,9 +213,9 @@ def _block_count(plan, rf, u):
     facet holds at its fixed coordinates, the free interval is its 1-D
     fibre) and adds its open width + 1 to its fibre's Python-int total.
     Others branch on their narrowest open coordinate, lowest index first:
-    one child per value, or two halves of its interval when that would
-    make more children than the row cap, so no node makes more children
-    than a block holds.
+    one child per value while the block's children stay within the row
+    cap, and from there two, the halves of its interval, for a node with
+    more than two values, so a block makes at most 3 row caps of children.
     """
     import numpy as np
 
@@ -255,11 +251,11 @@ def _block_count(plan, rf, u):
         if leaf.all():
             continue
         # one child per value of the narrowest open coordinate, and two for
-        # a node with more values than the row cap
-        n = np.where(leaf, 0, narrow + 1)
-        wide = n > rows
+        # a node with more than two values once the block's running total
+        # passes the row cap; capped at rows + 1, the total is an exact intp
+        n = np.minimum(np.where(leaf, 0, narrow + 1), rows + 1).astype(np.intp)
+        wide = (n.cumsum() > rows) & (n > 2)
         n[wide] = 2
-        n = n.astype(np.intp)
         first, j = n.cumsum() - n, key.argmin(0)
         kids, fid, jk = u.repeat(n, axis=1), fid.repeat(n), j.repeat(n)
         at = np.arange(len(fid))

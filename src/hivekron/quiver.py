@@ -156,23 +156,22 @@ def b_matrix_rank(Q: IceQuiver) -> int:
 WeightConfig = dict  # VertexId -> Weight
 
 
+def _weight_sum(sigma: Mapping[VertexId, Weight], arrows, dim: int) -> list:
+    """The sum of m sigma(v) over the arrows (v, m), in one pass."""
+    acc = [0] * dim
+    for v, m in arrows:
+        w = sigma[v]
+        for k in range(dim):
+            acc[k] += m * w[k]
+    return acc
+
+
 def weight_defect(Q: IceQuiver, sigma: Mapping[VertexId, Weight]) -> list[VertexId]:
     """Mutable vertices where the in-sum differs from the out-sum."""
-    bad = []
     dim = len(next(iter(sigma.values())))
-    for u in Q.mutable:
-        acc = [0] * dim
-        for v, m in Q.arrows_in(u):
-            w = sigma[v]
-            for k in range(dim):
-                acc[k] += m * w[k]
-        for v, m in Q.arrows_out(u):
-            w = sigma[v]
-            for k in range(dim):
-                acc[k] -= m * w[k]
-        if any(acc):
-            bad.append(u)
-    return bad
+    return [u for u in Q.mutable
+            if _weight_sum(sigma, Q.arrows_in(u), dim)
+            != _weight_sum(sigma, Q.arrows_out(u), dim)]
 
 
 def _transport(Q: IceQuiver, sigma: Mapping[VertexId, Weight],
@@ -182,15 +181,8 @@ def _transport(Q: IceQuiver, sigma: Mapping[VertexId, Weight],
         raise OutOfRange(f"{u} is not a vertex")
     if u in Q.frozen:
         raise OutOfRange(f"cannot mutate weights at frozen vertex {u}")
-    dim = len(sigma[u])
-    acc = [0] * dim
-    for v, m in Q.arrows_in(u):
-        w = sigma[v]
-        for k in range(dim):
-            acc[k] += m * w[k]
-    new = dict(sigma)
-    new[u] = tuple(a - b for a, b in zip(acc, sigma[u]))
-    return new
+    acc = _weight_sum(sigma, Q.arrows_in(u), len(sigma[u]))
+    return {**sigma, u: tuple(a - b for a, b in zip(acc, sigma[u]))}
 
 
 def mutate_weights_seq(Q: IceQuiver, sigma: Mapping[VertexId, Weight],

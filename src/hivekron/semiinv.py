@@ -171,7 +171,8 @@ class Representation:
     """Integer point of the representation space of the flagged quiver.
 
     asc[k] has shape (k+1) x k, desc[k] shape k x (k+1) (k = 1..l-1),
-    central[t] is l x l (t = 1..m).
+    central[t] is l x l (t = 1..m).  Path matrices are not kept: each is a
+    product of at most 2l small integer matrices, rebuilt on every request.
     """
 
     def __init__(self, l: int, m: int, asc, desc, central):
@@ -180,7 +181,6 @@ class Representation:
         self.asc = asc
         self.desc = desc
         self.central = central
-        self._path_cache: dict = {}
 
     @classmethod
     def random(cls, l: int, m: int, rng: random.Random) -> "Representation":
@@ -198,17 +198,12 @@ class Representation:
         target = -x with x in [1,l], source = y in [1,l]; the result is the
         y-by-x composite desc_y ... desc_{l-1} . a_k . asc_{l-1} ... asc_x.
         """
-        key = (target, source, central_index)
-        got = self._path_cache.get(key)
-        if got is not None:
-            return got
         x, y = -target, source
         out = self.central[central_index]
         for k in range(self.l - 1, x - 1, -1):
             out = _mat_mul(out, self.asc[k])
         for k in range(self.l - 1, y - 1, -1):
             out = _mat_mul(self.desc[k], out)
-        self._path_cache[key] = out
         return out
 
 

@@ -227,8 +227,9 @@ def assert_one_error_line(code, out, err):
 
 
 def test_coeff_bad_partition_literal(capsys):
-    for mu in ("2,x", "2,,1"):
-        assert_one_error_line(*run(capsys, "coeff", "--mu", mu, "--nu", "2,1",
+    # the oracle command reads its partitions the same way
+    for cmd, mu in itertools.product(("coeff", "oracle"), ("2,x", "2,,1")):
+        assert_one_error_line(*run(capsys, cmd, "--mu", mu, "--nu", "2,1",
                                    "--lam", "2,1"))
 
 
@@ -238,8 +239,12 @@ def test_coeff_blank_partitions_are_empty(capsys):
 
 
 def test_coeff_increasing_partition(capsys):
-    assert_one_error_line(*run(capsys, "coeff", "--mu", "1,2", "--nu", "2,1",
-                               "--lam", "2,1"))
+    # the library rejects the partition, for the oracle command too
+    for cmd in ("coeff", "oracle"):
+        code, out, err = run(capsys, cmd, "--mu", "1,2", "--nu", "2,1",
+                             "--lam", "2,1")
+        assert_one_error_line(code, out, err)
+        assert "not weakly decreasing" in err
 
 
 def test_build_quiver_out_under_a_file(capsys, tmp_path):
