@@ -9,8 +9,10 @@ one integer product with a per-cone matrix, and a pass then bounds every
 facet over every box of a block by one matrix product.  A block holds
 one node per column, so each bound of its boxes is one contiguous row.
 Both products run on one number type per call, chosen before the first:
-float64 when a proven bound keeps every value an exact integer below
-2^53 (one BLAS call each), and Python integers otherwise.
+float32 when a proven bound keeps every value an exact integer below
+2^24, float64 when it keeps them below 2^53 (one BLAS call each either
+way), and Python integers otherwise.  A block's row cap is a number of
+bytes, so a float32 block holds twice the nodes of a float64 one.
 A block runs passes while most of its boxes still move; the boxes still
 moving then go on with the next block, and only boxes at their fixpoint
 are counted or branched.
@@ -81,12 +83,14 @@ def build_cone(l: int, m: int) -> Cone:
 # counting
 
 
-# every integer of smaller magnitude is a float64, so a call's fibre map
-# and block DFS run on float64 when _FibreGeometry.fibres proves that
-# their values stay below this
-_EXACT_BOUND = 2 ** 53
-# cap on rows x nonzeros of R in one block of nodes, so memory stays flat
-_BLOCK_ENTRIES = 2 ** 15
+# (number type, bound): every integer of smaller magnitude than the bound
+# is a number of the type, so a call's fibre map and block DFS run on the
+# first type whose bound _FibreGeometry.fibres proves their values stay
+# below, and on Python integers past them all
+_EXACT_TYPES = (("float32", 2 ** 24), ("float64", 2 ** 53))
+# cap on rows x bytes per number x nonzeros of R in one block of nodes,
+# so memory stays flat
+_BLOCK_BYTES = 8 * 2 ** 15
 
 
 class _Plan:
@@ -107,9 +111,9 @@ class _Plan:
     hand-built R one without reads an extra row of S^T, u[t] + u[t -+ d]
     with constant 0.
 
-    ``dense`` maps float64 and object, the number types that
-    ``_FibreGeometry.fibres`` chooses from, to (S^T, bc as a column), both
-    built once; bc holds the |c| of the quotient rows.
+    ``dense`` maps each number type that ``_FibreGeometry.fibres``
+    chooses from (those of ``_EXACT_TYPES``, and object) to (S^T, bc as a
+    column), both built once; bc holds the |c| of the quotient rows.
     """
 
     def __init__(self, R, d):
@@ -137,7 +141,7 @@ class _Plan:
         bc = [a for _, a in pairs]
         self.dense = {np.dtype(t): (np.array(S, dtype=t).T.copy(),
                                     np.array(bc, dtype=t).reshape(-1, 1))
-                      for t in (np.float64, object)}
+                      for t in [t for t, _ in _EXACT_TYPES] + [object]}
         ext = {p: self.columns + i for i, p in enumerate(pairs)}
         runs = [[ext.get(p, p[0]) for p in run] for run in runs]
         # each u[t]'s run, padded by repeating its own members: a minimum
@@ -197,30 +201,34 @@ def _tighten_block(plan, rf, u, fid):
 
 def _block_count(plan, rf, u):
     """Exact counts of the integer points z with R z + rf[:, k] >= 0 in
-    the box u[:, k] = [-lo | hi], one fibre k per column, on float64
-    arrays of exact integers or on Python-int object arrays; rf holds the
-    constants of the plan's columns, one row each, so the facets without
-    nonzeros are the caller's.
+    the box u[:, k] = [-lo | hi], one fibre k per column, on float32 or
+    float64 arrays of exact integers or on Python-int object arrays; rf
+    holds the constants of the plan's columns, one row each, so the facets
+    without nonzeros are the caller's.
 
     Depth first over blocks of nodes, one node per column.  A node is a
     box and the index of its fibre, which its children inherit; nodes of
     different fibres share blocks, each tightened against its own fibre's
     constants.  A fibre with lo > hi counts 0.  A block off the stack is
-    topped up from those below to the row cap and tightened; the nodes it
-    leaves still moving go back on the stack, to be tightened on with the
-    next block, and only the nodes at their fixpoint are counted or
-    branched.  A node with at most one open coordinate is exact (every
-    facet holds at its fixed coordinates, the free interval is its 1-D
-    fibre) and adds its open width + 1 to its fibre's Python-int total.
+    topped up from those below to the row cap, the most rows whose bytes
+    per nonzero of R fit _BLOCK_BYTES, and tightened; the nodes it leaves
+    still moving go back on the stack, to be tightened on with the next
+    block, and only the nodes at their fixpoint are counted or branched.
+    A node with at most one open coordinate is exact (every facet holds
+    at its fixed coordinates, the free interval is its 1-D fibre) and
+    adds its open width + 1 to its fibre's Python-int total.
     Others branch on their narrowest open coordinate, lowest index first:
-    one child per value while the block's children stay within the row
-    cap, and from there two, the halves of its interval, for a node with
-    more than two values, so a block makes at most 3 row caps of children.
+    one child per value, or two, the halves of its interval, for a node
+    with more values than the row cap.  A node with more than two values
+    whose children would take the block's running total past the row cap
+    goes back on the stack unbranched, to branch in a later block, so a
+    block makes at most 3 row caps of children.
     """
     import numpy as np
 
     d = len(u) // 2
-    rows = max(1, _BLOCK_ENTRIES // max(plan.nnz, 1))     # the row cap
+    # the row cap: rows x bytes per number x nonzeros of R <= _BLOCK_BYTES
+    rows = max(1, _BLOCK_BYTES // (u.itemsize * max(plan.nnz, 1)))
     totals = [0] * u.shape[1]
     stack = []
 
@@ -251,11 +259,16 @@ def _block_count(plan, rf, u):
         if leaf.all():
             continue
         # one child per value of the narrowest open coordinate, and two for
-        # a node with more than two values once the block's running total
-        # passes the row cap; capped at rows + 1, the total is an exact intp
+        # a node with more values than the row cap; a node with more than
+        # two values that would take the block's running total past the
+        # row cap waits on the stack.  Capped at rows + 1, n is an exact intp
         n = np.minimum(np.where(leaf, 0, narrow + 1), rows + 1).astype(np.intp)
-        wide = (n.cumsum() > rows) & (n > 2)
+        wide = n > rows
         n[wide] = 2
+        wait = (n.cumsum() > rows) & (n > 2)
+        if wait.any():
+            push(u.compress(wait, axis=1), fid[wait])
+            n[wait] = 0
         first, j = n.cumsum() - n, key.argmin(0)
         kids, fid, jk = u.repeat(n, axis=1), fid.repeat(n), j.repeat(n)
         at = np.arange(len(fid))
@@ -405,9 +418,10 @@ class _FibreGeometry:
         # block DFS does, one per column
         Kt = np.array(cols, dtype=object).reshape(len(cols), self.rank)
         D = np.array(dens, dtype=object).reshape(-1, 1)
-        self.K = {object: (Kt, D)}
-        if 2 * self.growth < _EXACT_BOUND:
-            self.K[np.float64] = (Kt.astype(np.float64), D.astype(np.float64))
+        self.K = {np.dtype(object): (Kt, D)}
+        for t, bound in _EXACT_TYPES:
+            if 2 * self.growth < bound:
+                self.K[np.dtype(t)] = (Kt.astype(t), D.astype(t))
 
     def _certificates(self):
         """Dual certificates (Y, D) bounding each reduced coordinate.
@@ -458,16 +472,17 @@ class _FibreGeometry:
         certificates' denominators, since a bound (Y . r0) // D equals
         ((Y . FU) . w) // D in integers.
 
-        The call's one number type is chosen here: float64 when
-        2 max(max|w|, 1) growth < _EXACT_BOUND, and Python integers
-        otherwise.  k_max >= 1 bounds every column 1-norm of K and every
-        entry of D, so every entry of W, K and D, every partial sum of a
-        row of K^T times a column of W^T, and so every entry of rf and of
-        u (D >= 1), is at most T = max(max|w|, 1) k_max in magnitude.
-        count_fibres' proof with this T keeps every value of the block DFS
-        within T (1 + (d + 1) max_r) = max(max|w|, 1) growth.  So under the
-        guard every value of the call is an integer that float64 holds
-        exactly, and so are P's floor quotients.
+        The call's one number type is chosen here: the first type of
+        _EXACT_TYPES whose bound exceeds 2 max(max|w|, 1) growth (float32
+        below 2^24, float64 below 2^53), and Python integers past both.
+        k_max >= 1 bounds every column 1-norm of K and every entry of D, so
+        every entry of W, K and D, every partial sum of a row of K^T times
+        a column of W^T, and so every entry of rf and of u (D >= 1), is at
+        most T = max(max|w|, 1) k_max in magnitude.  count_fibres' proof
+        with this T keeps every value of the block DFS within
+        T (1 + (d + 1) max_r) = max(max|w|, 1) growth.  So under the chosen
+        type's bound every value of the call is an integer that the type
+        holds exactly, and so are P's floor quotients.
         """
         import numpy as np
         on, ws = [], []
@@ -480,8 +495,9 @@ class _FibreGeometry:
             raise UnboundedFibre("the grading fibres are unbounded in "
                                  f"direction {self.unbounded}")
         top = max((max(map(abs, w), default=0) for w in ws), default=0)
-        dtype = (np.float64 if 2 * max(top, 1) * self.growth < _EXACT_BOUND
-                 else object)
+        need = 2 * max(top, 1) * self.growth
+        dtype = np.dtype(next((t for t, bound in _EXACT_TYPES if need < bound),
+                              object))
         Kt, D = self.K[dtype]
         P = Kt @ np.array(ws, dtype=dtype).reshape(len(ws), self.rank).T
         head = self.plan.columns
@@ -511,8 +527,9 @@ def count_fibres(c: Cone, thetas) -> list[int]:
     is at least -2 B, also on a node that a pass empties.  A node's
     summed widths and its number of children are at most 2 d T + 1 <= 2 B
     (max_r >= 1 when d > 0, as every coordinate has a certificate), and a
-    leaf's count leaves float64 as its one open width.  So when
-    2 B < _EXACT_BOUND = 2^53 every value is an integer that float64 holds
+    leaf's count leaves the float type as its one open width.  So when 2 B
+    is below the chosen type's bound in _EXACT_TYPES (2^24 for float32,
+    2^53 for float64) every value is an integer that the type holds
     exactly, and a sum, product, FMA, minimum or comparison of such
     integers, or a floor division (numpy derives it from the exact fmod),
     whose true result is one, returns it exactly.

@@ -1,0 +1,69 @@
+"""Identities that hold at every n, checked with no oracle.
+
+Two-row parity: g((N, N), (N, N), (N, N)) is 1 for even N and 0 for odd
+N (Garsia, Wallach, Xin and Zabrocki, Kronecker coefficients via
+symmetric functions and constant term identities, IJAC 2012).
+"""
+
+import pytest
+
+from hivekron.kron import kronecker, lambda_shifts, sigma_of
+from hivekron.polyhedra import build_cone
+
+
+def two_row_top(geo, N):
+    """The largest |entry| of the w that g((N, N), (N, N), (N, N)) solves
+    for on (2,2), over its distinct sorted shifts of (N, N)."""
+    from hivekron.intlin import back_solve
+    sigma = sigma_of((N, N), (N, N), 2)
+    thetas = {sigma + tuple(sorted(alpha))
+              for _, alpha, _ in lambda_shifts((N, N), 2)}
+    return max(max(map(abs, back_solve(geo.M, geo.pivots, theta)))
+               for theta in thetas)
+
+
+def float32_edge():
+    """The largest N whose two-row call on (2,2) the guard of
+    ``_FibreGeometry.fibres`` keeps on float32."""
+    import hivekron.polyhedra as P
+    geo = build_cone(2, 2).geometry
+    [bound] = [b for t, b in P._EXACT_TYPES if t == "float32"]
+
+    def fits(N):
+        return 2 * max(two_row_top(geo, N), 1) * geo.growth < bound
+    lo, hi = 1, bound
+    assert fits(lo) and not fits(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
+
+
+@pytest.fixture
+def call_dtypes(monkeypatch):
+    """The number type of each block the block DFS tightens."""
+    import hivekron.polyhedra as P
+    seen = []
+    real = P._tighten_block
+
+    def spy(plan, rf, u, fid):
+        seen.append(u.dtype.name)
+        return real(plan, rf, u, fid)
+    monkeypatch.setattr(P, "_tighten_block", spy)
+    return seen
+
+
+def test_two_row_parity_small(call_dtypes):
+    for N in range(1, 13):
+        assert kronecker((N, N), (N, N), (N, N)).value == 1 - N % 2, N
+    assert set(call_dtypes) == {"float32"}
+
+
+def test_two_row_parity_on_both_sides_of_the_float32_edge(call_dtypes):
+    # the last N on float32 and the first on float64, one of each parity
+    edge = float32_edge()
+    assert 10 ** 5 < edge < 10 ** 6
+    for N, dtype in ((edge, "float32"), (edge + 1, "float64")):
+        call_dtypes.clear()
+        assert kronecker((N, N), (N, N), (N, N)).value == 1 - N % 2, N
+        assert call_dtypes and set(call_dtypes) == {dtype}, N

@@ -258,7 +258,8 @@ def real_fibres(l, m, k, seed):
 
 
 def test_python_fallback_matches_numpy(small_builds, monkeypatch):
-    # the DFS on Python integers (dtype=object) must agree with float64
+    # the DFS on float32, which these fibres choose, must agree with the
+    # DFS forced onto float64 and onto Python integers (dtype=object)
     import hivekron.polyhedra as P
     c23, c33 = build_cone(2, 3), build_cone(3, 3)
     rng = random.Random(99)
@@ -274,12 +275,12 @@ def test_python_fallback_matches_numpy(small_builds, monkeypatch):
         return real(plan, rf, u, fid)
     monkeypatch.setattr(P, "_tighten_block", spy)
     fast = [count_lattice_points(c, th) for c, th in fibres]
-    assert dtypes == {"float64"}
-    dtypes.clear()
-    monkeypatch.setattr(P, "_EXACT_BOUND", 0)
-    slow = [count_lattice_points(c, th) for c, th in fibres]
-    assert dtypes == {"object"}
-    assert fast == slow
+    assert dtypes == {"float32"}
+    for types, dtype in (((("float64", 2 ** 53),), "float64"), ((), "object")):
+        dtypes.clear()
+        monkeypatch.setattr(P, "_EXACT_TYPES", types)
+        assert [count_lattice_points(c, th) for c, th in fibres] == fast
+        assert dtypes == {dtype}
     assert sum(1 for n in fast[11:] if n > 1) >= 10
 
 
@@ -293,7 +294,7 @@ def _spy_nodes(P, monkeypatch):
     real = P._tighten_block
 
     def spy(plan, rf, u, fid):
-        assert len(fid) * plan.nnz <= P._BLOCK_ENTRIES
+        assert len(fid) * u.itemsize * plan.nnz <= P._BLOCK_BYTES
         out = real(plan, rf, u, fid)
         rows.append(len(out[1]))
         return out
@@ -335,11 +336,11 @@ def test_planned_node_counts_pinned(small_builds, monkeypatch):
 
 def test_planned_block_counts_pinned(small_builds, monkeypatch):
     # a kronecker call counts its distinct fibres in one block DFS, so its
-    # blocks mix fibres; one DFS per fibre makes 69, 91 and 172 blocks
+    # blocks mix fibres; one DFS per fibre makes 69, 91 and 166 blocks
     import hivekron.polyhedra as P
     from hivekron.kron import kronecker
     rows = _spy_nodes(P, monkeypatch)
-    for (triple, value, _, planned), blocks in zip(NODE_PINS, (19, 20, 74)):
+    for (triple, value, _, planned), blocks in zip(NODE_PINS, (19, 20, 46)):
         rows.clear()
         assert kronecker(*triple, l=3, m=3).value == value
         assert sum(rows) == planned and len(rows) == blocks
@@ -392,8 +393,9 @@ def test_float_path_ends_at_the_exact_bound(monkeypatch):
     # t = 2^53 + 1 is no float64, so a float pass would miscount its
     # 2^53 + 2 points; the guard sends it to Python integers.  On the line
     # (d = max_r = 1, max_b = max_res = t) it bounds every float value by
-    # 2 (max_res + (d + 1) max_r max_b) = 6 t, so float64 runs up to
-    # t = 2^53 // 6 and no further
+    # 2 (max_res + (d + 1) max_r max_b) = 6 t, so float32 runs up to
+    # t = 2^24 // 6, float64 from there up to t = 2^53 // 6, and Python
+    # integers past that
     import hivekron.polyhedra as P
     dtypes = []
     real = P._tighten_block
@@ -403,9 +405,10 @@ def test_float_path_ends_at_the_exact_bound(monkeypatch):
         return real(plan, rf, u, fid)
     monkeypatch.setattr(P, "_tighten_block", spy)
     line = line_cone()
-    edge = 2 ** 53 // 6
-    for t, dtype in ((2 ** 30, "float64"), (2 ** 40, "float64"),
-                     (edge, "float64"), (edge + 1, "object"),
+    edge32, edge64 = 2 ** 24 // 6, 2 ** 53 // 6
+    for t, dtype in ((5, "float32"), (edge32, "float32"),
+                     (edge32 + 1, "float64"), (2 ** 40, "float64"),
+                     (edge64, "float64"), (edge64 + 1, "object"),
                      (2 ** 53 + 1, "object")):
         dtypes.clear()
         count = count_lattice_points(line, (t, 0, 0, 0, 0, 0))
@@ -416,10 +419,11 @@ def test_float_path_ends_at_the_exact_bound(monkeypatch):
 @pytest.mark.parametrize("block_entries", [None, 2 ** 9])
 def test_batch_equals_its_fibres_one_at_a_time(small_builds, monkeypatch,
                                                block_entries):
-    # with small blocks the top-up from below mixes the fibres' nodes
+    # with small blocks the top-up from below mixes the fibres' nodes; a
+    # block of block_entries float64 entries of R's nonzeros
     import hivekron.polyhedra as P
     if block_entries:
-        monkeypatch.setattr(P, "_BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(P, "_BLOCK_BYTES", 8 * block_entries)
     rng = random.Random(19)
     batches = []
     for c in (build_cone(2, 3), build_cone(3, 3)):
@@ -626,7 +630,7 @@ def fraction_fibre(geo, c, theta):
 
 
 def test_integer_fibre_map_matches_fraction_reference():
-    # one batch of every theta (one product, on float64 at these sizes)
+    # one batch of every theta (one product, on float32 at these sizes)
     # equals the rational reference fibre by fibre, one per column in the
     # engine's layout
     rng = random.Random(40)
@@ -649,7 +653,7 @@ def test_integer_fibre_map_matches_fraction_reference():
         on, rf, rest, u = geo.fibres(thetas)
         assert on == [i for i, ref in enumerate(refs) if ref is not None]
         assert len(on) >= len(solvable)
-        assert rf.dtype == u.dtype == "float64"
+        assert rf.dtype == u.dtype == "float32"
         pad = [0] * (plan.columns - len(plan.facets))
         for i, rf_row, rest_row, u_row in zip(on, rf.T.tolist(),
                                              rest.T.tolist(), u.T.tolist()):
@@ -661,8 +665,9 @@ def test_integer_fibre_map_matches_fraction_reference():
 
 def test_fibre_map_product_leaves_float64_at_its_guard():
     # the fibre at sigma((N), (N)) + (0, N) on (2,2) is one point for
-    # every N, and w is linear in N; the call runs on float64 while
-    # 2 max|w| growth < 2^53 and on Python integers from there on
+    # every N, and w is linear in N; the call runs on float32 while
+    # 2 max|w| growth < 2^24, on float64 while it is below 2^53, and on
+    # Python integers from there on
     import hivekron.polyhedra as P
     from hivekron.intlin import back_solve
     c = build_cone(2, 2)
@@ -671,10 +676,13 @@ def test_fibre_map_product_leaves_float64_at_its_guard():
     def theta(N):
         return sigma_of((N,), (N,), 2) + (0, N)
     w1 = max(map(abs, back_solve(geo.M, geo.pivots, theta(1))))
-    edge = (P._EXACT_BOUND // 2 - 1) // (w1 * geo.growth)
-    assert edge > 2 ** 47
-    for N, dtype in ((1, "float64"), (edge, "float64"), (edge + 1, "object"),
-                     (10 ** 30, "object")):
+    (_, bound32), (_, bound64) = P._EXACT_TYPES
+    edge32 = (bound32 // 2 - 1) // (w1 * geo.growth)
+    edge64 = (bound64 // 2 - 1) // (w1 * geo.growth)
+    assert edge32 > 2 ** 18 and edge64 > 2 ** 47
+    for N, dtype in ((1, "float32"), (edge32, "float32"),
+                     (edge32 + 1, "float64"), (edge64, "float64"),
+                     (edge64 + 1, "object"), (10 ** 30, "object")):
         on, rf, rest, u = geo.fibres([theta(N)])
         assert on == [0] and rf.dtype == u.dtype == dtype, N
         assert count_fibres(c, [theta(N)]) == [1]
@@ -704,7 +712,7 @@ def test_counting_a_fibre_creates_no_fraction(monkeypatch):
 
 
 def test_float_count_reads_no_python_rows(monkeypatch):
-    # the float64 DFS runs on the plan's dense matrices, built once per cone
+    # the float DFS runs on the plan's dense matrices, built once per cone
     fibres = fibres_23_33()
     expected = [count_lattice_points(c, th) for c, th in fibres]
     for c in {c for c, _ in fibres}:
@@ -762,7 +770,7 @@ def test_block_count_equals_brute_force():
             hi = [max(c) for c in zip(*points)]
         cut = [([v] + lo[1:], [v] + hi[1:]) for v in range(lo[0], hi[0] + 1)
                ] if d else []
-        for dtype in (np.float64, object):
+        for dtype in (np.float32, np.float64, object):
             assert block_count(R, res, [(lo, hi)], d, dtype) == len(points), \
                 (R, res, lo, hi, dtype)
             assert block_count(R, res, cut, d, dtype) == \
@@ -771,7 +779,7 @@ def test_block_count_equals_brute_force():
     assert counts.count(0) >= 20 and sum(1 for n in counts if n > 5) >= 20
 
 
-@pytest.mark.parametrize("dtype", ["float64", "object"])
+@pytest.mark.parametrize("dtype", ["float32", "float64", "object"])
 def test_block_count_edge_cases(dtype):
     d2 = [[1, 0], [0, 1], [-1, -1]]          # z >= 0, z1 + z2 <= 3: 10 points
     box = ([0, 0], [3, 3])
@@ -800,10 +808,11 @@ def test_wide_node_splits_in_halves(monkeypatch):
     # one child per value would make N + 1 rows at once at the root
     import tracemalloc
     import hivekron.polyhedra as P
-    monkeypatch.setattr(P, "_BLOCK_ENTRIES", 4 * 16)   # 16 rows of 4 nonzeros
+    # 16 float64 rows (32 float32 rows) of 4 nonzeros
+    monkeypatch.setattr(P, "_BLOCK_BYTES", 8 * 4 * 16)
     line = [[1, -1], [-1, 1]]
-    for n in (1, 2, 15, 16, 17, 100):
-        for dtype in ("float64", "object"):
+    for n in (1, 2, 15, 16, 17, 31, 32, 33, 100):
+        for dtype in ("float32", "float64", "object"):
             assert block_count(line, [0, 0], [([0, 0], [n, n])], 2,
                                dtype) == n + 1
     n = 5000
@@ -818,10 +827,10 @@ def test_wide_node_splits_in_halves(monkeypatch):
     # the one-point fibre sigma((N), (N)) + (N, 0, 0) on (3,3) keeps open
     # widths of about 2N/3, N/2 and N after root tightening
     c = build_cone(3, 3)
-    monkeypatch.setattr(P, "_BLOCK_ENTRIES", 8 * c.geometry.plan.nnz)
+    monkeypatch.setattr(P, "_BLOCK_BYTES", 8 * 8 * c.geometry.plan.nnz)
     theta = sigma_of((50,), (50,), 3) + (50, 0, 0)
     assert count_lattice_points(c, theta) == 1
-    monkeypatch.setattr(P, "_EXACT_BOUND", 0)
+    monkeypatch.setattr(P, "_EXACT_TYPES", ())
     assert count_lattice_points(c, theta) == 1
 
 
@@ -842,6 +851,19 @@ def test_block_children_stay_within_the_row_cap():
     finally:
         tracemalloc.stop()
     assert peak < 5 * 10 ** 6
+
+
+def test_a_node_past_the_block_budget_waits_whole(monkeypatch):
+    # a node of at most a row cap of values whose children would take the
+    # block past the row cap goes back on the stack and branches one child
+    # per value in a later block; halving it instead would bring about
+    # 1.4 N nodes of the (2,2) line fibre to their fixpoint, not about N
+    import hivekron.polyhedra as P
+    from hivekron.kron import kronecker
+    n = 10 ** 5
+    rows = _spy_nodes(P, monkeypatch)
+    assert kronecker((n, n), (n, n), (n, n)).value == 1
+    assert sum(rows) < 1.1 * n
 
 
 def reference_tightening(R, res, lo, hi):
@@ -867,7 +889,7 @@ def reference_tightening(R, res, lo, hi):
             return None, passes
 
 
-@pytest.mark.parametrize("dtype", ["float64", "object"])
+@pytest.mark.parametrize("dtype", ["float32", "float64", "object"])
 @pytest.mark.parametrize("lm", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4)])
 def test_tighten_block_matches_python_reference(small_builds, lm, dtype):
     # one block of real fibres' certificate boxes: random sub-boxes, each
