@@ -14,8 +14,10 @@ float32 when a proven bound keeps every value an exact integer below
 way), and Python integers otherwise.  A block's row cap is a number of
 bytes, so a float32 block holds twice the nodes of a float64 one.
 A block runs passes while most of its boxes still move; the boxes still
-moving then go on with the next block, and only boxes at their fixpoint
-are counted or branched.
+moving then go on with the next block, and the boxes at their fixpoint
+are counted or branched.  A block that holds the whole frontier has no
+next block to share passes with, so its moving boxes with two or more
+open coordinates branch at once; only a box at its fixpoint is counted.
 """
 
 from __future__ import annotations
@@ -151,11 +153,11 @@ class _Plan:
                                for i in range(width)], dtype=np.intp)
 
 
-def _tighten_block(plan, rf, u, fid):
+def _tighten_block(plan, rf, u, fid, whole):
     """Tighten the nodes of a block (columns of u, of fibres fid) together;
-    return (u, fid, widths) of the nodes at their fixpoint and (u, fid) of
-    the nodes still moving, all nonempty, leaving u as it was.  The widths
-    hi - lo of a fixpoint node are a column of u[:d] + u[d:].
+    return (u, fid, widths) of the nodes it settles and (u, fid) of the
+    nodes still moving, all nonempty, leaving u as it was.  The widths
+    hi - lo of a settled node are a column of u[:d] + u[d:].
 
     A pass bounds every facet over each box by one matrix product,
     facet = S^T u + rf (rf: the node's fibre's constants), and lowers each
@@ -167,8 +169,12 @@ def _tighten_block(plan, rf, u, fid):
     stays in the pass, which leaves it unchanged.  Passes go on while
     more than 3/4 of the nodes moved and none emptied (lo > hi); after the
     first pass that breaks this, the nodes it left unchanged are at their
-    fixpoint, the empty are dropped and the others are still moving, so
-    no pass reads an empty box.
+    fixpoint and settled, the empty are dropped and the others are still
+    moving, so no pass reads an empty box.  When the block holds the
+    whole frontier (whole), a moving node with two or more open
+    coordinates is settled too: its box still holds every point of its
+    node, so it can branch now, and a leaf is still always at its
+    fixpoint.
     """
     import numpy as np
 
@@ -182,17 +188,25 @@ def _tighten_block(plan, rf, u, fid):
         if len(bc):
             facet = np.concatenate((facet, facet[plan.bf] // bc))
         new = np.minimum.reduce(facet.take(plan.qruns, axis=0))
-        new[:d] -= u[d:]
-        new[d:] -= u[:d]
+        # each half less the other half of u, in one call
+        halves = new.reshape(2, d, -1)
+        np.subtract(halves, u.reshape(2, d, -1)[::-1], out=halves)
         np.minimum(new, u, out=new)
-        moved, u = (new < u).any(axis=0), new
+        moved, u = np.logical_or.reduce(new < u, axis=0), new
         widths = u[:d] + u[d:]
         empty = np.minimum.reduce(widths, axis=None) < 0
-        if empty or 4 * np.count_nonzero(moved) <= 3 * len(fid):
+        count = np.count_nonzero(moved)
+        if empty or 4 * count <= 3 * len(fid):
             break
+    if not count:
+        return u, fid, widths, u[:, :0], fid[:0]
+    if whole:
+        moved &= np.add.reduce(widths > 0, axis=0) < 2
     still = ~moved
     if empty:
-        moved &= (widths >= 0).all(axis=0)
+        nonempty = np.logical_and.reduce(widths >= 0, axis=0)
+        still &= nonempty
+        moved &= nonempty
     # compress selects columns faster than a mask index
     return (u.compress(still, axis=1), fid[still],
             widths.compress(still, axis=1), u.compress(moved, axis=1),
@@ -213,10 +227,13 @@ def _block_count(plan, rf, u):
     topped up from those below to the row cap, the most rows whose bytes
     per nonzero of R fit _BLOCK_BYTES, and tightened; the nodes it leaves
     still moving go back on the stack, to be tightened on with the next
-    block, and only the nodes at their fixpoint are counted or branched.
-    A node with at most one open coordinate is exact (every facet holds
-    at its fixed coordinates, the free interval is its 1-D fibre) and
-    adds its open width + 1 to its fibre's Python-int total.
+    block, and only the nodes it settles are counted or branched: those
+    at their fixpoint and, when the stack was empty after the top-up (the
+    block holds the whole frontier), the moving nodes with two or more
+    open coordinates.  A node at its fixpoint with at most one open
+    coordinate is exact (every facet holds at its fixed coordinates, the
+    free interval is its 1-D fibre) and adds its open width + 1 to its
+    fibre's Python-int total.
     Others branch on their narrowest open coordinate, lowest index first:
     one child per value, or two, the halves of its interval, for a node
     with more values than the row cap.  A node with more than two values
@@ -233,10 +250,13 @@ def _block_count(plan, rf, u):
     stack = []
 
     def push(u, fid):
-        stack.extend((u[:, s:s + rows], fid[s:s + rows])
-                     for s in range(0, len(fid), rows))
+        if len(fid) > rows:
+            stack.extend((u[:, s:s + rows], fid[s:s + rows])
+                         for s in range(0, len(fid), rows))
+        elif len(fid):
+            stack.append((u, fid))
 
-    fid = np.flatnonzero((u[:d] + u[d:] >= 0).all(axis=0))
+    fid = np.flatnonzero(np.logical_and.reduce(u[:d] + u[d:] >= 0, axis=0))
     push(u[:, fid], fid)
     while stack:
         u, fid = stack.pop()
@@ -248,34 +268,42 @@ def _block_count(plan, rf, u):
             if len(below_fid) > k:
                 stack.append((below[:, k:], below_fid[k:]))
         u, fid, widths, moving, moving_fid = _tighten_block(
-            plan, rf.take(fid, axis=1), u, fid)
+            plan, rf.take(fid, axis=1), u, fid, not stack)
         push(moving, moving_fid)
         # a leaf's widths sum to at most its narrowest positive one
         key = np.where(widths, widths, np.inf)
-        size, narrow = widths.sum(axis=0), key.min(axis=0, initial=np.inf)
+        size = np.add.reduce(widths, axis=0)
+        narrow = np.minimum.reduce(key, axis=0, initial=np.inf)
         leaf = size <= narrow
-        for k, w in zip(fid[leaf].tolist(), size[leaf].tolist()):
-            totals[k] += int(w) + 1
-        if leaf.all():
+        leaves = np.count_nonzero(leaf)
+        if leaves:
+            for k, w in zip(fid[leaf].tolist(), size[leaf].tolist()):
+                totals[k] += int(w) + 1
+        if leaves == len(fid):
             continue
-        # one child per value of the narrowest open coordinate, and two for
-        # a node with more values than the row cap; a node with more than
-        # two values that would take the block's running total past the
-        # row cap waits on the stack.  Capped at rows + 1, n is an exact intp
+        # one child per value of the narrowest open coordinate.  Capped at
+        # rows + 1, n is an exact intp
         n = np.minimum(np.where(leaf, 0, narrow + 1), rows + 1).astype(np.intp)
-        wide = n > rows
-        n[wide] = 2
-        wait = (n.cumsum() > rows) & (n > 2)
-        if wait.any():
+        ends, halve = n.cumsum(), False
+        if ends[-1] > rows:
+            # past the row cap: two children for a node with more values
+            # than the cap, and a node with more than two values that
+            # would take the block's running total past the cap waits on
+            # the stack
+            wide = n > rows
+            halve = wide.any()
+            n[wide] = 2
+            wait = (n.cumsum() > rows) & (n > 2)
             push(u.compress(wait, axis=1), fid[wait])
             n[wait] = 0
-        first, j = n.cumsum() - n, key.argmin(0)
+            ends = n.cumsum()
+        first, j = ends - n, key.argmin(0)
         kids, fid, jk = u.repeat(n, axis=1), fid.repeat(n), j.repeat(n)
         at = np.arange(len(fid))
         # child k of its parent fixes z_j = lo_j + k
         t = kids[jk, at] - (at - first.repeat(n))
         kids[jk, at], kids[jk + d, at] = t, -t
-        if wide.any():
+        if halve:
             # a wide node's two children hold the halves of its interval,
             # lo_j <= z_j <= lo_j + h - 1 and lo_j + h <= z_j <= hi_j
             a, jw, h = first[wide], j[wide], (narrow[wide] + 1) // 2

@@ -46,9 +46,9 @@ def call_dtypes(monkeypatch):
     seen = []
     real = P._tighten_block
 
-    def spy(plan, rf, u, fid):
+    def spy(plan, rf, u, fid, whole):
         seen.append(u.dtype.name)
-        return real(plan, rf, u, fid)
+        return real(plan, rf, u, fid, whole)
     monkeypatch.setattr(P, "_tighten_block", spy)
     return seen
 

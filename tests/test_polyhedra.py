@@ -270,9 +270,9 @@ def test_python_fallback_matches_numpy(small_builds, monkeypatch):
     dtypes = set()
     real = P._tighten_block
 
-    def spy(plan, rf, u, fid):
+    def spy(plan, rf, u, fid, whole):
         dtypes.add(u.dtype.name)
-        return real(plan, rf, u, fid)
+        return real(plan, rf, u, fid, whole)
     monkeypatch.setattr(P, "_tighten_block", spy)
     fast = [count_lattice_points(c, th) for c, th in fibres]
     assert dtypes == {"float32"}
@@ -286,26 +286,38 @@ def test_python_fallback_matches_numpy(small_builds, monkeypatch):
 
 def _spy_nodes(P, monkeypatch):
     # the nodes of the search tree are the nodes that the block tightener
-    # returns at their fixpoint, however many blocks a node passes through
-    # before; the branching rule (narrowest open coordinate, lowest index)
-    # fixes them.  A node is counted by its fibre id, whatever the layout
-    # of its box
+    # settles: the nodes at their fixpoint and the nodes a block holding
+    # the whole frontier branches before their fixpoint, however many
+    # blocks a node passes through before; the branching rule (narrowest
+    # open coordinate, lowest index) fixes them.  A node is counted by its
+    # fibre id, whatever the layout of its box
     rows = []
     real = P._tighten_block
 
-    def spy(plan, rf, u, fid):
+    def spy(plan, rf, u, fid, whole):
         assert len(fid) * u.itemsize * plan.nnz <= P._BLOCK_BYTES
-        out = real(plan, rf, u, fid)
+        out = real(plan, rf, u, fid, whole)
         rows.append(len(out[1]))
         return out
     monkeypatch.setattr(P, "_tighten_block", spy)
     return rows
 
 
-# (triple, value, nodes counting every shift as given, nodes of kronecker)
-NODE_PINS = ((((4, 2, 2),) * 3, 6, 278, 163),
-             (((6, 3, 3), (5, 4, 3), (4, 4, 4)), 3, 3338, 438),
-             (((8, 4, 4),) * 3, 43, 6555, 3634))
+# (triple, value, nodes counting every shift as given, nodes of kronecker,
+# blocks of kronecker), each a pair over _pin_caps
+NODE_PINS = ((((4, 2, 2),) * 3, 6, (594, 341), (299, 170), (10, 74)),
+             (((6, 3, 3), (5, 4, 3), (4, 4, 4)), 3, (5259, 3470), (624, 443),
+              (12, 160)),
+             (((8, 4, 4),) * 3, 43, (9142, 6967), (4253, 3873), (36, 1461)))
+
+
+def _pin_caps(P, monkeypatch):
+    # the row caps of the pins, by index: the default, where a kronecker
+    # call's blocks hold its whole frontier, and 2^12 bytes (7 float32
+    # rows at (3,3)), where they are crowded
+    for i, cap in enumerate((P._BLOCK_BYTES, 2 ** 12)):
+        monkeypatch.setattr(P, "_BLOCK_BYTES", cap)
+        yield i
 
 
 def test_node_counts_pinned(small_builds, monkeypatch):
@@ -314,13 +326,14 @@ def test_node_counts_pinned(small_builds, monkeypatch):
     import hivekron.polyhedra as P
     rows = _spy_nodes(P, monkeypatch)
     c = build_cone(3, 3)
-    for (mu, nu, lam), value, nodes, _ in NODE_PINS:
-        rows.clear()
-        sigma = sigma_of(mu, nu, 3)
-        assert sum(sign * count_lattice_points(c, sigma + shifted)
-                   for _, shifted, sign in lambda_shifts(lam, 3)) == value
-        assert sum(rows) == nodes
-    assert max(rows) > 1
+    for i in _pin_caps(P, monkeypatch):
+        for (mu, nu, lam), value, nodes, _, _ in NODE_PINS:
+            rows.clear()
+            sigma = sigma_of(mu, nu, 3)
+            assert sum(sign * count_lattice_points(c, sigma + shifted)
+                       for _, shifted, sign in lambda_shifts(lam, 3)) == value
+            assert sum(rows) == nodes[i], i
+        assert max(rows) > 1
 
 
 def test_planned_node_counts_pinned(small_builds, monkeypatch):
@@ -328,22 +341,25 @@ def test_planned_node_counts_pinned(small_builds, monkeypatch):
     import hivekron.polyhedra as P
     from hivekron.kron import kronecker
     rows = _spy_nodes(P, monkeypatch)
-    for triple, value, nodes, planned in NODE_PINS:
-        rows.clear()
-        assert kronecker(*triple, l=3, m=3).value == value
-        assert sum(rows) == planned <= nodes
+    for i in _pin_caps(P, monkeypatch):
+        for triple, value, nodes, planned, _ in NODE_PINS:
+            rows.clear()
+            assert kronecker(*triple, l=3, m=3).value == value
+            assert sum(rows) == planned[i] <= nodes[i], i
 
 
 def test_planned_block_counts_pinned(small_builds, monkeypatch):
     # a kronecker call counts its distinct fibres in one block DFS, so its
-    # blocks mix fibres; one DFS per fibre makes 69, 91 and 166 blocks
+    # blocks mix fibres; one DFS per fibre makes 48, 60 and 84 blocks at
+    # the default cap
     import hivekron.polyhedra as P
     from hivekron.kron import kronecker
     rows = _spy_nodes(P, monkeypatch)
-    for (triple, value, _, planned), blocks in zip(NODE_PINS, (19, 20, 46)):
-        rows.clear()
-        assert kronecker(*triple, l=3, m=3).value == value
-        assert sum(rows) == planned and len(rows) == blocks
+    for i in _pin_caps(P, monkeypatch):
+        for triple, value, _, planned, blocks in NODE_PINS:
+            rows.clear()
+            assert kronecker(*triple, l=3, m=3).value == value
+            assert sum(rows) == planned[i] and len(rows) == blocks[i], i
 
 
 def test_unbounded_fibre_detected():
@@ -400,9 +416,9 @@ def test_float_path_ends_at_the_exact_bound(monkeypatch):
     dtypes = []
     real = P._tighten_block
 
-    def spy(plan, rf, u, fid):
+    def spy(plan, rf, u, fid, whole):
         dtypes.append(u.dtype.name)
-        return real(plan, rf, u, fid)
+        return real(plan, rf, u, fid, whole)
     monkeypatch.setattr(P, "_tighten_block", spy)
     line = line_cone()
     edge32, edge64 = 2 ** 24 // 6, 2 ** 53 // 6
@@ -442,9 +458,9 @@ def test_batch_equals_its_fibres_one_at_a_time(small_builds, monkeypatch,
     blocks = []
     real = P._tighten_block
 
-    def spy(plan, rf, u, fid):
+    def spy(plan, rf, u, fid, whole):
         blocks.append((u.dtype.name, len({tuple(r) for r in rf.T.tolist()})))
-        return real(plan, rf, u, fid)
+        return real(plan, rf, u, fid, whole)
     monkeypatch.setattr(P, "_tighten_block", spy)
     found = [count_fibres(c, thetas) for c, thetas in batches]
     last, mixed = blocks[-1], sum(1 for _, fibres in blocks if fibres > 1)
@@ -740,18 +756,31 @@ def block_count(R, res, boxes, d, dtype):
     return sum(P._block_count(plan, rf, u))
 
 
-def test_block_count_equals_brute_force():
+def test_block_count_equals_brute_force(monkeypatch):
     # _block_count takes boxes that hold every integer point of
     # R z + res >= 0, as a certificate box does: the facets include the
     # box's own, and every other trial passes the tighter bounding box of
     # the points instead; the box also goes in once more, cut along its
     # first coordinate into one fibre per value with the same residuals;
     # every third trial leaves the box's own facets off its last
-    # coordinate, so some of its bounds have no facet term
+    # coordinate, so some of its bounds have no facet term.  Each count
+    # runs at the default row cap, where every block holds the whole
+    # frontier and branches moving nodes early, and at 3 rows, where
+    # blocks are crowded and settle only their fixpoint nodes
     import numpy as np
+    import hivekron.polyhedra as P
+    default = P._BLOCK_BYTES
+    # whether a block held the whole frontier, at each cap
+    seen = {"default": set(), "crowded": set()}
+    real = P._tighten_block
+
+    def spy(plan, rf, u, fid, whole):
+        seen["crowded" if P._BLOCK_BYTES < default else "default"].add(whole)
+        return real(plan, rf, u, fid, whole)
+    monkeypatch.setattr(P, "_tighten_block", spy)
     rng = random.Random(200)
     counts = []
-    for trial in range(200):
+    for trial in range(300):
         F, d = rng.randint(1, 6), trial % 4
         lo = [rng.randint(-4, 1) for _ in range(d)]
         hi = [rng.randint(a - 1, 4) for a in lo]
@@ -770,13 +799,19 @@ def test_block_count_equals_brute_force():
             hi = [max(c) for c in zip(*points)]
         cut = [([v] + lo[1:], [v] + hi[1:]) for v in range(lo[0], hi[0] + 1)
                ] if d else []
+        nnz = max(P._Plan(R, d).nnz, 1)
         for dtype in (np.float32, np.float64, object):
-            assert block_count(R, res, [(lo, hi)], d, dtype) == len(points), \
-                (R, res, lo, hi, dtype)
-            assert block_count(R, res, cut, d, dtype) == \
-                (len(points) if d else 0)
+            size = nnz * np.dtype(dtype).itemsize
+            for rows in (None, 3):
+                cap = rows * size if rows else default
+                monkeypatch.setattr(P, "_BLOCK_BYTES", cap)
+                assert block_count(R, res, [(lo, hi)], d, dtype) == \
+                    len(points), (R, res, lo, hi, dtype, rows)
+                assert block_count(R, res, cut, d, dtype) == \
+                    (len(points) if d else 0)
         counts.append(len(points))
     assert counts.count(0) >= 20 and sum(1 for n in counts if n > 5) >= 20
+    assert seen == {"default": {True}, "crowded": {False, True}}
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64", "object"])
@@ -928,28 +963,50 @@ def test_tighten_block_matches_python_reference(small_builds, lm, dtype):
         boxes += mine
         res += [r0] * len(mine)
     d = geo.d
-    u = np.array([[-x for x in a] + b for a, b in boxes], dtype=dtype).T.copy()
+    roots = np.array([[-x for x in a] + b for a, b in boxes],
+                     dtype=dtype).T.copy()
     rf = np.array(res, dtype=dtype)[:, geo.plan.facets].T.copy()
-    # the boxes still moving go in again, as a block DFS hands them on,
-    # until every box is at its fixpoint or empty
-    fid, handoffs, out, out_fid = np.arange(len(boxes)), 0, [], []
-    while len(fid):
-        given, block = u, u.copy()
-        done, done_fid, widths, u, fid = P._tighten_block(
-            geo.plan, rf[:, fid], given, fid)
-        assert (given == block).all()
-        assert (widths == done[:d] + done[d:]).all()
-        # a handed-off box is nonempty
-        assert (u[:d] + u[d:] >= 0).all()
-        handoffs += len(fid) > 0
-        out += done.T.tolist()
-        out_fid += done_fid.tolist()
     ref = [reference_tightening(geo.R, r, *box) for r, box in zip(res, boxes)]
-    assert sorted(out_fid) == [k for k, (box, _) in enumerate(ref) if box]
-    for k, row in zip(out_fid, out):
-        lo, hi = ref[k][0]
-        assert row == [-x for x in lo] + hi
-    assert handoffs >= 1
+    # the boxes still moving go in again, as a block DFS hands them on,
+    # until every box is settled or empty
+    for whole in (False, True):
+        u, fid = roots, np.arange(len(boxes))
+        handoffs, out, out_fid = 0, [], []
+        while len(fid):
+            given, block = u, u.copy()
+            done, done_fid, widths, u, fid = P._tighten_block(
+                geo.plan, rf[:, fid], given, fid, whole)
+            assert (given == block).all()
+            assert (widths == done[:d] + done[d:]).all()
+            # a handed-off box is nonempty, and when the block holds the
+            # whole frontier it has at most one open coordinate
+            moving = u[:d] + u[d:]
+            assert (moving >= 0).all()
+            assert not whole or ((moving > 0).sum(axis=0) <= 1).all()
+            handoffs += len(fid) > 0
+            out += done.T.tolist()
+            out_fid += done_fid.tolist()
+        if not whole:
+            assert sorted(out_fid) == [k for k, (box, _) in enumerate(ref)
+                                       if box]
+            for k, row in zip(out_fid, out):
+                lo, hi = ref[k][0]
+                assert row == [-x for x in lo] + hi
+            assert handoffs >= 1
+            continue
+        # a box settled before its fixpoint has two or more open
+        # coordinates and still holds its fixpoint box, if any
+        assert len(set(out_fid)) == len(out_fid)
+        assert set(out_fid) >= {k for k, (box, _) in enumerate(ref) if box}
+        early = 0
+        for k, row in zip(out_fid, out):
+            lo, hi = [-x for x in row[:d]], row[d:]
+            if ref[k][0] != (lo, hi):
+                early += 1
+                assert sum(a < b for a, b in zip(lo, hi)) >= 2
+                assert ref[k][0] is None or all(
+                    a <= x <= y <= b for a, b, x, y in zip(lo, hi, *ref[k][0]))
+        assert early >= 1
     at_fixpoint = [k for k, (box, _) in enumerate(ref) if box == boxes[k]]
     emptied = [passes for box, passes in ref if box is None]
     assert len(boxes) >= 40 and len(at_fixpoint) >= 5
