@@ -37,9 +37,7 @@ def hive_grid(l: int):
 def canonical_vertex(n: int, i: int, j: int, dual: bool,
                      l: int, m: int) -> VertexId:
     """Canonical representative of a raw hive label under the gluing rules."""
-    i, j, n, dual = normalize_label(i, j, n, dual, l)
-    if n > m:
-        raise OutOfRange(f"diamond index {n} out of range for m={m}")
+    i, j, n, dual = normalize_label(i, j, n, dual, l, m)
     return hive_vertex(n, i, j, dual)
 
 

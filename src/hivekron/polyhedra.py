@@ -6,8 +6,9 @@ by a depth-first search over an integral parametrization of the fibre
 lattice, pruned by exact interval propagation on blocks of integer boxes.
 A batch of target weights reaches its facet constants and root boxes by
 one integer product with a per-cone matrix, and a pass then bounds every
-facet over every box of a block by one matrix product.  A block holds
-one node per column, so each bound of its boxes is one contiguous row.
+facet over every box of a block by one matrix product.  Both keep the
+cone's own facet order, one facet per row.  A block holds one node per
+column, so each bound of its boxes is one contiguous row.
 Both products run on one number type per call, chosen before the first:
 float32 when a proven bound keeps every value an exact integer below
 2^24, float64 when it keeps them below 2^53 (one BLAS call each either
@@ -90,32 +91,37 @@ def build_cone(l: int, m: int) -> Cone:
 # first type whose bound _FibreGeometry.fibres proves their values stay
 # below, and on Python integers past them all
 _EXACT_TYPES = (("float32", 2 ** 24), ("float64", 2 ** 53))
+# the number types a call can run on, each with its copy of the per-cone
+# matrices
+_TYPES = tuple(t for t, _ in _EXACT_TYPES) + (object,)
 # cap on rows x bytes per number x nonzeros of R in one block of nodes,
 # so memory stays flat
 _BLOCK_BYTES = 8 * 2 ** 15
 
 
 class _Plan:
-    """The facet matrix R laid out for the block DFS.
+    """The facet matrix R laid out for the block DFS, in the cone's facet
+    order: row f of every facet block is facet f.
 
     A block holds its nodes one per column: a node's box is one column
     u = [-lo | hi] of 2d upper bounds, so each bound of a block is one
     contiguous row.  Term c z_j of facet f is at most |c| u[j + d [c > 0]]
-    over the box, so the upper bounds of the facets that have a nonzero
-    (``facets``; ``empty`` lists the others) are S^T u + rf, with S^T the
-    dense F x 2d matrix that holds |c| at (f, j + d [c > 0]).  The same
-    term bounds u[t] for t = j + d [c < 0] by floor(facet_f / |c|) less
-    the other half of coordinate j, u[t -+ d], so every bound reads one
-    row of the extended facet block [facet ; facet[bf] // bc], which
-    appends one quotient row per pair (facet, |c| > 1).  Column t of
-    ``qruns`` lists the rows that bound u[t]: on a cone each u[t] has one
-    (both certificates of a coordinate need a term of each sign), and on a
-    hand-built R one without reads an extra row of S^T, u[t] + u[t -+ d]
-    with constant 0.
+    over the box, so the upper bounds of the facets are S^T u + rf, with
+    S^T the dense F x 2d matrix that holds |c| at (f, j + d [c > 0]); a
+    facet without nonzeros (``empty`` lists them) has a zero row, and its
+    bound is its constant.  The same term bounds u[t] for
+    t = j + d [c < 0] by floor(facet_f / |c|) less the other half of
+    coordinate j, u[t -+ d], so every bound reads one row of the extended
+    facet block [facet ; facet[bf] // bc], which appends one quotient row
+    per pair (facet, |c| > 1).  Column t of ``qruns`` lists the rows that
+    bound u[t].  Each u[t] has one when R has nonzeros, as R must give
+    every coordinate a term of each sign: a bounded cone's does, since an
+    up certificate y >= 0 of z_j with sum_f -R[f][j] y_f = 1 needs some
+    R[f][j] < 0, and a down certificate some R[f][j] > 0.
 
     ``dense`` maps each number type that ``_FibreGeometry.fibres``
-    chooses from (those of ``_EXACT_TYPES``, and object) to (S^T, bc as a
-    column), both built once; bc holds the |c| of the quotient rows.
+    chooses from (``_TYPES``) to (S^T, bc as a column), both built once;
+    bc holds the |c| of the quotient rows.
     """
 
     def __init__(self, R, d):
@@ -123,28 +129,20 @@ class _Plan:
         nz = [(f, j, c) for f, row in enumerate(R) for j, c in enumerate(row)
               if c]
         self.nnz = len(nz)
-        facets = sorted({f for f, _, _ in nz})
-        self.facets = np.array(facets, dtype=np.intp)
-        self.empty = np.array(sorted(set(range(len(R))) - set(facets)),
+        self.empty = np.array([f for f, row in enumerate(R) if not any(row)],
                               dtype=np.intp)
-        at = {f: k for k, f in enumerate(facets)}
-        S = [[0] * len(facets) for _ in range(2 * d)]
+        S = [[0] * len(R) for _ in range(2 * d)]
         runs = [[] for _ in range(2 * d)]
         for f, j, c in nz:
-            S[j + d * (c > 0)][at[f]] = abs(c)
-            runs[j + d * (c < 0)].append((at[f], abs(c)))
-        for t in [t for t in range(2 * d) if nz and not runs[t]]:
-            runs[t].append((len(S[t]), 1))
-            for s, row in enumerate(S):
-                row.append(int(s % d == t % d))
-        self.columns = len(S[0]) if d else len(facets)
+            S[j + d * (c > 0)][f] = abs(c)
+            runs[j + d * (c < 0)].append((f, abs(c)))
         pairs = sorted({p for run in runs for p in run if p[1] > 1})
-        self.bf = np.array([k for k, _ in pairs], dtype=np.intp)
+        self.bf = np.array([f for f, _ in pairs], dtype=np.intp)
         bc = [a for _, a in pairs]
         self.dense = {np.dtype(t): (np.array(S, dtype=t).T.copy(),
                                     np.array(bc, dtype=t).reshape(-1, 1))
-                      for t in [t for t, _ in _EXACT_TYPES] + [object]}
-        ext = {p: self.columns + i for i, p in enumerate(pairs)}
+                      for t in _TYPES}
+        ext = {p: len(R) + i for i, p in enumerate(pairs)}
         runs = [[ext.get(p, p[0]) for p in run] for run in runs]
         # each u[t]'s run, padded by repeating its own members: a minimum
         # over the padded column equals the minimum over the run
@@ -216,24 +214,24 @@ def _tighten_block(plan, rf, u, fid, whole):
 def _block_count(plan, rf, u):
     """Exact counts of the integer points z with R z + rf[:, k] >= 0 in
     the box u[:, k] = [-lo | hi], one fibre k per column, on float32 or
-    float64 arrays of exact integers or on Python-int object arrays; rf
-    holds the constants of the plan's columns, one row each, so the facets
-    without nonzeros are the caller's.
+    float64 arrays of exact integers or on Python-int object arrays; row f
+    of rf holds the constants of facet f.
 
     Depth first over blocks of nodes, one node per column.  A node is a
     box and the index of its fibre, which its children inherit; nodes of
     different fibres share blocks, each tightened against its own fibre's
-    constants.  A fibre with lo > hi counts 0.  A block off the stack is
-    topped up from those below to the row cap, the most rows whose bytes
-    per nonzero of R fit _BLOCK_BYTES, and tightened; the nodes it leaves
-    still moving go back on the stack, to be tightened on with the next
-    block, and only the nodes it settles are counted or branched: those
-    at their fixpoint and, when the stack was empty after the top-up (the
-    block holds the whole frontier), the moving nodes with two or more
-    open coordinates.  A node at its fixpoint with at most one open
-    coordinate is exact (every facet holds at its fixed coordinates, the
-    free interval is its 1-D fibre) and adds its open width + 1 to its
-    fibre's Python-int total.
+    constants.  A fibre with lo > hi, or with a negative constant on a
+    facet without nonzeros (in ``plan.empty``), counts 0 and enters no
+    block.  A block off the stack is topped up from those below to the
+    row cap, the most rows whose bytes per nonzero of R fit _BLOCK_BYTES,
+    and tightened; the nodes it leaves still moving go back on the stack,
+    to be tightened on with the next block, and only the nodes it settles
+    are counted or branched: those at their fixpoint and, when the stack
+    was empty after the top-up (the block holds the whole frontier), the
+    moving nodes with two or more open coordinates.  A node at its
+    fixpoint with at most one open coordinate is exact (every facet holds
+    at its fixed coordinates, the free interval is its 1-D fibre) and
+    adds its open width + 1 to its fibre's Python-int total.
     Others branch on their narrowest open coordinate, lowest index first:
     one child per value, or two, the halves of its interval, for a node
     with more values than the row cap.  A node with more than two values
@@ -256,7 +254,8 @@ def _block_count(plan, rf, u):
         elif len(fid):
             stack.append((u, fid))
 
-    fid = np.flatnonzero(np.logical_and.reduce(u[:d] + u[d:] >= 0, axis=0))
+    fid = np.flatnonzero(np.logical_and.reduce(u[:d] + u[d:] >= 0, axis=0)
+                         & np.logical_and.reduce(rf[plan.empty] >= 0, axis=0))
     push(u[:, fid], fid)
     while stack:
         u, fid = stack.pop()
@@ -393,16 +392,17 @@ class _FibreGeometry:
     are r0 = (facets . U) w = FU w.  R is the facet matrix on a kernel
     basis that is size-reduced against the facet image (a unimodular
     change, so counts are unaffected), kept as Python-int rows for the
-    exact certificate checks and once as the block DFS's plan of its
-    nonzeros, with max|R| for the magnitude guard.  Dual certificates,
-    integer rows Y with one denominator D each, bound every reduced
-    coordinate by y . r0.
+    exact certificate checks, with max|R| for the magnitude guard.  Dual
+    certificates, integer rows Y with one denominator D each, bound every
+    reduced coordinate by y . r0.  A cone whose fibres are unbounded
+    (``unbounded`` names a coordinate without a certificate) keeps no
+    more; a bounded cone keeps R once more as the block DFS's plan.
 
     Everything the DFS reads off a fibre is linear in w, so it is one
-    integer matrix K per cone (rank x columns; see ``fibres``): a batch
-    of weights becomes its facet constants, the residuals of the facets
-    without nonzeros and its root boxes by one exact product W K and one
-    floor division, and no rational arithmetic runs per fibre.
+    integer matrix K per bounded cone (rank x columns; see ``fibres``): a
+    batch of weights becomes its facet constants and its root boxes by one
+    exact product W K and one floor division, and no rational arithmetic
+    runs per fibre.
     """
 
     def __init__(self, c: Cone):
@@ -420,24 +420,19 @@ class _FibreGeometry:
         self.d = len(kernel)
         self.R = [[sum(map(mul, f, kv)) for kv in kernel] for f in c.facets]
         self.max_r = max((abs(x) for row in self.R for x in row), default=0)
-        self.plan = _Plan(self.R, self.d)
         self.up_cert, self.dn_cert = self._certificates()
         self.unbounded = next((j for j, pair in
                                enumerate(zip(self.up_cert, self.dn_cert))
                                if None in pair), None)
-        # the columns of K: FU's rows in the plan's column order, with its
-        # zero columns, then the facets without nonzeros, then each
-        # certificate premultiplied by FU, for [-lo | hi] = [dn | up]
-        facets, empty = self.plan.facets.tolist(), self.plan.empty.tolist()
-        cols = [FU[f] for f in facets]
-        cols += [[0] * self.rank] * (self.plan.columns - len(facets))
-        cols += [FU[f] for f in empty]
-        dens = []
-        if self.unbounded is None:
-            FUt = list(zip(*FU))
-            for Y, D in self.dn_cert + self.up_cert:
-                cols.append([sum(map(mul, Y, col)) for col in FUt])
-                dens.append(D)
+        if self.unbounded is not None:
+            return
+        self.plan = _Plan(self.R, self.d)
+        # the columns of K: FU's rows in facet order, then each certificate
+        # premultiplied by FU, for [-lo | hi] = [dn | up]
+        certs = self.dn_cert + self.up_cert
+        FUt = list(zip(*FU))
+        cols = FU + [[sum(map(mul, Y, col)) for col in FUt] for Y, _ in certs]
+        dens = [D for _, D in certs]
         # the largest column 1-norm of K or denominator, at least 1, and
         # the factor by which the block DFS can outgrow it (see fibres)
         k_max = max([sum(map(abs, col)) for col in cols] + dens + [1])
@@ -446,10 +441,7 @@ class _FibreGeometry:
         # block DFS does, one per column
         Kt = np.array(cols, dtype=object).reshape(len(cols), self.rank)
         D = np.array(dens, dtype=object).reshape(-1, 1)
-        self.K = {np.dtype(object): (Kt, D)}
-        for t, bound in _EXACT_TYPES:
-            if 2 * self.growth < bound:
-                self.K[np.dtype(t)] = (Kt.astype(t), D.astype(t))
+        self.K = {np.dtype(t): (Kt.astype(t), D.astype(t)) for t in _TYPES}
 
     def _certificates(self):
         """Dual certificates (Y, D) bounding each reduced coordinate.
@@ -485,20 +477,18 @@ class _FibreGeometry:
         return ups, dns
 
     def fibres(self, thetas):
-        """(on, rf, rest, u) of the fibres at thetas: on lists the indices
-        of the thetas on the grading, in order, and column k of each array
-        belongs to theta on[k], the block DFS's layout.  rf holds the
-        constants of the plan's columns, rest the residuals of the facets
-        without nonzeros, and u = [-lo | hi] the certificate box.
-        UnboundedFibre when the cone has an unbounded direction and some
-        theta is on the grading; the grading is checked first, so thetas
-        off it map to no columns.
+        """(on, rf, u) of the fibres at thetas: on lists the indices of the
+        thetas on the grading, in order, and column k of each array belongs
+        to theta on[k], the block DFS's layout.  Row f of rf is the
+        constant of facet f, and u = [-lo | hi] is the certificate box;
+        both are None when on is empty.  UnboundedFibre when the cone has
+        an unbounded direction and some theta is on the grading; the
+        grading is checked first, so thetas off it map to no columns.
 
         The w of the thetas are the columns of W^T, and P = K^T W^T is one
-        product: rf is P's first plan.columns rows, rest the next
-        len(empty), and u the rest of P floor-divided by D, the
-        certificates' denominators, since a bound (Y . r0) // D equals
-        ((Y . FU) . w) // D in integers.
+        product: rf is P's first F rows, one per facet, and u the rest of
+        P floor-divided by D, the certificates' denominators, since a
+        bound (Y . r0) // D equals ((Y . FU) . w) // D in integers.
 
         The call's one number type is chosen here: the first type of
         _EXACT_TYPES whose bound exceeds 2 max(max|w|, 1) growth (float32
@@ -519,26 +509,26 @@ class _FibreGeometry:
             if w is not None:
                 on.append(k)
                 ws.append(w)
-        if ws and self.unbounded is not None:
+        if not ws:
+            return on, None, None
+        if self.unbounded is not None:
             raise UnboundedFibre("the grading fibres are unbounded in "
                                  f"direction {self.unbounded}")
-        top = max((max(map(abs, w), default=0) for w in ws), default=0)
+        top = max(max(map(abs, w), default=0) for w in ws)
         need = 2 * max(top, 1) * self.growth
         dtype = np.dtype(next((t for t, bound in _EXACT_TYPES if need < bound),
                               object))
         Kt, D = self.K[dtype]
         P = Kt @ np.array(ws, dtype=dtype).reshape(len(ws), self.rank).T
-        head = self.plan.columns
-        tail = head + len(self.plan.empty)
-        return on, P[:head], P[head:tail], P[tail:] // D
+        F = len(P) - 2 * self.d
+        return on, P[:F], P[F:] // D
 
 
 def count_fibres(c: Cone, thetas) -> list[int]:
     """Exact number of integer points of the fibre at each theta of thetas
     (2l+m ints each), in order: every fibre on the grading is counted in
     one block DFS, from the roots that ``_FibreGeometry.fibres`` maps the
-    whole batch to in one product.  A fibre with a negative residual on a
-    facet without nonzeros counts 0 and enters no block.
+    whole batch to in one product.
 
     The DFS runs on the number type that ``fibres`` chose for the batch,
     from the bound T = max(max|w|, 1) k_max of every constant of rf and
@@ -548,34 +538,27 @@ def count_fibres(c: Cone, thetas) -> list[int]:
     every partial sum of a row of S^T times a column of u, in whatever
     order BLAS adds, blocks or fuses them (an FMA rounds once, after its
     exact product), is at most d max_r T, and adding rf in place keeps
-    the facet within T + d max_r T (an extra row of S^T, on a hand-built
-    R, sums two entries of u, so it stays within 2 T).  A quotient
-    facet // |c|, less one entry of u, is then within
-    B = (1 + (d + 1) max_r) T, and so is every candidate bound.  A width
-    is at least -2 B, also on a node that a pass empties.  A node's
-    summed widths and its number of children are at most 2 d T + 1 <= 2 B
-    (max_r >= 1 when d > 0, as every coordinate has a certificate), and a
-    leaf's count leaves the float type as its one open width.  So when 2 B
-    is below the chosen type's bound in _EXACT_TYPES (2^24 for float32,
-    2^53 for float64) every value is an integer that the type holds
-    exactly, and a sum, product, FMA, minimum or comparison of such
-    integers, or a floor division (numpy derives it from the exact fmod),
-    whose true result is one, returns it exactly.
+    the facet within T + d max_r T.  A quotient facet // |c|, less one
+    entry of u, is then within B = (1 + (d + 1) max_r) T, and so is every
+    candidate bound.  A width is at least -2 B, also on a node that a
+    pass empties.  A node's summed widths and its number of children are
+    at most 2 d T + 1 <= 2 B (max_r >= 1 when d > 0, as every coordinate
+    has a certificate), and a leaf's count leaves the float type as its
+    one open width.  So when 2 B is below the chosen type's bound in
+    _EXACT_TYPES (2^24 for float32, 2^53 for float64) every value is an
+    integer that the type holds exactly, and a sum, product, FMA, minimum
+    or comparison of such integers, or a floor division (numpy derives it
+    from the exact fmod), whose true result is one, returns it exactly.
     """
     thetas = [as_ints(theta, "theta") for theta in thetas]
     if any(len(theta) != 2 * c.l + c.m for theta in thetas):
         raise OutOfRange(f"theta must have length {2 * c.l + c.m}")
     geo = c.geometry
     counts = [0] * len(thetas)
-    on, rf, rest, u = geo.fibres(thetas)
-    if not on:
-        return counts
-    import numpy as np
-
-    live = (rest >= 0).all(axis=0)
-    found = _block_count(geo.plan, rf[:, live], u[:, live])
-    for k, count in zip(np.array(on)[live].tolist(), found):
-        counts[k] = count
+    on, rf, u = geo.fibres(thetas)
+    if on:
+        for k, count in zip(on, _block_count(geo.plan, rf, u)):
+            counts[k] = count
     return counts
 
 

@@ -36,8 +36,10 @@ def _lambda_coord(k: int, l: int) -> int:
     return 2 * l + k - 1
 
 
-def normalize_label(i: int, j: int, n: int, dual: bool, l: int):
-    """Resolve a raw hive label to its canonical identification class."""
+def normalize_label(i: int, j: int, n: int, dual: bool, l: int, m: int):
+    """Resolve a raw hive label to its canonical identification class;
+    OutOfRange unless (i, j) is in the hive of size l, 1 <= n, and the
+    normalized n is at most m."""
     if not (0 <= i and 0 <= j and 1 <= i + j <= l) or (i, j) in ((l, 0), (0, l)):
         raise OutOfRange(f"({i},{j}) outside the hive of size {l}")
     if n < 1:
@@ -50,6 +52,8 @@ def normalize_label(i: int, j: int, n: int, dual: bool, l: int):
             dual = False
     if i + j == l and n % 2 == 1 and n >= 3:
         n -= 1
+    if n > m:
+        raise OutOfRange(f"diamond index {n} out of range for m={m}")
     return i, j, n, dual
 
 
@@ -59,9 +63,7 @@ def sigma_lambda_weight(i: int, j: int, n: int, dual: bool,
 
     Coordinate order: sigma(-1..-l), sigma(1..l), lambda(1..m).
     """
-    i, j, n, dual = normalize_label(i, j, n, dual, l)
-    if n > m:
-        raise OutOfRange(f"diamond index {n} exceeds m={m}")
+    i, j, n, dual = normalize_label(i, j, n, dual, l, m)
     w = _e(l, m)
     if n == 1:
         # edge-1 vertex (0,j)^1 = (j,0)^1: single path through a_1
@@ -132,9 +134,7 @@ class Presentation:
 def lifted_presentation(i: int, j: int, n: int, dual: bool,
                         l: int, m: int) -> Presentation:
     """Inverse-free block presentation of the lifted semi-invariant."""
-    i, j, n, dual = normalize_label(i, j, n, dual, l)
-    if n > m or n < 1:
-        raise OutOfRange(f"diamond index {n} out of range for m={m}")
+    i, j, n, dual = normalize_label(i, j, n, dual, l, m)
     if n == 1:
         t = max(i, j)
         return Presentation((t,), (-t,), ((1,),))

@@ -35,6 +35,15 @@ def test_coeff_verify_past_the_oracle_bound(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_coeff_verify_disagreement_exits_2(capsys, monkeypatch, small_builds):
+    monkeypatch.setattr("hivekron.cli.kronecker_oracle", lambda *a: 2)
+    code, out, err = run(capsys, "coeff", "--mu", "2,1", "--nu", "2,1",
+                         "--lam", "2,1", "--verify")
+    assert code == 2 and out.strip() == "1"
+    assert err.strip().splitlines() == [
+        "VERIFICATION FAILED: pipeline 1, oracle 2"]
+
+
 def test_coeff_sign_times_sign(capsys, small_builds):
     code, out, _ = run(capsys, "coeff", "--mu", "1,1", "--nu", "1,1",
                        "--lam", "2")
@@ -167,6 +176,17 @@ def test_cone_command(capsys, tmp_path):
                        "--out", str(path))
     assert code == 0 and out == ""
     assert path.read_text() == expected
+
+
+def test_cone_out_onto_a_directory(capsys, tmp_path):
+    # the atomic write fails on replacing a directory, and removes its
+    # temp file from the directory's parent
+    target = tmp_path / "target"
+    target.mkdir()
+    assert_one_error_line(*run(capsys, "cone", "--l", "2", "--m", "2",
+                               "--out", str(target)))
+    assert list(tmp_path.iterdir()) == [target]
+    assert list(target.iterdir()) == []
 
 
 def test_count_command(capsys, small_builds):

@@ -81,6 +81,14 @@ def test_sigma_of_size_mismatch():
         sigma_of((2, 2), (3,), 3)
 
 
+def test_sigma_of_partition_longer_than_l():
+    # either partition may be the long one; l parts are still fine
+    for mu, nu in (((1, 1, 1), (3,)), ((3,), (1, 1, 1))):
+        with pytest.raises(OutOfRange, match="partition length exceeds l=2"):
+            sigma_of(mu, nu, 2)
+    assert sigma_of((1, 1, 1), (3,), 3) == (0, 0, -1, 3, 0, 0)
+
+
 def test_sigma_weight_invariants():
     for mu in partitions_of(5, max_len=3):
         for nu in partitions_of(5, max_len=3):

@@ -653,7 +653,6 @@ def test_integer_fibre_map_matches_fraction_reference():
     for lm in GEOMETRY_CONES:
         c = build_cone(*lm)
         geo, n, k = c.geometry, c.ambient_dim, 2 * c.l + c.m
-        plan = geo.plan
         image, uniform = [], []
         for _ in range(20):
             g = [rng.randint(-2, 2) for _ in range(n)]
@@ -666,16 +665,13 @@ def test_integer_fibre_map_matches_fraction_reference():
         refs = [fraction_fibre(geo, c, theta) for theta in thetas]
         assert all(ref or theta in uniform
                    for theta, ref in zip(thetas, refs))
-        on, rf, rest, u = geo.fibres(thetas)
+        on, rf, u = geo.fibres(thetas)
         assert on == [i for i, ref in enumerate(refs) if ref is not None]
         assert len(on) >= len(solvable)
         assert rf.dtype == u.dtype == "float32"
-        pad = [0] * (plan.columns - len(plan.facets))
-        for i, rf_row, rest_row, u_row in zip(on, rf.T.tolist(),
-                                             rest.T.tolist(), u.T.tolist()):
+        for i, rf_row, u_row in zip(on, rf.T.tolist(), u.T.tolist()):
             r0, lo, hi = refs[i]
-            assert rf_row == [r0[f] for f in plan.facets.tolist()] + pad
-            assert rest_row == [r0[f] for f in plan.empty.tolist()]
+            assert rf_row == list(r0)
             assert u_row == [-x for x in lo] + hi
 
 
@@ -699,11 +695,11 @@ def test_fibre_map_product_leaves_float64_at_its_guard():
     for N, dtype in ((1, "float32"), (edge32, "float32"),
                      (edge32 + 1, "float64"), (edge64, "float64"),
                      (edge64 + 1, "object"), (10 ** 30, "object")):
-        on, rf, rest, u = geo.fibres([theta(N)])
+        on, rf, u = geo.fibres([theta(N)])
         assert on == [0] and rf.dtype == u.dtype == dtype, N
         assert count_fibres(c, [theta(N)]) == [1]
         if dtype == "object":
-            row = rf[:, 0].tolist() + rest[:, 0].tolist() + u[:, 0].tolist()
+            row = rf[:, 0].tolist() + u[:, 0].tolist()
             assert all(type(x) is int for x in row)
 
 
@@ -738,22 +734,16 @@ def test_float_count_reads_no_python_rows(monkeypatch):
 
 def block_count(R, res, boxes, d, dtype):
     """The block engine on the boxes [(lo, hi), ...], one fibre per box,
-    each with the residuals res: the sum of their counts.  As in
-    count_fibres, a negative residual on a facet without nonzeros empties
-    every fibre, and the others' residuals are the plan's constants.  The
-    engine's layout holds one fibre per column of rf and u."""
+    each with the residuals res: the sum of their counts.  The engine's
+    layout holds one fibre per column of rf and u, and one facet per row
+    of rf, in R's order."""
     import numpy as np
     import hivekron.polyhedra as P
-    plan = P._Plan(R, d)
-    if any(res[f] < 0 for f in plan.empty.tolist()):
-        return 0
     k = len(boxes)
-    rf = [res[f] for f in plan.facets.tolist()]
-    rf += [0] * (plan.columns - len(rf))
-    rf = np.array([[x] * k for x in rf], dtype=dtype).reshape(plan.columns, k)
+    rf = np.array([[x] * k for x in res], dtype=dtype).reshape(len(R), k)
     u = np.array([[-x for x in lo] + hi for lo, hi in boxes],
                  dtype=dtype).reshape(k, 2 * d).T.copy()
-    return sum(P._block_count(plan, rf, u))
+    return sum(P._block_count(P._Plan(R, d), rf, u))
 
 
 def test_block_count_equals_brute_force(monkeypatch):
@@ -763,7 +753,8 @@ def test_block_count_equals_brute_force(monkeypatch):
     # the points instead; the box also goes in once more, cut along its
     # first coordinate into one fibre per value with the same residuals;
     # every third trial leaves the box's own facets off its last
-    # coordinate, so some of its bounds have no facet term.  Each count
+    # coordinate when the random rows already give it a term of each sign,
+    # as every coordinate of a bounded cone has.  Each count
     # runs at the default row cap, where every block holds the whole
     # frontier and branches moving nodes early, and at 3 rows, where
     # blocks are crowded and settle only their fixpoint nodes
@@ -786,7 +777,8 @@ def test_block_count_equals_brute_force(monkeypatch):
         hi = [rng.randint(a - 1, 4) for a in lo]
         R = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(F)]
         res = [rng.randint(-1, 4) for _ in range(F)]
-        for j in range(d - (trial % 3 == 0)):
+        signs = {(x > 0) - (x < 0) for row in R for x in row[-1:]}
+        for j in range(d - (trial % 3 == 0 and {-1, 1} <= signs)):
             unit = [int(k == j) for k in range(d)]
             R += [unit, [-x for x in unit]]
             res += [-lo[j], hi[j]]
@@ -826,10 +818,6 @@ def test_block_count_edge_cases(dtype):
     assert block_count([[], []], [0, 2], [([], [])], 0, dtype) == 1
     assert block_count([[], []], [0, -2], [([], [])], 0, dtype) == 0
     assert block_count([], [], [([], [])], 0, dtype) == 1
-    # a coordinate's bound that no facet term lowers stays the box's
-    assert block_count([[1, 0]], [0], [([-1, 0], [2, 3])], 2, dtype) == 12
-    assert block_count([[-1, 0], [0, 2]], [1, -1], [([-1, 0], [2, 3])], 2,
-                       dtype) == 9
     # a box with lo > hi is empty, with facets or without
     assert block_count(d2, [0, 0, 3], [([0, 2], [3, 1])], 2, dtype) == 0
     assert block_count([], [], [([2], [1])], 1, dtype) == 0
@@ -939,14 +927,10 @@ def test_tighten_block_matches_python_reference(small_builds, lm, dtype):
     rng = random.Random(31 * lm[0] + lm[1])
     boxes, res = [], []
     # the root columns of fibres, read back as (r0, lo, hi) in facet order
-    on, rf_roots, rest, u_roots = geo.fibres(real_fibres(*lm, 10, 7))
-    order = geo.plan.facets.tolist() + geo.plan.empty.tolist()
+    on, rf_roots, u_roots = geo.fibres(real_fibres(*lm, 10, 7))
     assert len(on) == u_roots.shape[1] > 0
-    for rf_row, rest_row, u_row in zip(rf_roots.T, rest.T, u_roots.T):
-        r0 = [0] * len(order)
-        for f, x in zip(order, list(rf_row[:len(geo.plan.facets)]) +
-                        list(rest_row)):
-            r0[f] = int(x)
+    for rf_row, u_row in zip(rf_roots.T, u_roots.T):
+        r0 = [int(x) for x in rf_row]
         lo = [-int(x) for x in u_row[:geo.d]]
         hi = [int(x) for x in u_row[geo.d:]]
         if any(a > b for a, b in zip(lo, hi)):
@@ -965,7 +949,7 @@ def test_tighten_block_matches_python_reference(small_builds, lm, dtype):
     d = geo.d
     roots = np.array([[-x for x in a] + b for a, b in boxes],
                      dtype=dtype).T.copy()
-    rf = np.array(res, dtype=dtype)[:, geo.plan.facets].T.copy()
+    rf = np.array(res, dtype=dtype).T.copy()
     ref = [reference_tightening(geo.R, r, *box) for r, box in zip(res, boxes)]
     # the boxes still moving go in again, as a block DFS hands them on,
     # until every box is settled or empty

@@ -73,6 +73,24 @@ def test_weight_out_of_range():
         sigma_lambda_weight(3, 1, 2, False, 3, 3)
 
 
+def test_label_range_checked_after_normalization():
+    # every entry point that takes a raw label checks its diamond index in
+    # normalize_label: 1 <= n, and n <= m once the label is normalized
+    from hivekron.diamonds import canonical_vertex
+    l, m = 3, 3
+    entries = (lambda i, j, n: canonical_vertex(n, i, j, False, l, m),
+               lambda i, j, n: sigma_lambda_weight(i, j, n, False, l, m),
+               lambda i, j, n: lifted_presentation(i, j, n, False, l, m))
+    for entry in entries:
+        with pytest.raises(OutOfRange, match="bad diamond index 0"):
+            entry(1, 1, 0)
+        # (1,1) is neither on the i = 0 edge nor on i + j = l, so n = 4 stays
+        with pytest.raises(OutOfRange, match="diamond index 4 out of range"):
+            entry(1, 1, m + 1)
+        # on the i = 0 edge an even n = m + 1 normalizes down to m
+        assert entry(0, 1, m + 1) == entry(0, 1, m)
+
+
 def test_lifted_presentation_diag():
     p = lifted_presentation(2, 0, 3, False, 3, 3)
     assert p.sources == (2,) and p.targets == (-2,) and p.grid == ((3,),)
