@@ -183,8 +183,13 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--mu", required=True)
     q.add_argument("--nu", required=True)
     q.add_argument("--lam", required=True)
-    q.add_argument("--l", type=int, default=None)
-    q.add_argument("--m", type=int, default=None)
+    q.add_argument("--l", type=int, default=None,
+                   help="cone size l; with neither --l nor --m, the smallest "
+                        "cone that the partition lengths and first parts "
+                        "allow, perhaps for a conjugate pair of the input; "
+                        "with --m alone, max(2, len mu, len nu)")
+    q.add_argument("--m", type=int, default=None,
+                   help="cone size m; with --l alone, max(2, len lam)")
     q.add_argument("--verify", action="store_true",
                    help="cross-check against the character oracle")
     q.add_argument("--json", action="store_true")

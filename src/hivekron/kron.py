@@ -79,14 +79,30 @@ def lambda_shifts(lam, m: int):
 
 def _shifts(lam, m: int):
     """lambda_shifts for a normalized partition of at most m parts."""
-    padded = lam + (0,) * (m - len(lam))
+    base = [x - i for i, x in enumerate(lam + (0,) * (m - len(lam)), 1)]
     out = []
-    for omega in itertools.permutations(range(1, m + 1)):
-        shifted = tuple(padded[i - 1] - i + omega[i - 1] for i in range(1, m + 1))
+    for omega, sign in _signed_permutations(m):
+        shifted = tuple(b + o for b, o in zip(base, omega))
         if all(x >= 0 for x in shifted):
-            pairs = itertools.combinations(omega, 2)
-            out.append((omega, shifted, (-1) ** sum(a > b for a, b in pairs)))
+            out.append((omega, shifted, sign))
     return out
+
+
+@lru_cache(maxsize=None)
+def _signed_permutations(m: int) -> tuple:
+    """(omega, sign of omega) for every permutation of 1..m, in
+    itertools.permutations order."""
+    return tuple((omega, (-1) ** sum(a > b for a, b
+                                     in itertools.combinations(omega, 2)))
+                 for omega in itertools.permutations(range(1, m + 1)))
+
+
+def _conjugate(p: tuple) -> tuple:
+    """The conjugate of a normalized partition: its length is p's first
+    part, and its first part p's length."""
+    padded = p + (0,)
+    return tuple(i for i in range(len(p), 0, -1)
+                 for _ in range(padded[i - 1] - padded[i]))
 
 
 def _triple(mu, nu, lam) -> tuple:
@@ -103,8 +119,43 @@ class KroneckerResult:
     value: int
     l: int
     m: int
-    orientation: tuple    # (mu, nu, lambda) in the order that was counted
+    # (a, b, c) that was counted: the input in some order or, on the
+    # default cone, a conjugate pair of it in some order
+    orientation: tuple
     breakdown: tuple      # ((omega, sorted lam_shift, sign, count), ...)
+
+
+def _default_cone(triple):
+    """(l, m, triple) for a call that leaves both l and m to the default.
+
+    The shortest partition goes on the m side, which gives the cone
+    (l0, m0) = (max(2, longest), max(2, shortest)).  g is unchanged when
+    two of its partitions are conjugated, and the conjugate of p is as
+    long as p's first part, so each of the three conjugate pairs has a
+    cone read off the lengths and first parts alone.  A pair is taken only
+    when its cone has l <= l0 and m <= m0 and the least (l + m, m) of all,
+    the input's included; of equal pairs, the one that keeps the largest
+    partition unconjugated.  The result depends only on the multiset of
+    the triple, and only the pair taken is conjugated.
+    """
+    lengths = [len(p) for p in triple]
+    firsts = [p[0] if p else 0 for p in triple]
+    l0, m0 = max(2, *lengths), max(2, min(lengths))
+    best, kept, cone = (l0 + m0, m0), None, (l0, m0)
+    for k, p in enumerate(triple):
+        conjugated = firsts[:k] + firsts[k + 1:]     # their new lengths
+        if max(conjugated) > l0:
+            continue
+        l = max(2, lengths[k], *conjugated)
+        m = max(2, min(lengths[k], *conjugated))
+        key = (l + m, m)
+        if m <= m0 and (key < best or key == best and kept is not None
+                        and p > triple[kept]):
+            best, kept, cone = key, k, (l, m)
+    if kept is not None:
+        triple = tuple(p if i == kept else _conjugate(p)
+                       for i, p in enumerate(triple))
+    return cone + (triple,)
 
 
 def _plan(cone, triple):
@@ -119,12 +170,15 @@ def _plan(cone, triple):
     taken is the largest under the key (c, a): c is the lexicographically
     largest partition that fits, and a the larger of the other two.
     """
-    fitting = [(a, b, c) for a, b, c in set(itertools.permutations(triple))
-               if max(len(a), len(b)) <= cone.l and len(c) <= cone.m]
+    fitting = []
+    for i, c in enumerate(triple):
+        b, a = sorted(triple[:i] + triple[i + 1:])
+        if len(a) <= cone.l and len(b) <= cone.l and len(c) <= cone.m:
+            fitting.append((c, a, b))
     if not fitting:
         raise OutOfRange(f"no order of the partitions fits l={cone.l}, "
                          f"m={cone.m}")
-    a, b, c = max(fitting, key=lambda order: (order[2], order[0]))
+    c, a, b = max(fitting)
     shifts = [(omega, tuple(sorted(alpha)), sign)
               for omega, alpha, sign in _shifts(c, cone.m)]
     alphas = sorted({alpha for _, alpha, _ in shifts})
@@ -135,25 +189,35 @@ def kronecker(mu, nu, lam, l: int = None, m: int = None,
               workers: int = 1) -> KroneckerResult:
     """g_{mu,nu}^lambda as a signed sum of fibre lattice-point counts.
 
-    g is symmetric in its arguments, so the triple is counted in one fixed
-    order (a, b, c) among those fitting the (l, m) cone, which defaults to
-    the input's own: c is the lexicographically largest partition that
-    fits, and a the larger of the other two.  The breakdown has one term
-    per shift of c, with its alpha sorted, and each distinct sorted alpha
-    is counted once: all of them together, in one block DFS whose blocks
-    mix their nodes.
+    g is symmetric in its arguments, and unchanged when two of them are
+    conjugated.  A call that leaves both l and m to the default counts on
+    the smallest cone that a rule on the lengths and first parts finds:
+    the shortest partition on the m side, or a conjugate pair of the
+    triple when that gives a cone no larger in l or m and smaller in
+    (l + m, m); the orientation then holds the conjugate pair.  A call
+    that gives l or m counts the triple itself, with l defaulting to
+    max(2, len(mu), len(nu)) and m to max(2, len(lam)).
+
+    On its cone the triple is counted in one fixed order (a, b, c) among
+    those that fit: c is the lexicographically largest partition that
+    fits, and a the larger of the other two, so every input order gives
+    one result.  The breakdown has one term per shift of c, with its alpha
+    sorted, and each distinct sorted alpha is counted once: all of them
+    together, in one block DFS whose blocks mix their nodes.
 
     workers must be an int >= 1 (else OutOfRange) and has no other effect:
     every call counts in one process.
     """
-    mu, nu, lam = _triple(mu, nu, lam)
+    triple = _triple(mu, nu, lam)
     as_worker_count(workers)
-    if l is None:
-        l = max(2, len(mu), len(nu))
-    if m is None:
-        m = max(2, len(lam))
+    if l is None and m is None:
+        l, m, triple = _default_cone(triple)
+    elif l is None:
+        l = max(2, len(triple[0]), len(triple[1]))
+    elif m is None:
+        m = max(2, len(triple[2]))
     cone = build_cone(l, m)
-    orientation, sigma, shifts, alphas = _plan(cone, (mu, nu, lam))
+    orientation, sigma, shifts, alphas = _plan(cone, triple)
     thetas = [sigma + alpha for alpha in alphas]
     count_of = dict(zip(alphas, count_fibres(cone, thetas)))
     breakdown = tuple(shift + (count_of[shift[1]],) for shift in shifts)

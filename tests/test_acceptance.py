@@ -156,9 +156,12 @@ def test_criterion_7_symmetry_positivity_stability(capsys, small_builds):
               ((1, 1, 1), (1, 1, 1), (3,)), ((2, 2), (2, 2), (2, 2)),
               ((3, 1), (2, 2), (2, 1, 1))]
     for mu, nu, lam in sample:
+        # pad the triple that was counted: a conjugate pair's cone need
+        # not fit the input
         base = kronecker(mu, nu, lam)
-        up_l = kronecker(mu, nu, lam, l=base.l + 1, m=base.m).value
-        up_m = kronecker(mu, nu, lam, l=base.l, m=base.m + 1).value
+        counted = base.orientation
+        up_l = kronecker(*counted, l=base.l + 1, m=base.m).value
+        up_m = kronecker(*counted, l=base.l, m=base.m + 1).value
         if not (base.value == up_l == up_m):
             stability_bad.append((mu, nu, lam, base.value, up_l, up_m))
     ok = not neg and not asym and not stability_bad

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hivekron import kron
 from hivekron.diamonds import build_bar
 from hivekron.errors import HivekronError, OutOfRange, SizeTooLargeForOracle
 from hivekron.kron import (class_size_inverse, kronecker, kronecker_oracle,
@@ -178,9 +179,9 @@ def test_pipeline_matches_oracle_at_n15(small_builds):
 
 def test_four_part_coefficient_on_the_44_cone():
     # the (4,4) cone is the one whose R has coefficients |c| > 1 in two
-    # quotient columns of the block DFS
+    # quotient columns of the block DFS; the default would count on (4,3)
     mu, lam = (4, 2, 2, 2), (3, 3, 2, 2)
-    res = kronecker(mu, mu, lam)
+    res = kronecker(mu, mu, lam, l=4, m=4)
     assert (res.l, res.m) == (4, 4)
     assert build_cone(4, 4).geometry.plan.bf.size == 2
     assert res.value == kronecker_oracle(mu, mu, lam) == 4
@@ -309,6 +310,89 @@ def test_every_input_order_gives_one_result(small_builds):
             assert (res.value, res.orientation, res.breakdown) == \
                 (got.value, got.orientation, got.breakdown), triple
     assert len(seen) == 154
+
+
+@pytest.mark.parametrize("n_max, longest, classes",
+                         [(6, (0, 1, 2, 3), 154), (8, (4,), 743)],
+                         ids=["3-row", "4-row"])
+def test_default_path_gives_one_result_for_every_input_order(
+        small_builds, monkeypatch, n_max, longest, classes):
+    # a call that leaves l and m to the default takes its cone and the
+    # triple it counts, maybe a conjugate pair, from the multiset alone.
+    # Repeated fibres are counted once, since the subject is the plan.
+    real, memo = kron.count_fibres, {}
+
+    def count_once(cone, thetas):
+        key = (cone.l, cone.m, tuple(thetas))
+        if key not in memo:
+            memo[key] = real(cone, thetas)
+        return memo[key]
+    monkeypatch.setattr(kron, "count_fibres", count_once)
+    seen = 0
+    for n in range(1, n_max + 1):
+        parts = [p for p in partitions_of(n) if len(p) <= max(longest)]
+        for triple in itertools.combinations_with_replacement(parts, 3):
+            if max(map(len, triple)) not in longest:
+                continue
+            got = {(r.l, r.m, r.orientation, r.breakdown)
+                   for r in (kronecker(*order)
+                             for order in itertools.permutations(triple))}
+            assert len(got) == 1, triple
+            (l, m, (a, b, c), breakdown), = got
+            assert sum(sg * ct for _, _, sg, ct in breakdown) == \
+                kronecker_oracle(*triple), triple
+            # the input or a conjugate pair of it, on a cone no larger in
+            # l or m than the input's with the shortest partition as c
+            counted = sorted((a, b, c))
+            assert counted == sorted(triple) or counted in (
+                sorted(p if i == k else transpose(p)
+                       for i, p in enumerate(triple)) for k in range(3))
+            lengths = sorted(map(len, triple))
+            assert l <= max(2, lengths[2]) and m <= max(2, lengths[0])
+            assert max(len(a), len(b)) <= l and len(c) <= m
+            seen += 1
+    assert seen == classes
+
+
+def test_four_equal_rows_count_on_the_43_cone():
+    # conjugating two of (3,3,3,3)^3 gives two 3-row partitions, so the
+    # default counts on (4,3), at most 6 fibres, in place of (4,4)
+    p = (3, 3, 3, 3)
+    res = kronecker(p, p, p)
+    assert (res.l, res.m) == (4, 3)
+    assert res.orientation == ((4, 4, 4), (3, 3, 3, 3), (4, 4, 4))
+    assert res.value == kronecker_oracle(p, p, p) == 1
+
+
+def test_explicit_l_or_m_counts_the_input_itself(small_builds):
+    # the default counts the conjugate pair (2,1), (2,1), (3) on (2,2);
+    # an l or an m given pins the cone, the other side keeps the input's
+    # default, and the input is counted as given
+    triple = ((2, 1), (2, 1), (1, 1, 1))
+    res = kronecker(*triple)
+    assert (res.l, res.m, res.orientation) == (2, 2, ((2, 1), (2, 1), (3,)))
+    for l, m, cone in ((3, None, (3, 3)), (None, 3, (2, 3)),
+                       (3, 2, (3, 2)), (3, 3, (3, 3))):
+        res = kronecker(*triple, l=l, m=m)
+        assert (res.l, res.m) == cone
+        assert sorted(res.orientation) == sorted(triple)
+        assert res.value == 1
+
+
+def test_conjugate_pair_never_grows_l_or_m(small_builds):
+    # conjugating both (4,1,1) gives the cone (4,2), less in l + m than
+    # the input's (3,3) but larger in l, so the input is counted
+    triple = ((4, 1, 1), (4, 1, 1), (2, 2, 2))
+    res = kronecker(*triple)
+    assert (res.l, res.m) == (3, 3)
+    assert sorted(res.orientation) == sorted(triple)
+    assert res.value == kronecker_oracle(*triple) == 1
+    # the rule alone, on cones too large to count here: a pair would give
+    # (6,3) and (4,3), larger in l and in m than the input's (4,4), (6,2)
+    for triple, cone in ((((6, 1, 1, 1), (3, 2, 2, 2), (6, 1, 1, 1)), (4, 4)),
+                         (((5, 1, 1, 1), (5, 1, 1, 1), (3, 3, 1, 1)), (4, 4)),
+                         (((6, 1, 1), (4, 4), (3, 1, 1, 1, 1, 1)), (6, 2))):
+        assert kron._default_cone(triple) == cone + (triple,)
 
 
 def test_planning_solves_no_box(small_builds, monkeypatch):
