@@ -83,6 +83,14 @@ def _atomic_write(path: str, text: str):
         raise
 
 
+def _emit(text: str, out):
+    """Write text to the file out, atomically, or print it without one."""
+    if out:
+        _atomic_write(out, text)
+    else:
+        print(text)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -130,20 +138,12 @@ def cmd_oracle(args) -> int:
 def cmd_build_quiver(args) -> int:
     build = build_tilde if args.stage == "tilde" else build_bar
     Q, sigma = build(args.l, args.m)
-    text = quiver_to_json(Q, sigma)
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        print(text)
+    _emit(quiver_to_json(Q, sigma), args.out)
     return 0
 
 
 def cmd_cone(args) -> int:
-    text = cone_to_json(build_cone(args.l, args.m))
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        print(text)
+    _emit(cone_to_json(build_cone(args.l, args.m)), args.out)
     return 0
 
 
@@ -178,11 +178,18 @@ def make_parser() -> argparse.ArgumentParser:
                     "g-vector cone of a twisted glued hive quiver.")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
+    # the options that several commands share, each declared once
+    size = argparse.ArgumentParser(add_help=False)
+    size.add_argument("--l", type=int, required=True)
+    size.add_argument("--m", type=int, required=True)
+    triple = argparse.ArgumentParser(add_help=False)
+    for name in ("--mu", "--nu", "--lam"):
+        triple.add_argument(name, required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
 
-    q = sub.add_parser("coeff", help="compute a Kronecker coefficient")
-    q.add_argument("--mu", required=True)
-    q.add_argument("--nu", required=True)
-    q.add_argument("--lam", required=True)
+    q = sub.add_parser("coeff", parents=[triple],
+                       help="compute a Kronecker coefficient")
     q.add_argument("--l", type=int, default=None,
                    help="cone size l; with neither --l nor --m, the smallest "
                         "cone that the partition lengths and first parts "
@@ -195,35 +202,27 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--json", action="store_true")
     q.set_defaults(func=cmd_coeff)
 
-    q = sub.add_parser("oracle", help="character-theoretic oracle value")
-    q.add_argument("--mu", required=True)
-    q.add_argument("--nu", required=True)
-    q.add_argument("--lam", required=True)
+    q = sub.add_parser("oracle", parents=[triple],
+                       help="character-theoretic oracle value")
     q.set_defaults(func=cmd_oracle)
 
-    q = sub.add_parser("build-quiver", help="emit a quiver + weights as JSON")
-    q.add_argument("--l", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
+    q = sub.add_parser("build-quiver", parents=[size, out],
+                       help="emit a quiver + weights as JSON")
     q.add_argument("--stage", choices=("tilde", "bar"), default="bar")
-    q.add_argument("--out", default=None)
     q.set_defaults(func=cmd_build_quiver)
 
-    q = sub.add_parser("cone", help="emit the g-vector cone as JSON")
-    q.add_argument("--l", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--out", default=None)
+    q = sub.add_parser("cone", parents=[size, out],
+                       help="emit the g-vector cone as JSON")
     q.set_defaults(func=cmd_cone)
 
-    q = sub.add_parser("count", help="count lattice points of one fibre")
-    q.add_argument("--l", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
+    q = sub.add_parser("count", parents=[size],
+                       help="count lattice points of one fibre")
     q.add_argument("--theta", required=True,
                    help="comma-separated target weight of length 2l+m")
     q.set_defaults(func=cmd_count)
 
-    q = sub.add_parser("validate", help="run the structural invariant suite")
-    q.add_argument("--l", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
+    q = sub.add_parser("validate", parents=[size],
+                       help="run the structural invariant suite")
     q.add_argument("--level", choices=("quick", "full"), default="quick")
     q.add_argument("--seed", type=int, default=20240501)
     q.set_defaults(func=cmd_validate)

@@ -232,18 +232,22 @@ def _block_count(plan, rf, u):
     fixpoint with at most one open coordinate is exact (every facet holds
     at its fixed coordinates, the free interval is its 1-D fibre) and
     adds its open width + 1 to its fibre's Python-int total.
-    Others branch on their narrowest open coordinate, lowest index first:
-    one child per value, or two, the halves of its interval, for a node
-    with more values than the row cap.  A node with more than two values
-    whose children would take the block's running total past the row cap
-    goes back on the stack unbranched, to branch in a later block, so a
-    block makes at most 3 row caps of children.
+    Others branch on their narrowest open coordinate z_j, lowest index
+    first, into n = min(open width + 1, row cap) children: child k fixes
+    z_j = lo_j + k, except the last, which keeps lo_j + n - 1 <= z_j <=
+    hi_j, the rest of the interval.  Past the row cap in the block's
+    running total of children, a node of more than two values makes
+    n = 1 child, itself, so it goes back on the stack whole and branches
+    in a later block, and a block makes at most 3 row caps of children.
+    The row cap is at least 2, so a block's first branching node makes
+    two children or more.
     """
     import numpy as np
 
     d = len(u) // 2
-    # the row cap: rows x bytes per number x nonzeros of R <= _BLOCK_BYTES
-    rows = max(1, _BLOCK_BYTES // (u.itemsize * max(plan.nnz, 1)))
+    # the row cap: rows x bytes per number x nonzeros of R <= _BLOCK_BYTES,
+    # and at least 2: at one row, a node's one child is the node itself
+    rows = max(2, _BLOCK_BYTES // (u.itemsize * max(plan.nnz, 1)))
     totals = [0] * u.shape[1]
     stack = []
 
@@ -280,35 +284,29 @@ def _block_count(plan, rf, u):
                 totals[k] += int(w) + 1
         if leaves == len(fid):
             continue
-        # one child per value of the narrowest open coordinate.  Capped at
-        # rows + 1, n is an exact intp
-        n = np.minimum(np.where(leaf, 0, narrow + 1), rows + 1).astype(np.intp)
-        ends, halve = n.cumsum(), False
+        # n children on the narrowest open coordinate: one per value, at
+        # most rows, and one, the node itself, for a node of more than two
+        # values past the block's row cap.  n is an exact intp
+        n = np.minimum(np.where(leaf, 0, narrow + 1), rows).astype(np.intp)
+        ends = n.cumsum()
         if ends[-1] > rows:
-            # past the row cap: two children for a node with more values
-            # than the cap, and a node with more than two values that
-            # would take the block's running total past the cap waits on
-            # the stack
-            wide = n > rows
-            halve = wide.any()
-            n[wide] = 2
-            wait = (n.cumsum() > rows) & (n > 2)
-            push(u.compress(wait, axis=1), fid[wait])
-            n[wait] = 0
+            n[(ends > rows) & (n > 2)] = 1
             ends = n.cumsum()
         first, j = ends - n, key.argmin(0)
-        kids, fid, jk = u.repeat(n, axis=1), fid.repeat(n), j.repeat(n)
+        kids, fid = u.repeat(n, axis=1), fid.repeat(n)
         at = np.arange(len(fid))
-        # child k of its parent fixes z_j = lo_j + k
-        t = kids[jk, at] - (at - first.repeat(n))
-        kids[jk, at], kids[jk + d, at] = t, -t
-        if halve:
-            # a wide node's two children hold the halves of its interval,
-            # lo_j <= z_j <= lo_j + h - 1 and lo_j + h <= z_j <= hi_j
-            a, jw, h = first[wide], j[wide], (narrow[wide] + 1) // 2
-            lo = -u[jw, wide]
-            kids[jw + d, a], kids[jw, a + 1] = lo + h - 1, -(lo + h)
-            kids[jw + d, a + 1] = u[jw + d, wide]
+        # child k of its parent fixes z_j = lo_j + k, and its last child
+        # keeps lo_j + n - 1 <= z_j <= hi_j, the rest of the interval.  The
+        # bounds are indexed in kids' flat view (repeat makes a new C-order
+        # array), and ends - 1 is the last child of a node or, for a leaf,
+        # of one before it (the block's last child if there is none)
+        lo_at = (j * len(fid)).repeat(n) + at
+        hi_at = lo_at + d * len(fid)
+        flat, last = kids.reshape(-1), hi_at[ends - 1]
+        keep = flat[last]
+        t = flat[lo_at] - (at - first.repeat(n))
+        flat[lo_at], flat[hi_at] = t, -t
+        flat[last] = keep
         push(kids, fid)
     return totals
 

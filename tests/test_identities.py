@@ -3,11 +3,21 @@
 Two-row parity: g((N, N), (N, N), (N, N)) is 1 for even N and 0 for odd
 N (Garsia, Wallach, Xin and Zabrocki, Kronecker coefficients via
 symmetric functions and constant term identities, IJAC 2012).
+
+Transposition: g(mu', nu', lam) = g(mu, nu, lam), as the sign character
+of S_n squares to the trivial one.
+
+Monotone stability: g(mu + (k), nu + (k), lam + (k)), each first part
+raised by k, is weakly increasing in k (Brion, Stable properties of
+plethysm, Manuscripta Math. 1993).
 """
+
+import itertools
 
 import pytest
 
-from hivekron.kron import kronecker, lambda_shifts, sigma_of
+from hivekron.kron import (_conjugate, kronecker, lambda_shifts,
+                           partitions_of, sigma_of)
 from hivekron.polyhedra import build_cone
 
 
@@ -67,3 +77,37 @@ def test_two_row_parity_on_both_sides_of_the_float32_edge(call_dtypes):
         call_dtypes.clear()
         assert kronecker((N, N), (N, N), (N, N)).value == 1 - N % 2, N
         assert call_dtypes and set(call_dtypes) == {dtype}, N
+
+
+def test_transposition_on_the_33_cone():
+    # every triple with mu, nu in the 3 x 3 box and lam of at most 3 rows,
+    # so that both sides fit (3,3); the cone is given, as the default
+    # would count both sides on one conjugate pair.  kronecker counts one
+    # order of a triple, so nu <= mu covers every pair
+    above_one = 0
+    for n in range(1, 10):
+        box = [p for p in partitions_of(n, 3) if p[0] <= 3]
+        for mu, nu in itertools.combinations_with_replacement(box, 2):
+            for lam in partitions_of(n, 3):
+                g = kronecker(mu, nu, lam, l=3, m=3).value
+                h = kronecker(_conjugate(mu), _conjugate(nu), lam,
+                              l=3, m=3).value
+                assert g == h, (mu, nu, lam)
+                above_one += g > 1
+    assert above_one >= 20
+
+
+# ((mu, nu, lam), last k): each sequence runs from n below 24 to n above it
+STABLE_SEQUENCES = ((((4, 4, 4),) * 3, 13),
+                    (((6, 5, 3), (7, 7), (5, 5, 4)), 13),
+                    (((10, 8), (9, 9), (6, 6, 6)), 10),
+                    (((8, 8), (9, 7), (10, 6)), 12))
+
+
+@pytest.mark.parametrize("triple, last", STABLE_SEQUENCES)
+def test_monotone_stability_across_n_24(triple, last):
+    values = [kronecker(*((p[0] + k,) + p[1:] for p in triple)).value
+              for k in range(last + 1)]
+    assert sum(triple[0]) < 24 < sum(triple[0]) + last
+    assert all(a <= b for a, b in zip(values, values[1:])), values
+    assert values[0] < values[-1]

@@ -305,10 +305,10 @@ def _spy_nodes(P, monkeypatch):
 
 # (triple, value, nodes counting every shift as given, nodes of kronecker,
 # blocks of kronecker), each a pair over _pin_caps
-NODE_PINS = ((((4, 2, 2),) * 3, 6, (594, 341), (299, 170), (10, 74)),
-             (((6, 3, 3), (5, 4, 3), (4, 4, 4)), 3, (5259, 3470), (624, 443),
-              (12, 160)),
-             (((8, 4, 4),) * 3, 43, (9142, 6967), (4253, 3873), (36, 1461)))
+NODE_PINS = ((((4, 2, 2),) * 3, 6, (594, 323), (299, 169), (10, 70)),
+             (((6, 3, 3), (5, 4, 3), (4, 4, 4)), 3, (5258, 3476), (624, 441),
+              (12, 158)),
+             (((8, 4, 4),) * 3, 43, (9068, 6890), (4249, 3859), (36, 1472)))
 
 
 def _pin_caps(P, monkeypatch):
@@ -824,11 +824,12 @@ def test_block_count_edge_cases(dtype):
     assert block_count([], [], [([2], [1]), ([1], [4])], 1, dtype) == 4
 
 
-def test_wide_node_splits_in_halves(monkeypatch):
-    # a node whose narrowest open width + 1 is more than the row cap makes
-    # two children, the halves of that coordinate's interval, instead of
-    # one per value.  On the line x = y, 0 <= x, y <= N no bound moves, so
-    # one child per value would make N + 1 rows at once at the root
+def test_a_wide_node_keeps_the_rest_of_its_interval(monkeypatch):
+    # a node makes one child per value of its narrowest open coordinate,
+    # at most the row cap of them, and its last child keeps the rest of
+    # that coordinate's interval.  On the line x = y, 0 <= x, y <= N no
+    # bound moves, so one child per value would make N + 1 rows at once at
+    # the root
     import tracemalloc
     import hivekron.polyhedra as P
     # 16 float64 rows (32 float32 rows) of 4 nonzeros
@@ -847,6 +848,25 @@ def test_wide_node_splits_in_halves(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < (n + 1) * 4 * 8     # one float64 array of N + 1 children
+    # the root's children are the second block: exactly rows of them,
+    # child k at x = k and the last at rows - 1 <= x <= N, each with the
+    # root's 0 <= y <= N
+    blocks = []
+    real = P._tighten_block
+
+    def spy(plan, rf, u, fid, whole):
+        blocks.append(u.copy())
+        return real(plan, rf, u, fid, whole)
+    monkeypatch.setattr(P, "_tighten_block", spy)
+    n = 100
+    for dtype, rows in (("float32", 32), ("float64", 16), ("object", 16)):
+        blocks.clear()
+        assert block_count(line, [0, 0], [([0, 0], [n, n])], 2,
+                           dtype) == n + 1
+        lo_x, lo_y, hi_x, hi_y = (row.tolist() for row in blocks[1])
+        assert [-x for x in lo_x] == list(range(rows)), dtype
+        assert hi_x == list(range(rows - 1)) + [n], dtype
+        assert lo_y == [0] * rows and hi_y == [n] * rows, dtype
     # the one-point fibre sigma((N), (N)) + (N, 0, 0) on (3,3) keeps open
     # widths of about 2N/3, N/2 and N after root tightening
     c = build_cone(3, 3)
@@ -857,12 +877,33 @@ def test_wide_node_splits_in_halves(monkeypatch):
     assert count_lattice_points(c, theta) == 1
 
 
+@pytest.mark.parametrize("types", [None, ()], ids=["float32", "object"])
+def test_a_one_byte_block_still_counts(monkeypatch, types):
+    # the row cap is at least 2 rows whatever _BLOCK_BYTES says: a node
+    # of one child would make itself again and the search would not end
+    import hivekron.polyhedra as P
+    from hivekron.kron import kronecker
+    monkeypatch.setattr(P, "_BLOCK_BYTES", 1)
+    if types is not None:
+        monkeypatch.setattr(P, "_EXACT_TYPES", types)
+    blocks = []
+    real = P._tighten_block
+
+    def spy(plan, rf, u, fid, whole):
+        assert len(fid) <= 2 and len(blocks) < 10 ** 5
+        blocks.append(u.dtype.name)
+        return real(plan, rf, u, fid, whole)
+    monkeypatch.setattr(P, "_tighten_block", spy)
+    assert kronecker(*((4, 2, 2),) * 3).value == 6
+    assert set(blocks) == {"float32" if types is None else "object"}
+
+
 def test_block_children_stay_within_the_row_cap():
     # the row cap bounds a block's children, not each node's: on the (2,2)
-    # line fibre g((N, N), (N, N), (N, N)) halving leaves blocks of many
-    # nodes of a few thousand values each, which would make rows x rows
-    # children together (a peak of about 8 MB at N = 10^5) if each node
-    # could make up to rows of them
+    # line fibre g((N, N), (N, N), (N, N)) the last children that keep the
+    # rest of their intervals leave blocks of many nodes of a few thousand
+    # values each, which would make rows x rows children together (a peak
+    # of about 8 MB at N = 10^5) if each node could make up to rows of them
     import tracemalloc
     from hivekron.kron import kronecker
     n = 10 ** 5
@@ -877,16 +918,35 @@ def test_block_children_stay_within_the_row_cap():
 
 
 def test_a_node_past_the_block_budget_waits_whole(monkeypatch):
-    # a node of at most a row cap of values whose children would take the
-    # block past the row cap goes back on the stack and branches one child
-    # per value in a later block; halving it instead would bring about
-    # 1.4 N nodes of the (2,2) line fibre to their fixpoint, not about N
+    # a node of more than two values whose children would take the block
+    # past the row cap makes one child, itself, and branches in a later
+    # block.  The (2,2) line fibre brings about N nodes to their fixpoint
+    # (halving the nodes wider than the row cap brought 1.0056 N)
     import hivekron.polyhedra as P
     from hivekron.kron import kronecker
     n = 10 ** 5
     rows = _spy_nodes(P, monkeypatch)
     assert kronecker((n, n), (n, n), (n, n)).value == 1
-    assert sum(rows) < 1.1 * n
+    assert sum(rows) < 1.001 * n
+    # four roots of the line x = y, 0 <= x, y <= 100, at 16 float64 rows:
+    # the first makes 16 children and the other three wait, so they top
+    # the second block, whole and in order; branched at once, the last
+    # root's children would top it
+    blocks = []
+    real = P._tighten_block
+
+    def spy(plan, rf, u, fid, whole):
+        blocks.append((u.tolist(), fid.tolist()))
+        return real(plan, rf, u, fid, whole)
+    monkeypatch.setattr(P, "_tighten_block", spy)
+    monkeypatch.setattr(P, "_BLOCK_BYTES", 8 * 4 * 16)
+    line = [[1, -1], [-1, 1]]
+    assert block_count(line, [0, 0], [([0, 0], [100, 100])] * 4, 2,
+                       "float64") == 4 * 101
+    u, fid = blocks[1]
+    assert fid[:4] == [1, 2, 3, 0]
+    assert [row[:3] for row in u] == [[0] * 3, [0] * 3, [100] * 3,
+                                      [100] * 3]
 
 
 def reference_tightening(R, res, lo, hi):
