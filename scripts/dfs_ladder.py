@@ -5,24 +5,24 @@ Each k is one coefficient of n = 4k counted on the (3,3) cone, timed after
 the cone and its fibre geometry are built; a line gives n, the value and
 the wall time.  With --verify each value with n <= ORACLE_BOUND is checked
 against the character oracle (outside the timing); a mismatch is reported
-on stderr and the exit code is 2.
+on stderr and the exit code is 2.  A bad command line exits 1.
 
 Example:
     python scripts/dfs_ladder.py 4 6 8
     python scripts/dfs_ladder.py --verify 4 5
 """
 
-import argparse
 import sys
 import time
 
 sys.path.insert(0, "src")
 
+from hivekron.cli import Parser
 from hivekron.kron import ORACLE_BOUND, kronecker, kronecker_oracle
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = Parser(description=__doc__)
     ap.add_argument("k", type=int, nargs="+")
     ap.add_argument("--verify", action="store_true",
                     help="check each value against the character oracle")

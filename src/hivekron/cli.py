@@ -163,7 +163,7 @@ def cmd_validate(args) -> int:
     return 0 if report.ok else EXIT_VERIFY
 
 
-class _Parser(argparse.ArgumentParser):
+class Parser(argparse.ArgumentParser):
     """A bad command line is a usage error (exit 1), not exit 2, which
     belongs to failed verification."""
 
@@ -172,7 +172,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def make_parser() -> argparse.ArgumentParser:
-    p = _Parser(
+    p = Parser(
         prog="hivekron",
         description="Kronecker coefficients via lattice points in the "
                     "g-vector cone of a twisted glued hive quiver.")
@@ -191,12 +191,11 @@ def make_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("coeff", parents=[triple],
                        help="compute a Kronecker coefficient")
     q.add_argument("--l", type=int, default=None,
-                   help="cone size l; with neither --l nor --m, the smallest "
-                        "cone that the partition lengths and first parts "
-                        "allow, perhaps for a conjugate pair of the input; "
-                        "with --m alone, max(2, len mu, len nu)")
+                   help="cone size l, given with --m; with neither, the "
+                        "smallest cone the partition lengths and first parts "
+                        "allow, perhaps for a conjugate pair of the input")
     q.add_argument("--m", type=int, default=None,
-                   help="cone size m; with --l alone, max(2, len lam)")
+                   help="cone size m, given with --l")
     q.add_argument("--verify", action="store_true",
                    help="cross-check against the character oracle")
     q.add_argument("--json", action="store_true")

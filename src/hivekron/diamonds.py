@@ -322,15 +322,14 @@ def bar_via_mutation(l: int, m: int):
         {relabel[v]: w for v, w in sig2.items()}
 
 
-def verify_bar_routes(l: int, m: int):
-    """Check that mutation transport and the direct build agree exactly."""
-    direct_q, direct_s = build_bar(l, m)
-    mut_q, mut_s = bar_via_mutation(l, m)
-    if mut_q != direct_q:
-        raise Inconsistent(
-            f"twist-mutated quiver differs from direct build at l={l}, m={m}")
-    if mut_s != direct_s:
-        diffs = [v for v in direct_s if direct_s[v] != mut_s.get(v)]
-        raise Inconsistent(
-            f"transported weights differ from solved weights at {diffs[:4]}")
-    return True
+def twist_route_difference(l: int, m: int):
+    """The first vertex, in sort order, at which the twist-mutated lifted
+    quiver and the direct build differ (in presence, frozenness, an arrow
+    at it or its weight), or None if they agree exactly."""
+    routes = build_bar(l, m), bar_via_mutation(l, m)
+    direct, mutated = ({v: (v in Q.frozen, sigma[v],
+                            {a: k for a, k in Q.arrows.items() if v in a})
+                        for v in Q.vertices} for Q, sigma in routes)
+    return next((v for v in sorted(set(direct) | set(mutated),
+                                   key=VertexId.sort_key)
+                 if direct.get(v) != mutated.get(v)), None)

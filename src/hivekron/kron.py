@@ -195,8 +195,8 @@ def kronecker(mu, nu, lam, l: int = None, m: int = None,
     the shortest partition on the m side, or a conjugate pair of the
     triple when that gives a cone no larger in l or m and smaller in
     (l + m, m); the orientation then holds the conjugate pair.  A call
-    that gives l or m counts the triple itself, with l defaulting to
-    max(2, len(mu), len(nu)) and m to max(2, len(lam)).
+    that gives both l and m counts the triple itself on that cone; one
+    that gives only one of them raises OutOfRange.
 
     On its cone the triple is counted in one fixed order (a, b, c) among
     those that fit: c is the lexicographically largest partition that
@@ -212,10 +212,8 @@ def kronecker(mu, nu, lam, l: int = None, m: int = None,
     as_worker_count(workers)
     if l is None and m is None:
         l, m, triple = _default_cone(triple)
-    elif l is None:
-        l = max(2, len(triple[0]), len(triple[1]))
-    elif m is None:
-        m = max(2, len(triple[2]))
+    elif l is None or m is None:
+        raise OutOfRange("give both l and m, or neither")
     cone = build_cone(l, m)
     orientation, sigma, shifts, alphas = _plan(cone, triple)
     thetas = [sigma + alpha for alpha in alphas]

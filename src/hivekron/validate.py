@@ -6,7 +6,8 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .diamonds import build_bar, build_tilde, expected_vertex_count
+from .diamonds import (build_bar, build_tilde, expected_vertex_count,
+                       twist_route_difference)
 from .errors import DegenerateSample, OutOfRange
 from .kron import kronecker, kronecker_oracle, partitions_of
 from .pathmods import boundary_path, diagonal_module
@@ -41,6 +42,8 @@ def run_validation(l: int, m: int, level: str = "quick",
     rep.add("tilde-weight-config", not weight_defect(Qt, st))
     Qb, sb = build_bar(l, m)
     rep.add("bar-weight-config", not weight_defect(Qb, sb))
+    diff = twist_route_difference(l, m)
+    rep.add("twist-routes", diff is None, str(diff or ""))
 
     exp = expected_vertex_count(l, m) + m
     rep.add("vertex-count", len(Qt.vertices) == exp,

@@ -59,6 +59,13 @@ def test_coeff_size_mismatch_usage_error(capsys):
     assert "sizes differ" in err
 
 
+def test_coeff_one_of_l_and_m_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "coeff", "--mu", "2,1", "--nu", "2,1",
+                         "--lam", "1,1,1", "--l", "2")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: give both l and m, or neither"]
+
+
 def test_coeff_json_breakdown(capsys, small_builds):
     code, out, _ = run(capsys, "coeff", "--mu", "2,1", "--nu", "2,1",
                        "--lam", "2,1", "--json")
@@ -227,6 +234,7 @@ def test_validate_quick(capsys, small_builds):
     names = {c["name"] for c in doc["checks"]}
     assert "facet-count-43" in names
     assert "exchange-relations" in names
+    assert "twist-routes" in names
 
 
 def test_validate_bad_size(capsys):

@@ -366,17 +366,21 @@ def test_four_equal_rows_count_on_the_43_cone():
 
 def test_explicit_l_or_m_counts_the_input_itself(small_builds):
     # the default counts the conjugate pair (2,1), (2,1), (3) on (2,2);
-    # an l or an m given pins the cone, the other side keeps the input's
-    # default, and the input is counted as given
+    # an l and an m given pin the cone, and the input is counted as given
     triple = ((2, 1), (2, 1), (1, 1, 1))
     res = kronecker(*triple)
     assert (res.l, res.m, res.orientation) == (2, 2, ((2, 1), (2, 1), (3,)))
-    for l, m, cone in ((3, None, (3, 3)), (None, 3, (2, 3)),
-                       (3, 2, (3, 2)), (3, 3, (3, 3))):
+    for l, m in ((3, 2), (3, 3)):
         res = kronecker(*triple, l=l, m=m)
-        assert (res.l, res.m) == cone
+        assert (res.l, res.m) == (l, m)
         assert sorted(res.orientation) == sorted(triple)
         assert res.value == 1
+    # one side alone is an error, whatever the order of the input
+    for order in itertools.permutations(triple):
+        for l, m in ((3, None), (None, 3)):
+            with pytest.raises(OutOfRange, match="give both l and m, or "
+                                                 "neither"):
+                kronecker(*order, l=l, m=m)
 
 
 def test_conjugate_pair_never_grows_l_or_m(small_builds):

@@ -24,11 +24,6 @@ def test_kronecker_table():
     assert all(row.startswith("g[") for row in rows)
 
 
-def test_twist_experiment():
-    out = run_script("twist_experiment.py", "--max-l", "3", "--max-m", "3")
-    assert sum("routes agree" in line for line in out) == 4
-
-
 def test_validate_grid():
     out = run_script("validate_grid.py", "--max-l", "2", "--max-m", "3")
     assert [line.split(":")[0] for line in out if ": ok" in line] == \
@@ -85,3 +80,20 @@ def test_dfs_ladder_verify_exits_2_on_a_mismatch(monkeypatch, capsys):
     assert exit_.value.code == 2
     assert capsys.readouterr().err.splitlines() == [
         "n=4: the oracle gives g=7", "n=12: past the oracle bound 8, unverified"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dfs_ladder", "0"],
+    ["kronecker_table"],
+    ["kronecker_table", "-3", "--verify"],
+    ["kronecker_table", "3", "--max-len", "0"],
+    ["validate_grid", "--level", "bogus"],
+])
+def test_bad_command_line_exits_1(monkeypatch, capsys, argv):
+    # exit 2 is kept for a mismatch or a failed check
+    script = load_script(monkeypatch, argv[0])
+    with pytest.raises(SystemExit) as exit_:
+        script.main(argv[1:])
+    assert exit_.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
