@@ -3,12 +3,14 @@
 This is the only module that knows the JSON form: `_wire` writes every
 integer as a decimal string and every vertex as a list.  `--out` files are
 written atomically.  Commands raise; `main` turns an error, and the parser
-a bad command line, into one stderr line and an exit code.
+a bad command line, into one stderr line and an exit code.  `run` is the
+entry point of a `hivekron` process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -72,11 +74,17 @@ def cone_to_json(c: Cone) -> str:
 
 
 def _atomic_write(path: str, text: str):
+    """Write text to path through a temporary file in its directory, with
+    the mode that open(path, "w") gives: mkstemp makes it 0600, and the
+    replace keeps that."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        umask = os.umask(0o22)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -265,5 +273,23 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run():
+    """Entry point of a `hivekron` process: main on sys.argv, with the
+    cyclic garbage collector off, then exit with main's code.
+
+    A process that ends after one command never needs a collection; with
+    the collector on, a cold coeff call runs dozens, most of them while
+    numpy is imported.  The freeze before exit moves every tracked object
+    out of the collector's reach, so the final collection at interpreter
+    shutdown, which runs even with the collector off, has nothing to
+    walk.  main itself leaves an in-process caller's collector as it was.
+    """
+    gc.disable()
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,9 +1,11 @@
+import gc
 import inspect
 import itertools
 import json
 import os
 import pathlib
 import re
+import stat
 import subprocess
 import sys
 
@@ -185,6 +187,20 @@ def test_cone_command(capsys, tmp_path):
                        "--out", str(path))
     assert code == 0 and out == ""
     assert path.read_text() == expected
+
+
+def test_out_file_has_the_mode_of_a_plain_write(capsys, tmp_path):
+    # mkstemp makes its file 0600; the written file follows the umask
+    for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+        path = tmp_path / f"cone-{umask:o}.json"
+        before = os.umask(umask)
+        try:
+            code, _, _ = run(capsys, "cone", "--l", "2", "--m", "2",
+                             "--out", str(path))
+        finally:
+            os.umask(before)
+        assert code == 0
+        assert stat.S_IMODE(path.stat().st_mode) == mode, oct(umask)
 
 
 def test_cone_out_onto_a_directory(capsys, tmp_path):
@@ -398,3 +414,56 @@ def test_blas_runs_on_one_thread_unless_preset():
     code, loaded, _, value = preset.stderr.split()[-4:]
     assert (code, loaded, value) == ("0", "True", "2"), preset.stderr
     assert default.stdout == preset.stdout == "1\n"
+
+
+RUN_PROBE = """
+import gc, sys
+from hivekron.cli import run
+try:
+    run()
+except SystemExit as exc:
+    code = exc.code
+print(code, gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)
+"""
+
+# python -m hivekron.cli, with the collector's state read at exit
+MODULE_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0,
+                              file=sys.stderr))
+runpy.run_module("hivekron.cli", run_name="__main__")
+"""
+
+
+def test_run_exits_with_mains_code_collector_off_and_frozen(capsys,
+                                                            small_builds):
+    argv = ["coeff", "--mu", "2,1", "--nu", "2,1", "--lam", "2,1", "--json"]
+    code, out, err = run(capsys, *argv)
+    proc = probe(RUN_PROBE, argv)
+    assert proc.stderr.splitlines()[-1] == "0 False True", proc.stderr
+    assert (code, proc.stdout, err) == (0, out, "")
+
+
+def test_module_runs_through_run(capsys):
+    # a usage error, so that main's code is not 0
+    argv = ["coeff", "--mu", "2,1", "--nu", "2,1", "--lam", "1,1,1",
+            "--l", "2"]
+    code, out, err = run(capsys, *argv)
+    proc = probe(MODULE_PROBE, argv)
+    assert proc.stderr.splitlines() == err.splitlines() + ["False True"], \
+        proc.stderr
+    assert (proc.returncode, proc.stdout) == (code, out) == (1, "")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_was(capsys, small_builds, enabled):
+    was = gc.isenabled()
+    frozen = gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code, _, _ = run(capsys, "coeff", "--mu", "2,1", "--nu", "2,1",
+                         "--lam", "2,1")
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert code == 0

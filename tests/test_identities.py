@@ -14,6 +14,10 @@ plethysm, Manuscripta Math. 1993).
 Permuting alpha: the fibre at sigma(mu, nu) + alpha counts the weight
 multiplicity <s_mu * s_nu, h_alpha>, and h_alpha is the same product of
 complete symmetric functions in any order of alpha.
+
+Dvir's bound: the largest lam_1 of a lam with g(mu, nu, lam) != 0 is
+|mu & nu| = sum of min(mu_i, nu_i) (Dvir, On the Kronecker product of S_n
+characters, J. Algebra 1993).
 """
 
 import itertools
@@ -130,3 +134,19 @@ def test_fibre_counts_are_invariant_under_permuting_alpha(mu, nu, alpha):
     counts = count_fibres(build_cone(2, 3),
                           [sigma + p for p in itertools.permutations(alpha)])
     assert len(set(counts)) == 1 and counts[0] > 1, counts
+
+
+# (mu, nu) at n = 27-40, past the oracle: 9, 20, 2 and 36 lam of at most 3
+# rows lie past Dvir's bound, and 2, 3, 1 and 1 at it give g != 0
+DVIR_PAIRS = (((10, 9, 8), (15, 8, 4)), ((12, 10, 8), (20, 6, 4)),
+              ((14, 13, 13), (16, 12, 12)), ((9, 9, 9), (20, 5, 2)))
+
+
+@pytest.mark.parametrize("mu, nu", DVIR_PAIRS)
+def test_dvir_bound_past_the_oracle(mu, nu):
+    top = sum(map(min, mu, nu))
+    values = {lam: kronecker(mu, nu, lam).value
+              for lam in partitions_of(sum(mu), 3) if lam[0] >= top}
+    past = {lam: g for lam, g in values.items() if lam[0] > top}
+    assert past and not any(past.values()), past
+    assert any(g for lam, g in values.items() if lam[0] == top), values
