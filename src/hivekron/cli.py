@@ -28,6 +28,8 @@ from .quiver import VertexId
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_UNBOUNDED = 3
+# what a shell reports for a process killed by SIGPIPE: 128 + 13
+EXIT_PIPE = 141
 
 
 def _parse_ints(text: str) -> tuple:
@@ -253,6 +255,12 @@ def _join_negative_values(argv):
 def main(argv=None) -> int:
     """Run one command; map its errors to one stderr line and an exit code.
 
+    A closed stdout (its reader gone, as in ``| head -1``) is no error of
+    the command: main exits EXIT_PIPE with no stderr line, after pointing
+    stdout at devnull so that the flush at shutdown cannot fail again.
+    stdout is flushed inside the command's try, so a closed pipe shows
+    there and not at shutdown.
+
     BLAS runs on one thread unless OPENBLAS_NUM_THREADS is already set.
     Importing numpy starts OpenBLAS's thread pool, and the package imports
     numpy only inside a call, after this line.  The engine's products (at
@@ -264,7 +272,12 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = make_parser().parse_args(_join_negative_values(argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except UnboundedFibre as exc:
         print(f"unbounded fibre: {exc}", file=sys.stderr)
         return EXIT_UNBOUNDED

@@ -35,7 +35,7 @@ def as_ints(values, what: str) -> tuple:
     other non-integer, which is never truncated."""
     values = tuple(values)
     try:
-        return tuple(operator.index(x) for x in values)
+        return tuple(map(operator.index, values))
     except TypeError:
         raise OutOfRange(f"{what} must be integers, got {values}") from None
 

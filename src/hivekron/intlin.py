@@ -66,10 +66,11 @@ def back_solve(M, pivots, target):
     for row, p, t in zip(M, pivots, target):
         num = t - sum(map(mul, row, w))
         if p is not None:
-            if num % row[p] != 0:
+            q, r = divmod(num, row[p])
+            if r:
                 return None
-            w.append(num // row[p])
-        elif num != 0:
+            w.append(q)
+        elif num:
             return None
     return w
 

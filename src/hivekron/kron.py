@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 
 from .errors import (OutOfRange, SizeTooLargeForOracle, as_ints,
                      as_worker_count)
@@ -25,9 +26,9 @@ ORACLE_BOUND = 24
 def partition(parts) -> tuple:
     """Normalize to a weakly decreasing tuple without trailing zeros."""
     p = as_ints(parts, "partition parts")
-    if any(a < b for a, b in zip(p, p[1:])):
+    if list(p) != sorted(p, reverse=True):
         raise OutOfRange(f"not weakly decreasing: {p}")
-    if any(x < 0 for x in p):
+    if p and p[-1] < 0:
         raise OutOfRange(f"negative part: {p}")
     while p and p[-1] == 0:
         p = p[:-1]
@@ -63,10 +64,9 @@ def _sigma(mu, nu, l: int) -> tuple:
 
     sigma(-k) is minus the number of columns of mu of length k, which is
     mu_k - mu_{k+1}, and sigma(k) is nu_k - nu_{k+1}: O(l), whatever n."""
-    def steps(p):
-        p += (0,) * (l + 1 - len(p))
-        return [a - b for a, b in zip(p, p[1:])]
-    return tuple([-x for x in steps(mu)] + steps(nu))
+    mu += (0,) * (l + 1 - len(mu))
+    nu += (0,) * (l + 1 - len(nu))
+    return tuple(map(sub, mu[1:], mu)) + tuple(map(sub, nu, nu[1:]))
 
 
 def lambda_shifts(lam, m: int):
@@ -82,8 +82,8 @@ def _shifts(lam, m: int):
     base = [x - i for i, x in enumerate(lam + (0,) * (m - len(lam)), 1)]
     out = []
     for omega, sign in _signed_permutations(m):
-        shifted = tuple(b + o for b, o in zip(base, omega))
-        if all(x >= 0 for x in shifted):
+        shifted = tuple(map(add, base, omega))
+        if min(shifted, default=0) >= 0:
             out.append((omega, shifted, sign))
     return out
 
@@ -101,8 +101,10 @@ def _conjugate(p: tuple) -> tuple:
     """The conjugate of a normalized partition: its length is p's first
     part, and its first part p's length."""
     padded = p + (0,)
-    return tuple(i for i in range(len(p), 0, -1)
-                 for _ in range(padded[i - 1] - padded[i]))
+    out = []
+    for i in range(len(p), 0, -1):
+        out += [i] * (padded[i - 1] - padded[i])
+    return tuple(out)
 
 
 def _triple(mu, nu, lam) -> tuple:
@@ -138,16 +140,17 @@ def _default_cone(triple):
     partition unconjugated.  The result depends only on the multiset of
     the triple, and only the pair taken is conjugated.
     """
-    lengths = [len(p) for p in triple]
+    lengths = list(map(len, triple))
     firsts = [p[0] if p else 0 for p in triple]
     l0, m0 = max(2, *lengths), max(2, min(lengths))
     best, kept, cone = (l0 + m0, m0), None, (l0, m0)
     for k, p in enumerate(triple):
-        conjugated = firsts[:k] + firsts[k + 1:]     # their new lengths
-        if max(conjugated) > l0:
+        # the new lengths of the other two, conjugated
+        x, y = firsts[k - 1], firsts[k - 2]
+        if x > l0 or y > l0:
             continue
-        l = max(2, lengths[k], *conjugated)
-        m = max(2, min(lengths[k], *conjugated))
+        l = max(2, lengths[k], x, y)
+        m = max(2, min(lengths[k], x, y))
         key = (l + m, m)
         if m <= m0 and (key < best or key == best and kept is not None
                         and p > triple[kept]):

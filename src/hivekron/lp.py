@@ -5,8 +5,12 @@ pivot is exact, or on float64 with tolerance ``_FLOAT_TOL``.  The
 entering column follows Dantzig's rule and, after a burn-in, Bland's,
 which guarantees termination on degenerate problems.  ``solve_lp`` is
 the exact solver, on the standard form A.x = b, x >= 0.
-``float_basis`` runs in floats and only suggests a basis: whatever a
-caller derives from it must be certified exactly before use.
+``float_bases`` runs in floats and only suggests bases, one for each of
+a sequence of right-hand sides b that share c and A: the first b is
+solved cold, and each later one warm, from the previous optimal basis,
+which stays dual feasible when only b changes, by a dual simplex.
+Whatever a caller derives from a suggestion must be certified exactly
+before use.
 """
 
 from __future__ import annotations
@@ -62,6 +66,32 @@ def _simplex(T, basis, ncols, tol, maxit=None):
         ratios = T[rows, -1] / col[rows]
         ties = rows[ratios <= ratios.min() + tol]
         _pivot(T, basis, min(ties, key=lambda k: basis[k]), c)
+        it += 1
+    return None
+
+
+def _dual_simplex(T, basis, ncols, tol, maxit):
+    """Make the basic values of T, whose reduced costs over columns
+    [0, ncols) are >= -tol, nonnegative while keeping them so.
+
+    The most negative basic value leaves, and the column of least ratio
+    reduced cost / -entry over the columns whose entry in its row is below
+    -tol enters, the first such column on a tie.  Returns OPTIMAL,
+    INFEASIBLE when a negative row has no such column, or None when
+    ``maxit`` pivots are used up.
+    """
+    import numpy as np
+
+    it = 0
+    while it < maxit:
+        r = int(np.argmin(T[:-1, -1]))
+        if T[r, -1] >= -tol:
+            return OPTIMAL
+        cols = np.flatnonzero(T[r, :ncols] < -tol)
+        if not cols.size:
+            return INFEASIBLE
+        ratios = T[-1, cols] / -T[r, cols]
+        _pivot(T, basis, r, int(cols[np.argmin(ratios)]))
         it += 1
     return None
 
@@ -127,15 +157,41 @@ def solve_lp(c, A_eq, b_eq, phase2_maxit=None):
     return OPTIMAL, x
 
 
-def float_basis(c, A_eq, b_eq, maxit):
-    """Suggest an optimal basis of min c.x s.t. A_eq.x = b_eq, x >= 0.
+def float_bases(c, A_eq, bs, maxit):
+    """Suggest an optimal basis of min c.x s.t. A_eq.x = b, x >= 0 for
+    each b of bs, in order.
 
-    The simplex in floats, each phase capped at ``maxit`` pivots.
-    Returns {basic column: its float value}, or None when the float
-    search finds the problem infeasible or unbounded or hits the cap:
-    only an exact method may conclude anything from that.
+    Each suggestion is {basic column: its float value}, or None when the
+    float search finds the problem infeasible or unbounded or hits the
+    cap: only an exact method may conclude anything from that.  A b after
+    a suggestion is warm: the tableau keeps its artificial columns, which
+    hold B^-1 of the current basis B (times the signs of the rows that the
+    first b negated), so its basic values become B^-1 b, its reduced
+    costs are still >= 0, and a dual simplex of at most ``maxit`` pivots
+    reoptimizes it.  The tableau's objective entry is left as it was: no
+    pivot rule reads it.  A b after a None, and the
+    first, is solved cold by the two-phase simplex, each phase capped at
+    ``maxit`` pivots.  A basic artificial column left nonzero by a warm
+    b (A has dependent rows) gives None too.
     """
-    status, T, basis = _two_phase(c, A_eq, b_eq, False, maxit)
-    if status != OPTIMAL:
-        return None
-    return {k: float(T[r, -1]) for r, k in enumerate(basis) if k < len(c)}
+    import numpy as np
+
+    n, m = len(c), len(A_eq)
+    out, T = [], None
+    for b in bs:
+        if T is None:
+            status, T, basis = _two_phase(c, A_eq, b, False, maxit)
+            signs = np.where(np.array(b, dtype=float) < 0, -1.0, 1.0)
+        else:
+            T[:m, -1] = T[:m, n:n + m] @ (signs * b)
+            status = _dual_simplex(T, basis, n, _FLOAT_TOL, maxit)
+            if any(k >= n and abs(T[r, -1]) > _FLOAT_TOL
+                   for r, k in enumerate(basis)):
+                status = None
+        if status != OPTIMAL:
+            out.append(None)
+            T = None
+            continue
+        out.append({k: float(T[r, -1]) for r, k in enumerate(basis)
+                    if k < n})
+    return out

@@ -27,12 +27,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
 from operator import mul
 
 from .diamonds import build_bar
 from .errors import OutOfRange, UnboundedFibre, as_ints
 from .intlin import back_solve, hnf
-from .lp import OPTIMAL, float_basis, solve_lp
+from .lp import OPTIMAL, float_bases, solve_lp
 from .pathmods import boundary_path, diagonal_module, submodule_dims
 from .quiver import VertexId
 
@@ -121,7 +122,9 @@ class _Plan:
 
     ``dense`` maps each number type that ``_FibreGeometry.fibres``
     chooses from (``_TYPES``) to (S^T, bc as a column), both built once;
-    bc holds the |c| of the quotient rows.
+    bc holds the |c| of the quotient rows.  ``swap`` maps row t of u to
+    t + d for t < d and to t - d past it: gathering u's rows by it puts
+    the other half of each coordinate, u[t -+ d], at row t.
     """
 
     def __init__(self, R, d):
@@ -149,6 +152,7 @@ class _Plan:
         width = max(map(len, runs), default=0)
         self.qruns = np.array([[run[i % len(run)] for run in runs]
                                for i in range(width)], dtype=np.intp)
+        self.swap = np.roll(np.arange(2 * d), d)
 
 
 def _tighten_block(plan, rf, u, fid, whole):
@@ -163,16 +167,18 @@ def _tighten_block(plan, rf, u, fid, whole):
     floor(rest / |c|), rest the facet's bound less the term's own
     |c| u[t -+ d], as the facet holds only where c z_j >= -rest.  A
     bound's terms are whole rows of the extended facet block, so the
-    gather and its minimum read contiguous rows.  A node at its fixpoint
-    stays in the pass, which leaves it unchanged.  Passes go on while
-    more than 3/4 of the nodes moved and none emptied (lo > hi); after the
-    first pass that breaks this, the nodes it left unchanged are at their
-    fixpoint and settled, the empty are dropped and the others are still
-    moving, so no pass reads an empty box.  When the block holds the
-    whole frontier (whole), a moving node with two or more open
+    gather and its minimum read contiguous rows, and the other halves
+    u[t -+ d] are one gather of u's rows by ``plan.swap``.  A node at its
+    fixpoint stays in the pass, which leaves it unchanged.  Passes go on
+    while more than 3/4 of the nodes moved and none emptied (lo > hi);
+    after the first pass that breaks this, the nodes it left unchanged are
+    at their fixpoint and settled, the empty are dropped and the others
+    are still moving, so no pass reads an empty box.  When the block holds
+    the whole frontier (whole), a moving node with two or more open
     coordinates is settled too: its box still holds every point of its
     node, so it can branch now, and a leaf is still always at its
-    fixpoint.
+    fixpoint.  A block that settles every node returns its own arrays,
+    with no copies.
     """
     import numpy as np
 
@@ -186,9 +192,7 @@ def _tighten_block(plan, rf, u, fid, whole):
         if len(bc):
             facet = np.concatenate((facet, facet[plan.bf] // bc))
         new = np.minimum.reduce(facet.take(plan.qruns, axis=0))
-        # each half less the other half of u, in one call
-        halves = new.reshape(2, d, -1)
-        np.subtract(halves, u.reshape(2, d, -1)[::-1], out=halves)
+        np.subtract(new, u.take(plan.swap, axis=0), out=new)
         np.minimum(new, u, out=new)
         moved, u = np.logical_or.reduce(new < u, axis=0), new
         widths = u[:d] + u[d:]
@@ -196,18 +200,19 @@ def _tighten_block(plan, rf, u, fid, whole):
         count = np.count_nonzero(moved)
         if empty or 4 * count <= 3 * len(fid):
             break
-    if not count:
-        return u, fid, widths, u[:, :0], fid[:0]
-    if whole:
+    if whole and count:
         moved &= np.add.reduce(widths > 0, axis=0) < 2
+        count = np.count_nonzero(moved)
+    if not (count or empty):
+        return u, fid, widths, u[:, :0], fid[:0]
     still = ~moved
     if empty:
         nonempty = np.logical_and.reduce(widths >= 0, axis=0)
         still &= nonempty
         moved &= nonempty
     # compress selects columns faster than a mask index
-    return (u.compress(still, axis=1), fid[still],
-            widths.compress(still, axis=1), u.compress(moved, axis=1),
+    done = u.compress(still, axis=1)
+    return (done, fid[still], done[:d] + done[d:], u.compress(moved, axis=1),
             fid[moved])
 
 
@@ -258,9 +263,15 @@ def _block_count(plan, rf, u):
         elif len(fid):
             stack.append((u, fid))
 
-    fid = np.flatnonzero(np.logical_and.reduce(u[:d] + u[d:] >= 0, axis=0)
-                         & np.logical_and.reduce(rf[plan.empty] >= 0, axis=0))
-    push(u[:, fid], fid)
+    widths = u[:d] + u[d:]
+    if len(plan.empty) or np.minimum.reduce(widths, axis=None, initial=0) < 0:
+        fid = np.flatnonzero(
+            np.logical_and.reduce(widths >= 0, axis=0)
+            & np.logical_and.reduce(rf[plan.empty] >= 0, axis=0))
+        u = u[:, fid]
+    else:
+        fid = np.arange(u.shape[1])
+    push(u, fid)
     while stack:
         u, fid = stack.pop()
         while stack and len(fid) < rows:
@@ -273,22 +284,30 @@ def _block_count(plan, rf, u):
         u, fid, widths, moving, moving_fid = _tighten_block(
             plan, rf.take(fid, axis=1), u, fid, not stack)
         push(moving, moving_fid)
+        if not len(fid):
+            continue
         # a leaf's widths sum to at most its narrowest positive one
         key = np.where(widths, widths, np.inf)
         size = np.add.reduce(widths, axis=0)
         narrow = np.minimum.reduce(key, axis=0, initial=np.inf)
         leaf = size <= narrow
         leaves = np.count_nonzero(leaf)
+        if leaves == len(fid):
+            for k, w in zip(fid.tolist(), size.tolist()):
+                totals[k] += int(w) + 1
+            continue
         if leaves:
             for k, w in zip(fid[leaf].tolist(), size[leaf].tolist()):
                 totals[k] += int(w) + 1
-        if leaves == len(fid):
-            continue
+            narrow[leaf] = -1
         # n children on the narrowest open coordinate: one per value, at
-        # most rows, and one, the node itself, for a node of more than two
-        # values past the block's row cap.  n is an exact intp
-        n = np.minimum(np.where(leaf, 0, narrow + 1), rows).astype(np.intp)
+        # most rows, none for a leaf, and one, the node itself, for a node
+        # of more than two values past the block's row cap.  n is an exact
+        # intp
+        n = np.minimum(narrow + 1, rows).astype(np.intp)
         ends = n.cumsum()
+        # under the row cap every node makes one child per value
+        short = ends[-1] >= rows
         if ends[-1] > rows:
             n[(ends > rows) & (n > 2)] = 1
             ends = n.cumsum()
@@ -297,16 +316,19 @@ def _block_count(plan, rf, u):
         at = np.arange(len(fid))
         # child k of its parent fixes z_j = lo_j + k, and its last child
         # keeps lo_j + n - 1 <= z_j <= hi_j, the rest of the interval.  The
-        # bounds are indexed in kids' flat view (repeat makes a new C-order
-        # array), and ends - 1 is the last child of a node or, for a leaf,
-        # of one before it (the block's last child if there is none)
+        # bounds are flat indices of kids, which take and put read in C
+        # order (repeat makes a new C-order array), and ends - 1 is the last
+        # child of a node or, for a leaf, of one before it (the block's last
+        # child if there is none)
         lo_at = (j * len(fid)).repeat(n) + at
         hi_at = lo_at + d * len(fid)
-        flat, last = kids.reshape(-1), hi_at[ends - 1]
-        keep = flat[last]
-        t = flat[lo_at] - (at - first.repeat(n))
-        flat[lo_at], flat[hi_at] = t, -t
-        flat[last] = keep
+        t = kids.take(lo_at) - (at - first.repeat(n))
+        kids.put(lo_at, t)
+        if short:
+            # a last child's lo_j + n - 1 is its hi_j unless n was cut
+            last = ends - 1
+            t[last] = -kids.take(hi_at[last])
+        kids.put(hi_at, -t)
         push(kids, fid)
     return totals
 
@@ -439,40 +461,43 @@ class _FibreGeometry:
         # block DFS does, one per column
         Kt = np.array(cols, dtype=object).reshape(len(cols), self.rank)
         D = np.array(dens, dtype=object).reshape(-1, 1)
-        self.K = {np.dtype(t): (Kt.astype(t), D.astype(t)) for t in _TYPES}
+        self.K = {t: (Kt.astype(t), D.astype(t)) for t in _TYPES}
 
     def _certificates(self):
         """Dual certificates (Y, D) bounding each reduced coordinate.
 
         y = Y / D >= 0 with (-R)^T y = e_j gives z_j <= y . r0 on
-        {Rz + r0 >= 0}; the certificate is theta-independent.  The simplex
-        run in floats suggests an optimal basis of min 1.y; y read on that
-        basis and rationalized is used only once it passes the exact check.
-        Anything else goes to the exact simplex, whose dual infeasibility
-        alone means the coordinate is unbounded over some fibre (None).
+        {Rz + r0 >= 0}; the certificate is theta-independent.  The 2d LPs
+        min 1.y of the right-hand sides +-e_j share c and A, so the simplex
+        in floats solves the first cold and warm-starts each later one from
+        the previous optimal basis by a dual simplex (``float_bases``),
+        every up right-hand side first, then every down one.  y read on a
+        suggested basis and rationalized is used only once it passes the
+        exact check.  Anything else goes to the exact simplex, whose dual
+        infeasibility alone means the coordinate is unbounded over some
+        fibre (None).
         """
         F, d = len(self.R), self.d
         A_eq = [[-self.R[f][j] for f in range(F)] for j in range(d)]
-        ups, dns = [], []
+        bs = [[sign * (k == j) for k in range(d)]
+              for sign in (1, -1) for j in range(d)]
         cap = 3 * (F + d)
-        for j in range(d):
-            for sign, out in ((1, ups), (-1, dns)):
-                b = [sign if k == j else 0 for k in range(d)]
-                cert = None
-                guess = float_basis([1] * F, A_eq, b, maxit=cap)
-                if guess:
-                    y = [Fraction(0)] * F
-                    for k, v in guess.items():
-                        y[k] = Fraction(v).limit_denominator(_CERT_DENOMINATOR)
+        certs = []
+        for b, guess in zip(bs, float_bases([1] * F, A_eq, bs, maxit=cap)):
+            cert = None
+            if guess:
+                y = [Fraction(0)] * F
+                for k, v in guess.items():
+                    y[k] = Fraction(v).limit_denominator(_CERT_DENOMINATOR)
+                cert = _is_certificate(A_eq, b, y)
+            if cert is None:
+                st, y = solve_lp([1] * F, A_eq, b, phase2_maxit=cap)
+                if st == OPTIMAL:
                     cert = _is_certificate(A_eq, b, y)
-                if cert is None:
-                    st, y = solve_lp([1] * F, A_eq, b, phase2_maxit=cap)
-                    if st == OPTIMAL:
-                        cert = _is_certificate(A_eq, b, y)
-                        if cert is None:
-                            raise ArithmeticError("exact optimum fails check")
-                out.append(cert)
-        return ups, dns
+                    if cert is None:
+                        raise ArithmeticError("exact optimum fails check")
+            certs.append(cert)
+        return certs[:d], certs[d:]
 
     def fibres(self, thetas):
         """(on, rf, u) of the fibres at thetas: on lists the indices of the
@@ -512,12 +537,11 @@ class _FibreGeometry:
         if self.unbounded is not None:
             raise UnboundedFibre("the grading fibres are unbounded in "
                                  f"direction {self.unbounded}")
-        top = max(max(map(abs, w), default=0) for w in ws)
+        top = max(map(abs, chain.from_iterable(ws)), default=0)
         need = 2 * max(top, 1) * self.growth
-        dtype = np.dtype(next((t for t, bound in _EXACT_TYPES if need < bound),
-                              object))
+        dtype = next((t for t, bound in _EXACT_TYPES if need < bound), object)
         Kt, D = self.K[dtype]
-        P = Kt @ np.array(ws, dtype=dtype).reshape(len(ws), self.rank).T
+        P = Kt @ np.array(ws, dtype=dtype).T
         F = len(P) - 2 * self.d
         return on, P[:F], P[F:] // D
 

@@ -352,8 +352,8 @@ def test_help_and_version_exit_0(capsys, flag):
     assert exc.value.code == 0 and capsys.readouterr().out
 
 
-def probe(code, argv, **env):
-    """Run code in a fresh interpreter with argv and the package's src/ on
+def probe_env(**env):
+    """The environment of a fresh interpreter with the package's src/ on
     its path, OPENBLAS_NUM_THREADS unset unless env sets it."""
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
                                        "src"))
@@ -361,8 +361,14 @@ def probe(code, argv, **env):
            if k != "OPENBLAS_NUM_THREADS"} | env
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    return subprocess.run([sys.executable, "-c", code] + argv, env=env,
-                          capture_output=True, text=True, timeout=120)
+    return env
+
+
+def probe(code, argv, **env):
+    """Run code in a fresh interpreter with argv, in probe_env(**env)."""
+    return subprocess.run([sys.executable, "-c", code] + argv,
+                          env=probe_env(**env), capture_output=True,
+                          text=True, timeout=120)
 
 
 COLD_PROBE = """
@@ -467,3 +473,22 @@ def test_main_leaves_the_collector_as_it_was(capsys, small_builds, enabled):
     finally:
         (gc.enable if was else gc.disable)()
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeff", "--mu", "3,2,1", "--nu", "3,2,1", "--lam", "3,2,1", "--json"],
+    ["count", "--l", "2", "--m", "2", "--theta", "0,0,0,0,0,0"]])
+def test_a_closed_stdout_exits_quietly(argv):
+    # the read end of stdout's pipe is closed before the command writes,
+    # as when ``| head -1`` has read its line: the process exits EXIT_PIPE
+    # with nothing on stderr, neither an error line nor a failed flush
+    from hivekron.cli import EXIT_PIPE
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hivekron.cli"] + argv,
+                              env=probe_env(), stdout=w,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (EXIT_PIPE, "")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hivekron.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, _simplex, float_basis,
+from hivekron.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, _simplex, float_bases,
                          solve_lp)
 
 # Beale's cycling example: min c.x s.t. A.x <= b, x >= 0, optimum -5/4
@@ -157,7 +157,7 @@ def test_float_basis_is_an_exact_optimal_basis():
     A = [[1, 1, 0, 2, -1, 0], [0, 1, 1, -1, 0, 2], [1, 0, -1, 0, 1, 1]]
     b = [4, 3, -1]
     _, best, _ = general_lp(c, A_eq=A, b_eq=b, free=False)
-    guess = float_basis(c, A, b, maxit=50)
+    (guess,) = float_bases(c, A, [b], maxit=50)
     cols = sorted(guess)
     assert len(cols) == len(A)
     xb = solve_square([[row[k] for k in cols] for row in A], b)
@@ -167,4 +167,101 @@ def test_float_basis_is_an_exact_optimal_basis():
         assert v == pytest.approx(guess[k])
     assert min(x) >= 0 and feasible(x, [], [], A, b)
     assert sum(f * v for f, v in zip(c, x)) == best
-    assert float_basis(c, A, b, maxit=0) is None
+    assert float_bases(c, A, [b], maxit=0) == [None]
+
+
+def spy_lp(monkeypatch):
+    """Counts of the cold float two-phase solves and of the dual simplex
+    pivots that float_bases makes."""
+    import hivekron.lp as L
+    seen = {"cold": 0, "dual": 0}
+    real_two_phase, real_dual, real_pivot = (L._two_phase, L._dual_simplex,
+                                             L._pivot)
+    dual = []
+
+    def two_phase(c, A, b, exact, maxit):
+        seen["cold"] += not exact
+        return real_two_phase(c, A, b, exact, maxit)
+
+    def dual_simplex(*args):
+        dual.append(1)
+        try:
+            return real_dual(*args)
+        finally:
+            dual.pop()
+
+    def pivot(*args):
+        seen["dual"] += bool(dual)
+        return real_pivot(*args)
+    monkeypatch.setattr(L, "_two_phase", two_phase)
+    monkeypatch.setattr(L, "_dual_simplex", dual_simplex)
+    monkeypatch.setattr(L, "_pivot", pivot)
+    return seen
+
+
+def assert_optimal_basis(c, A, b, guess):
+    """guess is a feasible point of A.x = b, x >= 0 (to float tolerance)
+    whose objective is the exact optimum."""
+    _, best, _ = general_lp(c, A_eq=A, b_eq=b, free=False)
+    x = [guess.get(k, 0.0) for k in range(len(c))]
+    assert min(x) >= -1e-9
+    for row, t in zip(A, b):
+        assert sum(a * v for a, v in zip(row, x)) == pytest.approx(t, abs=1e-9)
+    assert sum(f * v for f, v in zip(c, x)) == pytest.approx(float(best))
+
+
+def test_float_bases_warm_objectives_equal_the_cold_optimum(monkeypatch):
+    # seeded LPs min c.x s.t. A.x = b, x >= 0 with c > 0 and every b = A x0
+    # for some x0 >= 0, so each is feasible and bounded: the first b of a
+    # sequence is solved cold, every later one warm, and each suggestion
+    # is a basis whose objective is the exact optimum
+    seen = spy_lp(monkeypatch)
+    rng = random.Random(41)
+    trials = 20
+    for _ in range(trials):
+        m, n = rng.randint(2, 4), rng.randint(5, 8)
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        c = [rng.randint(1, 5) for _ in range(n)]
+        bs = []
+        for _ in range(6):
+            x0 = [rng.randint(0, 3) for _ in range(n)]
+            bs.append([sum(a * x for a, x in zip(row, x0)) for row in A])
+        for b, guess in zip(bs, float_bases(c, A, bs, maxit=100)):
+            assert_optimal_basis(c, A, b, guess)
+    assert seen["cold"] == trials
+    assert seen["dual"] >= trials
+
+
+def test_float_bases_restart_cold_after_a_failed_b(monkeypatch):
+    # a b that hits its cap, or that is infeasible, gives None, and the b
+    # after it is solved cold; the first b negates its last row, so a warm
+    # b reads B^-1 with that row's sign
+    import hivekron.lp as L
+    c = [2, 3, 1, 4, 1, 5]
+    A = [[1, 1, 0, 2, -1, 0], [0, 1, 1, -1, 0, 2], [1, 0, -1, 0, 1, 1]]
+    bs = [[4, 3, -1], [1, 2, 3], [-1, -1, -1], [3, 1, 2], [2, 5, 1]]
+    _, _, x = general_lp(c, A_eq=A, b_eq=[-1, -1, -1], free=False)
+    assert x is None            # the third b is infeasible
+    seen = spy_lp(monkeypatch)
+    found = float_bases(c, A, bs, maxit=50)
+    assert found[2] is None and seen == {"cold": 2, "dual": seen["dual"]}
+    for k in (0, 1, 3, 4):
+        assert_optimal_basis(c, A, bs[k], found[k])
+    # the first warm b gets a cap of 0 pivots
+    real = L._dual_simplex
+    calls = []
+
+    def capped(T, basis, ncols, tol, maxit):
+        calls.append(1)
+        return real(T, basis, ncols, tol, 0 if len(calls) == 1 else maxit)
+    monkeypatch.setattr(L, "_dual_simplex", capped)
+    seen["cold"] = 0
+    again = float_bases(c, A, bs, maxit=50)
+    assert again[0] == found[0] and again[1] is None and again[2] is None
+    assert seen["cold"] == 3
+    for k in (3, 4):
+        assert_optimal_basis(c, A, bs[k], again[k])
+    # a cap of 0 pivots leaves every b None, each one solved cold
+    seen["cold"] = 0
+    assert float_bases(c, A, bs, maxit=0) == [None] * len(bs)
+    assert seen["cold"] == len(bs)

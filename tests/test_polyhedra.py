@@ -306,8 +306,8 @@ def _spy_nodes(P, monkeypatch):
 # (triple, value, nodes counting every shift as given, nodes of kronecker,
 # blocks of kronecker), each a pair over _pin_caps
 NODE_PINS = ((((4, 2, 2),) * 3, 6, (594, 323), (299, 169), (10, 70)),
-             (((6, 3, 3), (5, 4, 3), (4, 4, 4)), 3, (5258, 3476), (624, 441),
-              (12, 158)),
+             (((6, 3, 3), (5, 4, 3), (4, 4, 4)), 3, (5259, 3472), (630, 441),
+              (12, 156)),
              (((8, 4, 4),) * 3, 43, (9068, 6890), (4249, 3859), (36, 1472)))
 
 
@@ -350,7 +350,7 @@ def test_planned_node_counts_pinned(small_builds, monkeypatch):
 
 def test_planned_block_counts_pinned(small_builds, monkeypatch):
     # a kronecker call counts its distinct fibres in one block DFS, so its
-    # blocks mix fibres; one DFS per fibre makes 48, 60 and 84 blocks at
+    # blocks mix fibres; one DFS per fibre makes 48, 59 and 82 blocks at
     # the default cap
     import hivekron.polyhedra as P
     from hivekron.kron import kronecker
@@ -593,7 +593,7 @@ def counting_solve_lp(monkeypatch):
 def test_certificates_certified_from_float_guess(monkeypatch):
     import hivekron.polyhedra as P
     calls = counting_solve_lp(monkeypatch)
-    for lm in GEOMETRY_CONES:
+    for lm in GEOMETRY_CONES + ((4, 4),):
         geo = P._FibreGeometry(build_cone(*lm))
         assert_certificates_valid(geo)
     assert not calls
@@ -612,10 +612,12 @@ def test_certificates_fall_back_to_exact_lp(monkeypatch, fresh_geometry,
     expected = [count_lattice_points(c, th) for th in thetas]
     calls = counting_solve_lp(monkeypatch)
     if guess == "none":
-        monkeypatch.setattr(P, "float_basis", lambda *a, **k: None)
+        monkeypatch.setattr(P, "float_bases",
+                            lambda c, A, bs, **k: [None] * len(bs))
     else:
         # one basic column cannot carry every +-e_j: the check must refuse
-        monkeypatch.setattr(P, "float_basis", lambda *a, **k: {0: 1.0})
+        monkeypatch.setattr(P, "float_bases",
+                            lambda c, A, bs, **k: [{0: 1.0}] * len(bs))
     P.build_cone.cache_clear()
     c = build_cone(2, 3)
     assert [count_lattice_points(c, th) for th in thetas] == expected
