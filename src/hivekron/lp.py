@@ -7,10 +7,10 @@ which guarantees termination on degenerate problems.  ``solve_lp`` is
 the exact solver, on the standard form A.x = b, x >= 0.
 ``float_bases`` runs in floats and only suggests bases, one for each of
 a sequence of right-hand sides b that share c and A: the first b is
-solved cold, and each later one warm, from the previous optimal basis,
-which stays dual feasible when only b changes, by a dual simplex.
-Whatever a caller derives from a suggestion must be certified exactly
-before use.
+solved cold, each later one, then each failed one once more, warm from
+an optimal basis, which stays dual feasible when only b changes, by a
+dual simplex.  Whatever a caller derives from a suggestion must be
+certified exactly before use.
 """
 
 from __future__ import annotations
@@ -100,9 +100,9 @@ def _two_phase(c, A, b, exact, maxit):
     """Minimize c.x subject to A.x = b, x >= 0.
 
     Returns (status, T, basis); at OPTIMAL, row r of T ends in the value
-    of column basis[r].  An exact run (Fractions, tolerance 0) caps only
-    phase 2, and a hit cap leaves a feasible point reported as OPTIMAL.
-    A float run caps both phases, and a hit cap gives status None.
+    of column basis[r].  An exact run uses Fractions and tolerance 0, a
+    float run ``_FLOAT_TOL``.  Each phase makes at most ``maxit`` pivots
+    (None: no cap), and a hit cap gives status None.
     """
     import numpy as np
 
@@ -120,7 +120,7 @@ def _two_phase(c, A, b, exact, maxit):
         # Python ints in an object array would divide to floats
         T = np.frompyfunc(Fraction, 1, 1)(T)
     basis = list(range(n, n + m))
-    status = _simplex(T, basis, n, tol, None if exact else maxit)
+    status = _simplex(T, basis, n, tol, maxit)
     if status != OPTIMAL:
         return status, T, basis
     if T[m, -1] < -tol:
@@ -133,21 +133,16 @@ def _two_phase(c, A, b, exact, maxit):
     cost = np.zeros(n + m + 1, dtype=dtype)
     cost[:n] = c
     T[m] = cost - cost[basis] @ T[:m]
-    status = _simplex(T, basis, n, tol, maxit)
-    if exact and status is None:
-        status = OPTIMAL
-    return status, T, basis
+    return _simplex(T, basis, n, tol, maxit), T, basis
 
 
-def solve_lp(c, A_eq, b_eq, phase2_maxit=None):
+def solve_lp(c, A_eq, b_eq):
     """Minimize c.x subject to A_eq.x = b_eq, x >= 0, in exact Fractions.
 
-    Returns (status, x), with x None unless the status is OPTIMAL.
-    ``phase2_maxit`` truncates the optimization phase: the returned point
-    is then feasible but possibly suboptimal (callers that only need a
-    feasible dual certificate use this).
+    Returns (status, x), with x None unless the status is OPTIMAL; with
+    c = 0, x is the feasible point that phase 1 ends on.
     """
-    status, T, basis = _two_phase(c, A_eq, b_eq, True, phase2_maxit)
+    status, T, basis = _two_phase(c, A_eq, b_eq, True, None)
     if status != OPTIMAL:
         return status, None
     x = [Fraction(0)] * len(c)
@@ -163,35 +158,41 @@ def float_bases(c, A_eq, bs, maxit):
 
     Each suggestion is {basic column: its float value}, or None when the
     float search finds the problem infeasible or unbounded or hits the
-    cap: only an exact method may conclude anything from that.  A b after
-    a suggestion is warm: the tableau keeps its artificial columns, which
-    hold B^-1 of the current basis B (times the signs of the rows that the
-    first b negated), so its basic values become B^-1 b, its reduced
-    costs are still >= 0, and a dual simplex of at most ``maxit`` pivots
-    reoptimizes it.  The tableau's objective entry is left as it was: no
-    pivot rule reads it.  A b after a None, and the
-    first, is solved cold by the two-phase simplex, each phase capped at
-    ``maxit`` pivots.  A basic artificial column left nonzero by a warm
-    b (A has dependent rows) gives None too.
+    cap: only an exact method may conclude anything from that.  The first
+    b, and a b after a None, is solved cold by the two-phase simplex, each
+    phase capped at ``maxit`` pivots.  Any other b is warm: a copy of the
+    last optimal tableau keeps its artificial columns, which hold B^-1 of
+    its basis B (times the signs of the rows that its cold b negated), so
+    its basic values become B^-1 b and its reduced costs stay >= 0 (its
+    objective entry is stale; no pivot rule reads it), and a dual simplex
+    of at most ``maxit`` pivots reoptimizes it.  A basic artificial column
+    left nonzero (A has dependent rows) gives None too.  Then each b left
+    None is tried once more, warm, as a cold phase 1 can break down.
     """
     import numpy as np
 
-    n, m = len(c), len(A_eq)
-    out, T = [], None
-    for b in bs:
-        if T is None:
+    n, m, last = len(c), len(A_eq), None
+
+    def solve(b, warm):
+        # b's suggestion, or None; an optimal tableau is kept as last
+        nonlocal last
+        if warm is None:
             status, T, basis = _two_phase(c, A_eq, b, False, maxit)
             signs = np.where(np.array(b, dtype=float) < 0, -1.0, 1.0)
         else:
+            T, basis, signs = warm[0].copy(), warm[1][:], warm[2]
             T[:m, -1] = T[:m, n:n + m] @ (signs * b)
             status = _dual_simplex(T, basis, n, _FLOAT_TOL, maxit)
             if any(k >= n and abs(T[r, -1]) > _FLOAT_TOL
                    for r, k in enumerate(basis)):
                 status = None
         if status != OPTIMAL:
-            out.append(None)
-            T = None
-            continue
-        out.append({k: float(T[r, -1]) for r, k in enumerate(basis)
-                    if k < n})
-    return out
+            return None
+        last = T, basis, signs
+        return {k: float(T[r, -1]) for r, k in enumerate(basis) if k < n}
+
+    out = []
+    for b in bs:
+        out.append(solve(b, None if not out or out[-1] is None else last))
+    return [guess if guess is not None or last is None else solve(b, last)
+            for guess, b in zip(out, bs)]

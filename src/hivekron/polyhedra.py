@@ -430,15 +430,15 @@ class _FibreGeometry:
         n = c.ambient_dim
         rows = [[g[t] for g in c.grading] for t in range(len(c.grading[0]))]
         self.M, U, self.pivots, self.rank = hnf(rows)
-        FU = [[sum(f[v] * U[v][k] for v in range(n)) for k in range(self.rank)]
-              for f in c.facets]
-        kernel = [[u[k] for u in U] for k in range(self.rank, n)]
-        if kernel:
-            embedded = [list(kv) + [sum(map(mul, f, kv)) for f in c.facets]
-                        for kv in kernel]
-            kernel = [row[:n] for row in _size_reduce(embedded)]
-        self.d = len(kernel)
-        self.R = [[sum(map(mul, f, kv)) for kv in kernel] for f in c.facets]
+        Ut = list(zip(*U))
+        FU = [[sum(map(mul, f, col)) for col in Ut] for f in c.facets]
+        # kernel rows over their facet images: size reduction keeps each
+        # tail the facet image of its head, so the tails are R's columns
+        reduced = _size_reduce([list(Ut[k]) + [fu[k] for fu in FU]
+                                for k in range(self.rank, n)])
+        FU = [fu[:self.rank] for fu in FU]
+        self.d = len(reduced)
+        self.R = [[row[n + f] for row in reduced] for f in range(len(FU))]
         self.max_r = max((abs(x) for row in self.R for x in row), default=0)
         self.up_cert, self.dn_cert = self._certificates()
         self.unbounded = next((j for j, pair in
@@ -468,14 +468,14 @@ class _FibreGeometry:
 
         y = Y / D >= 0 with (-R)^T y = e_j gives z_j <= y . r0 on
         {Rz + r0 >= 0}; the certificate is theta-independent.  The 2d LPs
-        min 1.y of the right-hand sides +-e_j share c and A, so the simplex
-        in floats solves the first cold and warm-starts each later one from
-        the previous optimal basis by a dual simplex (``float_bases``),
-        every up right-hand side first, then every down one.  y read on a
-        suggested basis and rationalized is used only once it passes the
-        exact check.  Anything else goes to the exact simplex, whose dual
-        infeasibility alone means the coordinate is unbounded over some
-        fibre (None).
+        min 1.y of the right-hand sides +-e_j, every up one first, then
+        every down one, share c and A: ``float_bases`` solves the first
+        cold and the others, and then each failed one again, warm by a dual
+        simplex.  y read on a suggested basis and rationalized is used only
+        once it passes the exact check.  Anything else is a feasibility
+        question for the exact simplex (objective 0), whose feasible point
+        is a certificate and whose infeasibility alone means the coordinate
+        is unbounded over some fibre (None).
         """
         F, d = len(self.R), self.d
         A_eq = [[-self.R[f][j] for f in range(F)] for j in range(d)]
@@ -491,11 +491,10 @@ class _FibreGeometry:
                     y[k] = Fraction(v).limit_denominator(_CERT_DENOMINATOR)
                 cert = _is_certificate(A_eq, b, y)
             if cert is None:
-                st, y = solve_lp([1] * F, A_eq, b, phase2_maxit=cap)
-                if st == OPTIMAL:
-                    cert = _is_certificate(A_eq, b, y)
-                    if cert is None:
-                        raise ArithmeticError("exact optimum fails check")
+                st, y = solve_lp([0] * F, A_eq, b)
+                cert = _is_certificate(A_eq, b, y) if st == OPTIMAL else None
+                if st == OPTIMAL and cert is None:
+                    raise ArithmeticError("exact feasible point fails check")
             certs.append(cert)
         return certs[:d], certs[d:]
 

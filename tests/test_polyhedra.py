@@ -579,12 +579,13 @@ def fresh_geometry():
 
 
 def counting_solve_lp(monkeypatch):
+    """The objective of each call to solve_lp that polyhedra makes."""
     import hivekron.polyhedra as P
     calls = []
     real = P.solve_lp
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(list(args[0]))
         return real(*args, **kwargs)
     monkeypatch.setattr(P, "solve_lp", counted)
     return calls
@@ -625,7 +626,29 @@ def test_certificates_fall_back_to_exact_lp(monkeypatch, fresh_geometry,
     assert_certificates_valid(geo)
     if guess == "none":
         assert len(calls) == 2 * geo.d
-    assert calls
+    # the exact simplex only decides feasibility
+    assert calls and all(set(obj) == {0} for obj in calls)
+
+
+def test_certificates_survive_a_failed_cold_float_solve(monkeypatch):
+    # the first cold float solve fails; the right-hand side after it is
+    # solved cold, and the failed one is certified warm in the second sweep
+    import hivekron.lp as L
+    import hivekron.polyhedra as P
+    real = L._two_phase
+    cold = []
+
+    def two_phase(c, A, b, exact, maxit):
+        status, T, basis = real(c, A, b, exact, maxit)
+        if not exact:
+            cold.append(b)
+            status = status if len(cold) > 1 else None
+        return status, T, basis
+    monkeypatch.setattr(L, "_two_phase", two_phase)
+    calls = counting_solve_lp(monkeypatch)
+    geo = P._FibreGeometry(build_cone(3, 3))
+    assert_certificates_valid(geo)
+    assert len(cold) == 2 and not calls
 
 
 def fraction_fibre(geo, c, theta):
