@@ -12,10 +12,12 @@ Example:
     python scripts/dfs_ladder.py --verify 4 5
 """
 
+import os
 import sys
 import time
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "src"))
 
 from hivekron.cli import Parser
 from hivekron.kron import ORACLE_BOUND, kronecker, kronecker_oracle

@@ -10,10 +10,12 @@ Example:
 """
 
 import itertools
+import os
 import sys
 import time
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "src"))
 
 from hivekron.cli import Parser
 from hivekron.kron import kronecker, kronecker_oracle, partitions_of

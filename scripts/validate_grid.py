@@ -5,9 +5,11 @@ The exit code is 2 if a check fails on some size, and 1 on a bad command
 line.
 """
 
+import os
 import sys
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "src"))
 
 from hivekron.cli import Parser
 from hivekron.validate import run_validation

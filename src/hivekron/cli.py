@@ -17,6 +17,15 @@ import re
 import sys
 import tempfile
 
+# BLAS runs on one thread unless OPENBLAS_NUM_THREADS is already set.
+# Importing numpy starts OpenBLAS's thread pool, and the package imports
+# numpy only inside a call, after this line; so does every script, which
+# imports this module first.  The engine's products (at most F x 2d by
+# 2d x row cap) are too small to use the pool, whose second thread costs
+# a cold call about 80 ms on a 2-core host.  A process that imported
+# numpy before this module keeps its pool.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import __version__
 from .diamonds import build_bar, build_tilde
 from .errors import (HivekronError, OutOfRange, SizeTooLargeForOracle,
@@ -260,15 +269,7 @@ def main(argv=None) -> int:
     stdout at devnull so that the flush at shutdown cannot fail again.
     stdout is flushed inside the command's try, so a closed pipe shows
     there and not at shutdown.
-
-    BLAS runs on one thread unless OPENBLAS_NUM_THREADS is already set.
-    Importing numpy starts OpenBLAS's thread pool, and the package imports
-    numpy only inside a call, after this line.  The engine's products (at
-    most F x 2d by 2d x row cap) are too small to use the pool, whose
-    second thread costs a cold call about 80 ms on a 2-core host.  A
-    process that imported numpy before calling main keeps its pool.
     """
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     argv = sys.argv[1:] if argv is None else argv
     args = make_parser().parse_args(_join_negative_values(argv))
     try:

@@ -1,5 +1,8 @@
 """Glued hive quivers: the lifted quiver with its grading and its twist.
 
+The hive-label rule (``normalize_label``) and the weight formulas of the
+cluster variables live here too, next to the other gluing rules.
+
 Both quivers come from one walk over the hives (``_hive_steps``): for
 each diamond n, its plain and its dual hive, each grid position and each
 of the three arrow families, the walk names the source and the target
@@ -21,7 +24,6 @@ from .errors import Inconsistent, OutOfRange, as_ints
 from .intlin import back_solve, hnf
 from .quiver import (IceQuiver, VertexId, b_matrix, det_vertex, hive_vertex,
                      make_quiver, mutate_weights_seq, weight_defect)
-from .semiinv import det_weight, normalize_label, sigma_lambda_weight
 
 
 # ---------------------------------------------------------------------------
@@ -34,11 +36,101 @@ def hive_grid(l: int):
             if 1 <= i + j <= l and (i, j) not in ((l, 0), (0, l))]
 
 
+def normalize_label(i: int, j: int, n: int, dual: bool, l: int, m: int):
+    """Resolve a raw hive label to its canonical identification class;
+    OutOfRange unless (i, j) is in the hive of size l, 1 <= n, and the
+    normalized n is at most m."""
+    if not (0 <= i and 0 <= j and 1 <= i + j <= l) or (i, j) in ((l, 0), (0, l)):
+        raise OutOfRange(f"({i},{j}) outside the hive of size {l}")
+    if n < 1:
+        raise OutOfRange(f"bad diamond index {n}")
+    if j == 0:
+        dual = False
+    if i == 0 and n % 2 == 0:
+        n -= 1
+        if n == 1:
+            dual = False
+    if i + j == l and n % 2 == 1 and n >= 3:
+        n -= 1
+    if n > m:
+        raise OutOfRange(f"diamond index {n} out of range for m={m}")
+    return i, j, n, dual
+
+
 def canonical_vertex(n: int, i: int, j: int, dual: bool,
                      l: int, m: int) -> VertexId:
     """Canonical representative of a raw hive label under the gluing rules."""
     i, j, n, dual = normalize_label(i, j, n, dual, l, m)
     return hive_vertex(n, i, j, dual)
+
+
+# ---------------------------------------------------------------------------
+# weight formulas
+
+
+def _e(l: int, m: int) -> list:
+    return [0] * (2 * l + m)
+
+
+def _sigma_coord(t: int, l: int) -> int:
+    """Index of sigma(t) in the (sigma(-1..-l), sigma(1..l), lambda) layout."""
+    if t < 0:
+        return -t - 1
+    return l + t - 1
+
+
+def _lambda_coord(k: int, l: int) -> int:
+    return 2 * l + k - 1
+
+
+def sigma_lambda_weight(i: int, j: int, n: int, dual: bool,
+                        l: int, m: int) -> tuple:
+    """(sigma, lambda) weight of the lifted semi-invariant at (i,j,n,dual).
+
+    Coordinate order: sigma(-1..-l), sigma(1..l), lambda(1..m).
+    """
+    i, j, n, dual = normalize_label(i, j, n, dual, l, m)
+    w = _e(l, m)
+    if n == 1:
+        # edge-1 vertex (0,j)^1 = (j,0)^1: single path through a_1
+        t = max(i, j)
+        w[_sigma_coord(t, l)] += 1
+        w[_sigma_coord(-t, l)] -= 1
+        w[_lambda_coord(1, l)] += t
+        return tuple(w)
+    if j == 0:
+        w[_sigma_coord(i, l)] += 1
+        w[_sigma_coord(-i, l)] -= 1
+        w[_lambda_coord(n, l)] += i
+        return tuple(w)
+    r = (n - 2) // 2 if n % 2 == 0 else (n - 1) // 2
+    if dual:
+        if i >= 1:
+            w[_sigma_coord(i, l)] += 1
+        w[_sigma_coord(j, l)] += 1
+        w[_sigma_coord(-(i + j), l)] -= 1
+    else:
+        w[_sigma_coord(i + j, l)] += 1
+        if i >= 1:
+            w[_sigma_coord(-i, l)] -= 1
+        w[_sigma_coord(-j, l)] -= 1
+    w[_sigma_coord(l, l)] += r
+    w[_sigma_coord(-l, l)] -= r
+    # lambda part: same for the plain and dual lifts
+    w[_lambda_coord(n, l)] += i
+    top = n if n % 2 == 1 else n - 1
+    for k in range(1, top + 1):
+        w[_lambda_coord(k, l)] += j if k % 2 == 1 else l - j
+    return tuple(w)
+
+
+def det_weight(n: int, l: int, m: int) -> tuple:
+    """Weight of the n-th central determinant."""
+    w = _e(l, m)
+    w[_sigma_coord(l, l)] += 1
+    w[_sigma_coord(-l, l)] -= 1
+    w[_lambda_coord(n, l)] += l
+    return tuple(w)
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +317,16 @@ def _solve_interior_weights(Q: IceQuiver, known: dict, dim: int) -> dict:
     back-substitution w, and the unknown weights are U . w.
     """
     B = b_matrix(Q)
-    unknown = [k for k, v in enumerate(B.cols) if v not in known]
+    unknown = [k for k, v in enumerate(Q.vertices) if v not in known]
     if not unknown:
         return {}
-    fixed = [(k, known[v]) for k, v in enumerate(B.cols) if v in known]
-    M, U, pivots, rank = hnf([[row[k] for k in unknown] for row in B.entries])
+    fixed = [(k, known[v]) for k, v in enumerate(Q.vertices) if v in known]
+    M, U, pivots, rank = hnf([[row[k] for k in unknown] for row in B])
     if rank < len(unknown):
         raise Inconsistent(
             f"{len(unknown) - rank} interior weight rows undetermined")
     rhs = []
-    for row in B.entries:
+    for row in B:
         terms = [(row[k], w) for k, w in fixed if row[k]]
         rhs.append([-sum(b * w[t] for b, w in terms) for t in range(dim)])
     x = []
@@ -245,7 +337,8 @@ def _solve_interior_weights(Q: IceQuiver, known: dict, dim: int) -> dict:
             raise Inconsistent(
                 "interior weight system inconsistent or non-integral")
         x.append([sum(map(mul, u, w)) for u in U])
-    return {B.cols[k]: tuple(xt[i] for xt in x) for i, k in enumerate(unknown)}
+    return {Q.vertices[k]: tuple(xt[i] for xt in x)
+            for i, k in enumerate(unknown)}
 
 
 def build_bar(l: int, m: int):

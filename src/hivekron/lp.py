@@ -6,10 +6,10 @@ entering column follows Dantzig's rule and, after a burn-in, Bland's,
 which guarantees termination on degenerate problems.  ``solve_lp`` is
 the exact solver, on the standard form A.x = b, x >= 0.
 ``float_bases`` runs in floats and only suggests bases, one for each of
-a sequence of right-hand sides b that share c and A: the first b is
-solved cold, each later one, then each failed one once more, warm from
-an optimal basis, which stays dual feasible when only b changes, by a
-dual simplex.  Whatever a caller derives from a suggestion must be
+a sequence of right-hand sides b that share c and A: each b up to the
+first that succeeds is solved cold, each later one, then each failed one
+once more, warm from the last optimal basis, which stays dual feasible
+when only b changes, by a dual simplex.  Whatever a caller derives from a suggestion must be
 certified exactly before use.
 """
 
@@ -158,16 +158,18 @@ def float_bases(c, A_eq, bs, maxit):
 
     Each suggestion is {basic column: its float value}, or None when the
     float search finds the problem infeasible or unbounded or hits the
-    cap: only an exact method may conclude anything from that.  The first
-    b, and a b after a None, is solved cold by the two-phase simplex, each
-    phase capped at ``maxit`` pivots.  Any other b is warm: a copy of the
+    cap: only an exact method may conclude anything from that.  Until a
+    first b succeeds, each b is solved cold by the two-phase simplex, each
+    phase capped at ``maxit`` pivots.  Every later b is warm: a copy of the
     last optimal tableau keeps its artificial columns, which hold B^-1 of
     its basis B (times the signs of the rows that its cold b negated), so
     its basic values become B^-1 b and its reduced costs stay >= 0 (its
     objective entry is stale; no pivot rule reads it), and a dual simplex
     of at most ``maxit`` pivots reoptimizes it.  A basic artificial column
     left nonzero (A has dependent rows) gives None too.  Then each b left
-    None is tried once more, warm, as a cold phase 1 can break down.
+    None is tried once more, warm from the last optimal tableau, as a cold
+    phase 1 can break down and a dual simplex from another basis can hit
+    its cap.
     """
     import numpy as np
 
@@ -191,8 +193,7 @@ def float_bases(c, A_eq, bs, maxit):
         last = T, basis, signs
         return {k: float(T[r, -1]) for r, k in enumerate(basis) if k < n}
 
-    out = []
-    for b in bs:
-        out.append(solve(b, None if not out or out[-1] is None else last))
+    # last is read afresh for each b, so the first success warms the rest
+    out = [solve(b, last) for b in bs]
     return [guess if guess is not None or last is None else solve(b, last)
             for guess, b in zip(out, bs)]

@@ -1,37 +1,19 @@
 """Boundary path modules of the twisted quiver and their submodule chains.
 
-Every module here is uniserial: a walk through the quiver, one basis
-vector per visit.  Submodule dimension vectors are the visit counts of
-path suffixes; they are the facet normals of the g-vector cone.
+Every module here is uniserial, and is passed as its walk through the
+quiver: a tuple of vertices, socle last, one basis vector per visit.  So
+T.count(v) is its dimension at v, len(T) its total dimension and T[-1]
+its socle.  Submodule dimension vectors are the visit counts of the
+walk's suffixes; they are the facet normals of the g-vector cone.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .diamonds import bar_label
 from .errors import Inconsistent, OutOfRange
 from .quiver import VertexId, det_vertex, hive_vertex
-
-
-@dataclass(frozen=True)
-class PathModule:
-    path: tuple          # visited vertices, socle last
-    dim: tuple           # ((vertex, count), ...) sorted
-
-    @property
-    def total_dim(self) -> int:
-        return len(self.path)
-
-    def dim_at(self, v: VertexId) -> int:
-        return dict(self.dim).get(v, 0)
-
-
-def _module(path) -> PathModule:
-    counts = Counter(path)
-    dim = tuple(sorted(counts.items(), key=lambda kv: kv[0].sort_key()))
-    return PathModule(tuple(path), dim)
 
 
 def _descent_side(n: int, s0: bool) -> bool:
@@ -40,8 +22,9 @@ def _descent_side(n: int, s0: bool) -> bool:
     return s0 != (n % 2 == 1)
 
 
-def boundary_path(l: int, m: int, v: VertexId, quiver) -> PathModule:
-    """The uniserial boundary module attached to a frozen non-det vertex.
+def boundary_path(l: int, m: int, v: VertexId, quiver) -> tuple:
+    """The walk of the uniserial boundary module attached to a frozen
+    non-det vertex, socle last.
 
     The walk starts at the partner vertex v*, crosses every diamond along
     the straight direction, reflects at the self-glued edge, and ends at
@@ -77,16 +60,17 @@ def boundary_path(l: int, m: int, v: VertexId, quiver) -> PathModule:
     for a, b in zip(path, path[1:]):
         if not quiver.has_arrow(a, b):
             raise Inconsistent(f"missing arrow {a} -> {b} on the walk to {v}")
-    return _module(path)
+    return tuple(path)
 
 
-def diagonal_module(l: int, m: int, n: int, quiver) -> PathModule:
-    """Uniserial module on the diagonal of diamond n with socle at det n."""
+def diagonal_module(l: int, m: int, n: int, quiver) -> tuple:
+    """The walk of the uniserial module on the diagonal of diamond n: l - 1
+    chain vertices (none when n = 1), then its socle det n."""
     if not (1 <= n <= m):
         raise OutOfRange(f"det index {n} not in [1,{m}]")
     dn = det_vertex(n)
     if n == 1:
-        return _module([dn])
+        return (dn,)
     heads = [s for (s, t) in quiver.arrows if t == dn and s.kind == "hive"]
     if len(heads) != 1:
         raise Inconsistent(f"det vertex {n} has {len(heads)} incoming arrows")
@@ -97,15 +81,17 @@ def diagonal_module(l: int, m: int, n: int, quiver) -> PathModule:
         if len(preds) != 1:
             raise Inconsistent(f"diagonal chain of diamond {n} is not a path")
         chain.insert(0, preds[0])
-    return _module(chain + [dn])
+    return (*chain, dn)
 
 
-def submodule_dims(T: PathModule, strict: bool):
-    """Dimension vectors of the (strict) nonzero submodules: path suffixes."""
+def submodule_dims(T: tuple, strict: bool):
+    """Dimension vectors of the (strict) nonzero submodules of the module
+    with walk T: the visit counts of its suffixes, as sorted (vertex,
+    count) pairs."""
     start = 1 if strict else 0
     out = []
-    for k in range(start, len(T.path)):
-        counts = Counter(T.path[k:])
+    for k in range(start, len(T)):
+        counts = Counter(T[k:])
         out.append(tuple(sorted(counts.items(), key=lambda kv: kv[0].sort_key())))
     if len(set(out)) != len(out):
         raise Inconsistent("suffix dimension vectors are not pairwise distinct")

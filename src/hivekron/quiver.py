@@ -126,31 +126,22 @@ def mutate_quiver(Q: IceQuiver, u: VertexId) -> IceQuiver:
     return make_quiver(Q.vertices, Q.frozen, new)
 
 
-@dataclass(frozen=True)
-class BMatrix:
-    rows: tuple[VertexId, ...]      # mutable vertices
-    cols: tuple[VertexId, ...]      # all vertices
-    entries: tuple[tuple[int, ...], ...]
-
-
-def b_matrix(Q: IceQuiver) -> BMatrix:
-    """Signed arrow-count matrix, rows indexed by mutable vertices."""
-    cols = Q.vertices
-    rows = Q.mutable
-    col_index = {v: k for k, v in enumerate(cols)}
-    mat = [[0] * len(cols) for _ in rows]
-    row_index = {u: k for k, u in enumerate(rows)}
+def b_matrix(Q: IceQuiver) -> tuple[tuple[int, ...], ...]:
+    """Signed arrow-count matrix: rows follow Q.mutable, columns Q.vertices."""
+    col_index = {v: k for k, v in enumerate(Q.vertices)}
+    row_index = {u: k for k, u in enumerate(Q.mutable)}
+    mat = [[0] * len(col_index) for _ in row_index]
     for (s, t), m in Q.arrows.items():
         if s in row_index:
             mat[row_index[s]][col_index[t]] += m
         if t in row_index:
             mat[row_index[t]][col_index[s]] -= m
-    return BMatrix(rows, cols, tuple(tuple(r) for r in mat))
+    return tuple(tuple(r) for r in mat)
 
 
 def b_matrix_rank(Q: IceQuiver) -> int:
     """Rank of B(Q) over the rationals, read off the echelon form of B^T."""
-    return hnf(list(zip(*b_matrix(Q).entries)))[3]
+    return hnf(list(zip(*b_matrix(Q))))[3]
 
 
 WeightConfig = dict  # VertexId -> Weight

@@ -1,4 +1,5 @@
-"""Schofield semi-invariants: inverse-free lifts, exact evaluation, weights.
+"""Schofield semi-invariants: inverse-free lifts, exact evaluation, and
+the exchange-relation check.  Their weights are the grading in diamonds.
 
 A presentation is stored as a grid of "central indices": entry k in
 position (source P_s, target P_t) stands for the unique path from t to s
@@ -11,100 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import DegenerateSample, Inconsistent, OutOfRange
+from .diamonds import normalize_label
+from .errors import DegenerateSample, Inconsistent
 from .intlin import det
 
 Matrix = list  # list of rows, each a list of ints
-
-
-# ---------------------------------------------------------------------------
-# weight formulas
-
-
-def _e(l: int, m: int) -> list:
-    return [0] * (2 * l + m)
-
-
-def _sigma_coord(t: int, l: int) -> int:
-    """Index of sigma(t) in the (sigma(-1..-l), sigma(1..l), lambda) layout."""
-    if t < 0:
-        return -t - 1
-    return l + t - 1
-
-
-def _lambda_coord(k: int, l: int) -> int:
-    return 2 * l + k - 1
-
-
-def normalize_label(i: int, j: int, n: int, dual: bool, l: int, m: int):
-    """Resolve a raw hive label to its canonical identification class;
-    OutOfRange unless (i, j) is in the hive of size l, 1 <= n, and the
-    normalized n is at most m."""
-    if not (0 <= i and 0 <= j and 1 <= i + j <= l) or (i, j) in ((l, 0), (0, l)):
-        raise OutOfRange(f"({i},{j}) outside the hive of size {l}")
-    if n < 1:
-        raise OutOfRange(f"bad diamond index {n}")
-    if j == 0:
-        dual = False
-    if i == 0 and n % 2 == 0:
-        n -= 1
-        if n == 1:
-            dual = False
-    if i + j == l and n % 2 == 1 and n >= 3:
-        n -= 1
-    if n > m:
-        raise OutOfRange(f"diamond index {n} out of range for m={m}")
-    return i, j, n, dual
-
-
-def sigma_lambda_weight(i: int, j: int, n: int, dual: bool,
-                        l: int, m: int) -> tuple:
-    """(sigma, lambda) weight of the lifted semi-invariant at (i,j,n,dual).
-
-    Coordinate order: sigma(-1..-l), sigma(1..l), lambda(1..m).
-    """
-    i, j, n, dual = normalize_label(i, j, n, dual, l, m)
-    w = _e(l, m)
-    if n == 1:
-        # edge-1 vertex (0,j)^1 = (j,0)^1: single path through a_1
-        t = max(i, j)
-        w[_sigma_coord(t, l)] += 1
-        w[_sigma_coord(-t, l)] -= 1
-        w[_lambda_coord(1, l)] += t
-        return tuple(w)
-    if j == 0:
-        w[_sigma_coord(i, l)] += 1
-        w[_sigma_coord(-i, l)] -= 1
-        w[_lambda_coord(n, l)] += i
-        return tuple(w)
-    r = (n - 2) // 2 if n % 2 == 0 else (n - 1) // 2
-    if dual:
-        if i >= 1:
-            w[_sigma_coord(i, l)] += 1
-        w[_sigma_coord(j, l)] += 1
-        w[_sigma_coord(-(i + j), l)] -= 1
-    else:
-        w[_sigma_coord(i + j, l)] += 1
-        if i >= 1:
-            w[_sigma_coord(-i, l)] -= 1
-        w[_sigma_coord(-j, l)] -= 1
-    w[_sigma_coord(l, l)] += r
-    w[_sigma_coord(-l, l)] -= r
-    # lambda part: same for the plain and dual lifts
-    w[_lambda_coord(n, l)] += i
-    top = n if n % 2 == 1 else n - 1
-    for k in range(1, top + 1):
-        w[_lambda_coord(k, l)] += j if k % 2 == 1 else l - j
-    return tuple(w)
-
-
-def det_weight(n: int, l: int, m: int) -> tuple:
-    """Weight of the n-th central determinant."""
-    w = _e(l, m)
-    w[_sigma_coord(l, l)] += 1
-    w[_sigma_coord(-l, l)] -= 1
-    w[_lambda_coord(n, l)] += l
-    return tuple(w)
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +163,6 @@ def eval_semi_invariant(p: Presentation, M: Representation) -> int:
 # exchange-relation sampling
 
 
-@dataclass
-class RelationReport:
-    l: int
-    m: int
-    checked: int
-    failures: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def vertex_value(v, M: Representation, l: int, m: int) -> int:
     """Evaluate the cluster variable sitting at a canonical quiver vertex."""
     if v.kind == "det":
@@ -271,8 +171,9 @@ def vertex_value(v, M: Representation, l: int, m: int) -> int:
 
 
 def check_exchange_relations(l: int, m: int, M: Representation,
-                             quiver) -> RelationReport:
-    """Verify exact integer divisibility of every exchange relation.
+                             quiver) -> list:
+    """The mutable vertices whose exchange relation fails exact integer
+    divisibility; empty when every relation holds.
 
     At each mutable vertex u of the lifted glued quiver the product of
     in-neighbor values plus/minus the product of out-neighbor values must
@@ -286,7 +187,6 @@ def check_exchange_relations(l: int, m: int, M: Representation,
             raise DegenerateSample(f"semi-invariant vanishes at {v}")
         values[v] = val
     failures = []
-    checked = 0
     for u in quiver.mutable:
         pin = 1
         for v, mult in quiver.arrows_in(u):
@@ -294,7 +194,6 @@ def check_exchange_relations(l: int, m: int, M: Representation,
         pout = 1
         for w, mult in quiver.arrows_out(u):
             pout *= values[w] ** mult
-        checked += 1
         if (pin + pout) % values[u] and (pin - pout) % values[u]:
             failures.append(u)
-    return RelationReport(l, m, checked, failures)
+    return failures

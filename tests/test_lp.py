@@ -216,9 +216,9 @@ def test_float_bases_warm_objectives_equal_the_cold_optimum(monkeypatch):
     assert seen["dual"] >= trials
 
 
-def test_float_bases_restart_cold_after_a_failed_b(monkeypatch):
-    # a b that hits its cap, or that is infeasible, gives None in the first
-    # sweep, and the b after it is solved cold; the first b negates its last
+def test_float_bases_solve_cold_only_until_a_first_success(monkeypatch):
+    # only the first b is solved cold; every later one is warm from the
+    # last optimal tableau, after a None too.  The first b negates its last
     # row, so a warm b reads B^-1 with that row's sign.  A second sweep
     # tries each None once more, warm from the last optimal tableau: an
     # infeasible b stays None, and a capped one is recovered with no cold
@@ -231,11 +231,11 @@ def test_float_bases_restart_cold_after_a_failed_b(monkeypatch):
     assert x is None            # the third b is infeasible
     seen = spy_lp(monkeypatch)
     found = float_bases(c, A, bs, maxit=50)
-    assert found[2] is None and seen == {"cold": 2, "dual": seen["dual"]}
+    assert found[2] is None and seen == {"cold": 1, "dual": seen["dual"]}
     for k in (0, 1, 3, 4):
         assert_optimal_basis(c, A, bs[k], found[k])
     # the first warm b gets a cap of 0 pivots, so the first sweep leaves
-    # the second b None and solves the first, third and fourth cold
+    # the second b None and still solves the rest warm
     real = L._dual_simplex
     calls = []
 
@@ -246,9 +246,9 @@ def test_float_bases_restart_cold_after_a_failed_b(monkeypatch):
     seen["cold"] = 0
     again = float_bases(c, A, bs, maxit=50)
     assert again[0] == found[0] and again[2] is None
-    assert seen["cold"] == 3
-    # first sweep: b1 and b4 warm; second sweep: b1 and b2 warm
-    assert len(calls) == 4
+    assert seen["cold"] == 1
+    # first sweep: b1 to b4 warm; second sweep: b1 and b2 warm
+    assert len(calls) == 6
     for k in (1, 3, 4):
         assert_optimal_basis(c, A, bs[k], again[k])
     # a cap of 0 pivots leaves every b None, each one solved cold once:

@@ -1,4 +1,5 @@
-"""Each program in scripts/ runs from the repository root on a tiny input."""
+"""Each program in scripts/ runs on a tiny input, from the repository root
+or from any other directory."""
 
 import importlib.util
 import os
@@ -16,6 +17,54 @@ def run_script(*argv):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
+
+
+def script_env(**env):
+    """os.environ less PYTHONPATH and OPENBLAS_NUM_THREADS, so that a
+    script must find src/ and pin BLAS by itself, updated by env."""
+    return {k: v for k, v in os.environ.items()
+            if k not in ("PYTHONPATH", "OPENBLAS_NUM_THREADS")} | env
+
+
+def test_scripts_run_from_any_directory(tmp_path):
+    proc = subprocess.run([sys.executable,
+                           os.path.join(ROOT, "scripts", "kronecker_table.py"),
+                           "2", "--nonzero-only"], cwd=tmp_path,
+                          env=script_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["g[(2,) , (2,) ; (2,)] = 1",
+                                        "g[(2,) , (1, 1) ; (1, 1)] = 1",
+                                        "g[(1, 1) , (1, 1) ; (2,)] = 1"]
+
+
+# runs the script named by argv[1] with the rest of argv, then reports the
+# process's thread count, OPENBLAS_NUM_THREADS and whether numpy was loaded
+THREAD_PROBE = """
+import atexit, os, runpy, sys
+atexit.register(lambda: print(len(os.listdir("/proc/self/task")),
+                              os.environ.get("OPENBLAS_NUM_THREADS"),
+                              "numpy" in sys.modules, file=sys.stderr))
+sys.argv = sys.argv[1:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads in /proc")
+@pytest.mark.parametrize("argv", [["kronecker_table.py", "3"],
+                                  ["dfs_ladder.py", "2"]])
+def test_scripts_run_blas_on_one_thread_unless_preset(tmp_path, argv):
+    def probe(**env):
+        proc = subprocess.run(
+            [sys.executable, "-c", THREAD_PROBE,
+             os.path.join(ROOT, "scripts", argv[0]), *argv[1:]],
+            cwd=tmp_path, env=script_env(**env), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stderr.split()[-3:]
+    assert probe() == ["1", "1", "True"]
+    assert probe(OPENBLAS_NUM_THREADS="2")[1:] == ["2", "True"]
 
 
 def test_kronecker_table():

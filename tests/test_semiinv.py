@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from hivekron.diamonds import build_tilde
+from hivekron.diamonds import build_tilde, det_weight, sigma_lambda_weight
 from hivekron.errors import DegenerateSample, OutOfRange
-from hivekron.semiinv import (Representation,
-                              check_exchange_relations, det_weight,
+from hivekron.semiinv import (Representation, check_exchange_relations,
                               eval_semi_invariant, lifted_presentation,
-                              sigma_lambda_weight, vertex_value)
+                              vertex_value)
 
 
 def E(t, l, m, coef=1):
@@ -213,12 +212,11 @@ def test_exchange_relations_sample(l, m):
     while done < 10:
         M = Representation.random(l, m, rng)
         try:
-            rep = check_exchange_relations(l, m, M, Q)
+            failures = check_exchange_relations(l, m, M, Q)
         except Exception:
             continue
         done += 1
-        assert rep.ok, rep.failures
-        assert rep.checked == len(Q.mutable)
+        assert failures == []
 
 
 def test_det_weight():
