@@ -2,7 +2,7 @@
 """Run the structural validation suite over a grid of quiver sizes.
 
 The exit code is 2 if a check fails on some size, and 1 on a bad command
-line.
+line, --max-l or --max-m below 2 among them.
 """
 
 import os
@@ -21,19 +21,20 @@ def main(argv=None):
     ap.add_argument("--max-m", type=int, default=4)
     ap.add_argument("--level", choices=("quick", "full"), default="quick")
     args = ap.parse_args(argv)
+    if min(args.max_l, args.max_m) < 2:
+        ap.error("--max-l and --max-m must be >= 2")
     worst = 0
     for l in range(2, args.max_l + 1):
         for m in range(2, args.max_m + 1):
-            report = run_validation(l, m, level=args.level)
-            status = "ok" if report.ok else "FAILED"
-            bad = [c["name"] for c in report.checks if not c["ok"]]
-            print(f"l={l} m={m}: {status} "
-                  f"({len(report.checks)} checks{'; ' + ', '.join(bad) if bad else ''})")
-            if not report.ok:
+            checks = run_validation(l, m, level=args.level)
+            bad = [c for c in checks if not c["ok"]]
+            names = "; " + ", ".join(c["name"] for c in bad) if bad else ""
+            print(f"l={l} m={m}: {'FAILED' if bad else 'ok'} "
+                  f"({len(checks)} checks{names})")
+            for c in bad:
+                print(f"  {c['name']}: {c['detail']}")
+            if bad:
                 worst = 2
-                for c in report.checks:
-                    if not c["ok"]:
-                        print(f"  {c['name']}: {c['detail']}")
     sys.exit(worst)
 
 

@@ -251,8 +251,9 @@ def _balanced(Q: IceQuiver, sigma: dict, name: str):
 
 
 def expected_vertex_count(l: int, m: int) -> int:
-    """Glued-quiver vertex count (l-1)(l+2) + (l^2-1)(m-2), before dets."""
-    return (l - 1) * (l + 2) + (l * l - 1) * (m - 2)
+    """Glued-quiver vertex count (l-1)(l+2) + (l^2-1)(m-2) + m, the last m
+    being the determinant vertices."""
+    return (l - 1) * (l + 2) + (l * l - 1) * (m - 2) + m
 
 
 # ---------------------------------------------------------------------------

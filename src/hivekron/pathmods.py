@@ -87,12 +87,8 @@ def diagonal_module(l: int, m: int, n: int, quiver) -> tuple:
 def submodule_dims(T: tuple, strict: bool):
     """Dimension vectors of the (strict) nonzero submodules of the module
     with walk T: the visit counts of its suffixes, as sorted (vertex,
-    count) pairs."""
-    start = 1 if strict else 0
-    out = []
-    for k in range(start, len(T)):
-        counts = Counter(T[k:])
-        out.append(tuple(sorted(counts.items(), key=lambda kv: kv[0].sort_key())))
-    if len(set(out)) != len(out):
-        raise Inconsistent("suffix dimension vectors are not pairwise distinct")
-    return out
+    count) pairs.  They are pairwise distinct, since suffixes of different
+    lengths have different totals."""
+    return [tuple(sorted(Counter(T[k:]).items(),
+                         key=lambda kv: kv[0].sort_key()))
+            for k in range(1 if strict else 0, len(T))]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 
 from .diamonds import normalize_label
 from .errors import DegenerateSample, Inconsistent
@@ -120,42 +121,21 @@ class Representation:
 
 
 def _mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
-    assert not A or len(A[0]) == inner
-    out = [[0] * cols for _ in range(rows)]
-    for r in range(rows):
-        Ar = A[r]
-        Or = out[r]
-        for k in range(inner):
-            a = Ar[k]
-            if a:
-                Bk = B[k]
-                for c in range(cols):
-                    Or[c] += a * Bk[c]
-    return out
+    return [[sum(map(mul, row, col)) for col in zip(*B)] for row in A]
 
 
 def eval_semi_invariant(p: Presentation, M: Representation) -> int:
     """Exact value det M(p) of a semi-invariant on an integer representation."""
-    src_dims = [abs(s) for s in p.sources]
-    tgt_dims = [abs(t) for t in p.targets]
-    if sum(src_dims) != sum(tgt_dims):
-        raise Inconsistent(f"block matrix is {sum(src_dims)}x{sum(tgt_dims)}")
-    size = sum(src_dims)
-    grand = [[0] * size for _ in range(size)]
-    r0 = 0
-    for si, s in enumerate(p.sources):
-        c0 = 0
-        for ti, t in enumerate(p.targets):
-            k = p.grid[si][ti]
-            if k:
-                block = M.path_matrix(t, s, k)
-                for r in range(len(block)):
-                    row = block[r]
-                    for c in range(len(row)):
-                        grand[r0 + r][c0 + c] = row[c]
-            c0 += tgt_dims[ti]
-        r0 += src_dims[si]
+    rows, cols = sum(map(abs, p.sources)), sum(map(abs, p.targets))
+    if rows != cols:
+        raise Inconsistent(f"block matrix is {rows}x{cols}")
+    grand = []
+    for s, ks in zip(p.sources, p.grid):
+        # the |s| rows of source s: its path blocks side by side, a zero
+        # block where the grid holds 0
+        blocks = [M.path_matrix(t, s, k) if k else [[0] * abs(t)] * abs(s)
+                  for t, k in zip(p.targets, ks)]
+        grand += [sum(parts, []) for parts in zip(*blocks)]
     return det(grand)
 
 

@@ -88,7 +88,7 @@ def test_criterion_4_structural_suite(capsys):
             if b_matrix_rank(Qt) != len(Qt.mutable) or \
                     b_matrix_rank(Qb) != len(Qb.mutable):
                 failures.append((l, m, "rank"))
-            if len(Qt.vertices) != expected_vertex_count(l, m) + m:
+            if len(Qt.vertices) != expected_vertex_count(l, m):
                 failures.append((l, m, "count"))
             for v in Qb.frozen:
                 if v.kind != "hive":

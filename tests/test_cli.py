@@ -246,6 +246,8 @@ def test_validate_quick(capsys, small_builds):
                        "--level", "quick")
     assert code == 0
     doc = json.loads(out)
+    assert list(doc) == ["l", "m", "level", "ok", "checks"]
+    assert (doc["l"], doc["m"], doc["level"]) == ("3", "3", "quick")
     assert doc["ok"] is True
     names = {c["name"] for c in doc["checks"]}
     assert "facet-count-43" in names

@@ -38,7 +38,7 @@ def test_canonical_vertex_idempotent():
 @pytest.mark.parametrize("l,m", SIZES + [(5, 5), (6, 2), (2, 6), (6, 6)])
 def test_vertex_count_formula(l, m):
     Q, _ = build_tilde(l, m)
-    assert len(Q.vertices) == expected_vertex_count(l, m) + m
+    assert len(Q.vertices) == expected_vertex_count(l, m)
 
 
 def test_tilde_333_counts():

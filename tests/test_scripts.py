@@ -2,11 +2,15 @@
 or from any other directory."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from hivekron.cli import main as cli_main
+from hivekron.errors import SizeTooLargeForOracle
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -118,17 +122,44 @@ def test_kronecker_table_verify_exits_2_on_a_mismatch(monkeypatch, capsys):
         "(mismatches with the character oracle: 1)")
 
 
+def test_kronecker_table_verify_past_the_oracle_bound(monkeypatch, capsys):
+    table = load_script(monkeypatch, "kronecker_table")
+    table.main(["25", "--max-len", "1", "--verify"])
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["g[(25,) , (25,) ; (25,)] = 1"]
+    assert err.splitlines()[-1].endswith(
+        "(n=25 exceeds the oracle bound 24, unverified)")
+
+
 def test_dfs_ladder_verify_exits_2_on_a_mismatch(monkeypatch, capsys):
     ladder = load_script(monkeypatch, "dfs_ladder")
-    # n = 4 is wrong, n = 8 right and n = 12 past the bound
-    monkeypatch.setattr(ladder, "ORACLE_BOUND", 8)
-    monkeypatch.setattr(ladder, "kronecker_oracle",
-                        lambda mu, nu, lam: {4: 7, 8: 6}[sum(mu)])
+    # n = 4 is wrong, n = 8 right and n = 12 past the oracle's bound
+
+    def oracle(mu, nu, lam):
+        if sum(mu) > 8:
+            raise SizeTooLargeForOracle(f"n={sum(mu)} exceeds the bound 8")
+        return {4: 7, 8: 6}[sum(mu)]
+    monkeypatch.setattr(ladder, "kronecker_oracle", oracle)
     with pytest.raises(SystemExit) as exit_:
         ladder.main(["--verify", "1", "2", "3"])
     assert exit_.value.code == 2
     assert capsys.readouterr().err.splitlines() == [
-        "n=4: the oracle gives g=7", "n=12: past the oracle bound 8, unverified"]
+        "n=4: the oracle gives g=7", "n=12 exceeds the bound 8, unverified"]
+
+
+def test_a_failed_check_exits_2(monkeypatch, capsys):
+    # the validate command and the grid script both report it
+    monkeypatch.setattr("hivekron.validate.run_validation",
+                        lambda l, m, level="quick", seed=0: [
+                            {"name": "fake", "ok": False, "detail": "1 vs 2"}])
+    assert cli_main(["validate", "--l", "2", "--m", "2"]) == 2
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+    grid = load_script(monkeypatch, "validate_grid")
+    with pytest.raises(SystemExit) as exit_:
+        grid.main(["--max-l", "2", "--max-m", "2"])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "l=2 m=2: FAILED (1 checks; fake)", "  fake: 1 vs 2"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -137,6 +168,7 @@ def test_dfs_ladder_verify_exits_2_on_a_mismatch(monkeypatch, capsys):
     ["kronecker_table", "-3", "--verify"],
     ["kronecker_table", "3", "--max-len", "0"],
     ["validate_grid", "--level", "bogus"],
+    ["validate_grid", "--max-l", "1"],
 ])
 def test_bad_command_line_exits_1(monkeypatch, capsys, argv):
     # exit 2 is kept for a mismatch or a failed check
