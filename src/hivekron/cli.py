@@ -1,10 +1,11 @@
 """Command-line surface: coefficients, oracle, builds, cones, validation.
 
 This is the only module that knows the JSON form: `_wire` writes every
-integer as a decimal string and every vertex as a list.  `--out` files are
-written atomically.  Commands raise; `main` turns an error, and the parser
-a bad command line, into one stderr line and an exit code.  `run` is the
-entry point of a `hivekron` process.
+integer as a decimal string and every vertex as a list.  `--out` writes
+as open(out, "w") would, but replaces a regular file atomically.  Commands
+raise; `main` turns an error, and the parser a bad command line, into one
+stderr line and an exit code.  `run` is the entry point of a `hivekron`
+process.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import json
 import os
 import re
 import sys
-import tempfile
 
 # BLAS runs on one thread unless OPENBLAS_NUM_THREADS is already set.
 # Importing numpy starts OpenBLAS's thread pool, and the package imports
@@ -84,18 +84,23 @@ def cone_to_json(c: Cone) -> str:
     return json.dumps(_wire(doc), indent=1, sort_keys=True)
 
 
-def _atomic_write(path: str, text: str):
-    """Write text to path through a temporary file in its directory, with
-    the mode that open(path, "w") gives: mkstemp makes it 0600, and the
-    replace keeps that."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
+def _write_out(path: str, text: str):
+    """Write text to path as open(path, "w") would: through a symlink to
+    its target, and in place into a FIFO or a device.  A regular file or a
+    new path is replaced atomically by a temporary file beside it, created
+    0666 less the umask, the mode a plain write gives."""
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w") as fh:
+            fh.write(text)
+        return
+    folder, name = os.path.split(path)
+    os.makedirs(folder, exist_ok=True)
+    tmp = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        umask = os.umask(0o22)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -103,9 +108,9 @@ def _atomic_write(path: str, text: str):
 
 
 def _emit(text: str, out):
-    """Write text to the file out, atomically, or print it without one."""
+    """Write text to the file out, or print it without one."""
     if out:
-        _atomic_write(out, text)
+        _write_out(out, text)
     else:
         print(text)
 
@@ -173,7 +178,7 @@ def cmd_count(args) -> int:
 
 def cmd_validate(args) -> int:
     from .validate import run_validation
-    checks = run_validation(args.l, args.m, level=args.level, seed=args.seed)
+    checks = run_validation(args.l, args.m, level=args.level)
     ok = all(c["ok"] for c in checks)
     doc = {"l": args.l, "m": args.m, "level": args.level, "ok": ok,
            "checks": checks}
@@ -241,7 +246,6 @@ def make_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("validate", parents=[size],
                        help="run the structural invariant suite")
     q.add_argument("--level", choices=("quick", "full"), default="quick")
-    q.add_argument("--seed", type=int, default=20240501)
     q.set_defaults(func=cmd_validate)
     return p
 

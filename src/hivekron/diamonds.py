@@ -173,9 +173,7 @@ def _det_arrows(l: int, m: int, label_of):
 
 
 def _edge_key(v: VertexId, l: int):
-    """Identify the glued edge a vertex lies on, if any."""
-    if v.kind != "hive":
-        return None
+    """Identify the glued edge a hive vertex lies on, if any."""
     if v.n == 1:
         return ("edge1",)
     if v.j == 0:
@@ -207,9 +205,9 @@ def _check_sizes(l: int, m: int):
 def _glue(l: int, m: int, label_of, families) -> IceQuiver:
     """The glued ice quiver of one walk, with its determinant arrows.
 
-    A step along a shared edge is counted in a bucket per direction; the
-    two directions cancel and the net count, contributed by both glued
-    sides, is halved.
+    A step along a shared edge is counted in a bucket per direction.  The
+    net count fwd - back, contributed by both glued sides, must be even;
+    the direction with the surplus gets half of it, and the other none.
     """
     _check_sizes(l, m)
     frozen = _boundary_frozen(l, m)
@@ -224,19 +222,13 @@ def _glue(l: int, m: int, label_of, families) -> IceQuiver:
         bucket = edge_bucket if ks is not None and ks == _edge_key(tgt, l) \
             else arrows
         bucket[(src, tgt)] = bucket.get((src, tgt), 0) + 1
-    seen = set()
     for (s, t), fwd in edge_bucket.items():
-        if (t, s) in seen:
-            continue
-        seen.add((s, t))
         back = edge_bucket.get((t, s), 0)
-        net = fwd - back
-        if net % 2 != 0:
+        if (fwd - back) % 2:
             raise Inconsistent(
                 f"unpaired shared-edge arrow {s}->{t} ({fwd} vs {back})")
-        if net:
-            a = (s, t) if net > 0 else (t, s)
-            arrows[a] = arrows.get(a, 0) + abs(net) // 2
+        if fwd > back:
+            arrows[(s, t)] = arrows.get((s, t), 0) + (fwd - back) // 2
     for _, s, t in _det_arrows(l, m, label_of):
         if not (s in frozen and t in frozen):
             arrows[(s, t)] = arrows.get((s, t), 0) + 1

@@ -58,7 +58,7 @@ def boundary_path(l: int, m: int, v: VertexId, quiver) -> tuple:
     if path[-1] != v:
         raise Inconsistent(f"walk ended at {path[-1]}, expected {v}")
     for a, b in zip(path, path[1:]):
-        if not quiver.has_arrow(a, b):
+        if (a, b) not in quiver.arrows:
             raise Inconsistent(f"missing arrow {a} -> {b} on the walk to {v}")
     return tuple(path)
 
@@ -77,7 +77,7 @@ def diagonal_module(l: int, m: int, n: int, quiver) -> tuple:
     chain = [heads[0]]
     diag = {hive_vertex(n, i, 0, False) for i in range(1, l)}
     while len(chain) < l - 1:
-        preds = [s for s in diag if quiver.has_arrow(s, chain[0])]
+        preds = [s for s in diag if (s, chain[0]) in quiver.arrows]
         if len(preds) != 1:
             raise Inconsistent(f"diagonal chain of diamond {n} is not a path")
         chain.insert(0, preds[0])

@@ -69,41 +69,29 @@ class IceQuiver:
     def arrows_out(self, v: VertexId) -> list[tuple[VertexId, int]]:
         return [(t, m) for (s, t), m in self.arrows.items() if s == v]
 
-    def has_arrow(self, s: VertexId, t: VertexId) -> bool:
-        return (s, t) in self.arrows
-
 
 def make_quiver(vertices: Iterable[VertexId], frozen: Iterable[VertexId],
                 arrows: Mapping[Arrow, int]) -> IceQuiver:
-    """Normalize and build an ice quiver (drops frozen-frozen arrows)."""
+    """Normalize and build an ice quiver: drop zero and frozen-frozen
+    arrows, net each oriented 2-cycle onto its larger side, and keep a loop
+    for IceQuiver to reject."""
     verts = tuple(sorted(set(vertices), key=VertexId.sort_key))
     fr = frozenset(frozen)
     cleaned: dict[Arrow, int] = {}
     for (s, t), m in arrows.items():
-        if m == 0:
-            continue
-        if s in fr and t in fr:
-            continue
-        cleaned[(s, t)] = cleaned.get((s, t), 0) + m
-    # cancel oriented 2-cycles left over from raw input
+        if m and not (s in fr and t in fr):
+            cleaned[(s, t)] = cleaned.get((s, t), 0) + m
     for (s, t) in list(cleaned):
-        if (t, s) in cleaned and (s, t) in cleaned and s.sort_key() < t.sort_key():
-            a, b = cleaned[(s, t)], cleaned[(t, s)]
-            k = min(a, b)
-            if a - k:
-                cleaned[(s, t)] = a - k
-            else:
-                del cleaned[(s, t)]
-            if b - k:
-                cleaned[(t, s)] = b - k
-            else:
-                del cleaned[(t, s)]
+        if s != t and (s, t) in cleaned and (t, s) in cleaned:
+            net = cleaned.pop((s, t)) - cleaned.pop((t, s))
+            if net:
+                cleaned[(s, t) if net > 0 else (t, s)] = abs(net)
     return IceQuiver(verts, fr, cleaned)
 
 
 def mutate_quiver(Q: IceQuiver, u: VertexId) -> IceQuiver:
     """Fomin-Zelevinsky mutation at a mutable vertex u."""
-    if u not in set(Q.vertices):
+    if u not in Q.vertices:
         raise OutOfRange(f"{u} is not a vertex")
     if u in Q.frozen:
         raise OutOfRange(f"cannot mutate at frozen vertex {u}")
@@ -165,27 +153,19 @@ def weight_defect(Q: IceQuiver, sigma: Mapping[VertexId, Weight]) -> list[Vertex
             != _weight_sum(sigma, Q.arrows_out(u), dim)]
 
 
-def _transport(Q: IceQuiver, sigma: Mapping[VertexId, Weight],
-               u: VertexId) -> WeightConfig:
-    """The weight mutation at u: u gets its in-sum minus its old weight."""
-    if u not in Q.vertices:
-        raise OutOfRange(f"{u} is not a vertex")
-    if u in Q.frozen:
-        raise OutOfRange(f"cannot mutate weights at frozen vertex {u}")
-    acc = _weight_sum(sigma, Q.arrows_in(u), len(sigma[u]))
-    return {**sigma, u: tuple(a - b for a, b in zip(acc, sigma[u]))}
-
-
 def mutate_weights_seq(Q: IceQuiver, sigma: Mapping[VertexId, Weight],
                        seq: Sequence[VertexId]) -> tuple[IceQuiver, WeightConfig]:
-    """Transport weights along a mutation sequence, checked at both ends."""
+    """Transport weights along a mutation sequence, checked at both ends:
+    at each u, which mutate_quiver checks, u's weight becomes its in-sum in
+    the unmutated quiver minus its old weight."""
     bad = weight_defect(Q, sigma)
     if bad:
         raise OutOfRange(f"in/out weight sums differ at {bad[:3]}")
     sig = dict(sigma)
     for u in seq:
-        sig = _transport(Q, sig, u)
-        Q = mutate_quiver(Q, u)
+        P, Q = Q, mutate_quiver(Q, u)
+        acc = _weight_sum(sig, P.arrows_in(u), len(sig[u]))
+        sig[u] = tuple(a - b for a, b in zip(acc, sig[u]))
     bad = weight_defect(Q, sig)
     if bad:
         raise Inconsistent(f"transport broke the configuration at {bad[:3]}")

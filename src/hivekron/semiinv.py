@@ -84,13 +84,12 @@ class Representation:
     """Integer point of the representation space of the flagged quiver.
 
     asc[k] has shape (k+1) x k, desc[k] shape k x (k+1) (k = 1..l-1),
-    central[t] is l x l (t = 1..m).  Path matrices are not kept: each is a
-    product of at most 2l small integer matrices, rebuilt on every request.
+    central[t] is l x l (t = 1..m).  Only the matrices are kept, so l is
+    len(asc) + 1.  Path matrices are not kept either: each is a product of
+    at most 2l small integer matrices, rebuilt on every request.
     """
 
-    def __init__(self, l: int, m: int, asc, desc, central):
-        self.l = l
-        self.m = m
+    def __init__(self, asc, desc, central):
         self.asc = asc
         self.desc = desc
         self.central = central
@@ -103,7 +102,7 @@ class Representation:
         asc = {k: rm(k + 1, k) for k in range(1, l)}
         desc = {k: rm(k, k + 1) for k in range(1, l)}
         central = {t: rm(l, l) for t in range(1, m + 1)}
-        return cls(l, m, asc, desc, central)
+        return cls(asc, desc, central)
 
     def path_matrix(self, target: int, source: int, central_index: int) -> Matrix:
         """Matrix of the unique path target -> source through a central arrow.
@@ -113,9 +112,10 @@ class Representation:
         """
         x, y = -target, source
         out = self.central[central_index]
-        for k in range(self.l - 1, x - 1, -1):
+        l = len(self.asc) + 1
+        for k in range(l - 1, x - 1, -1):
             out = _mat_mul(out, self.asc[k])
-        for k in range(self.l - 1, y - 1, -1):
+        for k in range(l - 1, y - 1, -1):
             out = _mat_mul(self.desc[k], out)
         return out
 

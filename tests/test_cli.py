@@ -8,6 +8,7 @@ import re
 import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -203,6 +204,33 @@ def test_out_file_has_the_mode_of_a_plain_write(capsys, tmp_path):
         assert stat.S_IMODE(path.stat().st_mode) == mode, oct(umask)
 
 
+def test_out_through_a_symlink_writes_its_target(capsys, tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text("stale")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, out, _ = run(capsys, "cone", "--l", "2", "--m", "2",
+                       "--out", str(link))
+    assert code == 0 and out == ""
+    assert link.is_symlink()
+    assert target.read_text() == cone_to_json(build_cone(2, 2))
+
+
+def test_out_into_a_fifo_writes_in_place(capsys, tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()),
+                              daemon=True)
+    reader.start()
+    code, _, _ = run(capsys, "cone", "--l", "2", "--m", "2",
+                     "--out", str(fifo))
+    reader.join(timeout=5)
+    assert code == 0
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert got == [cone_to_json(build_cone(2, 2))]
+
+
 def test_cone_out_onto_a_directory(capsys, tmp_path):
     # the atomic write fails on replacing a directory, and removes its
     # temp file from the directory's parent
@@ -310,6 +338,7 @@ def test_build_quiver_out_under_a_file(capsys, tmp_path):
     ["count", "--l", "2", "--m", "2", "--theta", "0,0,0,0,0,0",
      "--workers", "2"],
     ["coeff", "--mu", "2,1", "--nu", "2,1", "--lam", "2,1", "--workers", "2"],
+    ["validate", "--l", "2", "--m", "2", "--seed", "1"],
 ])
 def test_bad_command_line_is_a_usage_error(capsys, argv):
     # exit 2 belongs to failed verification, so argparse's own 2 is replaced

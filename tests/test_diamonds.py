@@ -2,10 +2,10 @@ from functools import reduce
 
 import pytest
 
-from hivekron.diamonds import (build_bar, build_tilde, canonical_vertex,
-                               expected_vertex_count,
+from hivekron.diamonds import (_glue, bar_label, build_bar, build_tilde,
+                               canonical_vertex, expected_vertex_count,
                                twist_route_difference, twist_sequence)
-from hivekron.errors import OutOfRange
+from hivekron.errors import Inconsistent, OutOfRange
 from hivekron.quiver import (b_matrix_rank, det_vertex, hive_vertex,
                              mutate_quiver, weight_defect)
 
@@ -110,6 +110,13 @@ def test_twist_then_reverse_restores_tilde():
         assert back == Qt
 
 
+def test_glue_rejects_an_unpaired_shared_edge_step():
+    # with the one family (0, -1), a step down a glued edge has no partner
+    # step back on the other side
+    with pytest.raises(Inconsistent, match="unpaired shared-edge arrow"):
+        _glue(3, 3, bar_label(3, 3), lambda n, dual: ((0, -1),))
+
+
 def test_bar_m2_equals_tilde():
     Qt, st = build_tilde(3, 2)
     Qb, sb = build_bar(3, 2)
@@ -161,7 +168,7 @@ def test_bar_abc_typing(l, m):
     cycles = 0
     for (s, t) in Q.arrows:
         for u in outs.get(t, []):
-            if Q.has_arrow(u, s):
+            if (u, s) in Q.arrows:
                 cycles += 1
                 tys = [types[(s, t)], types[(t, u)], types[(u, s)]]
                 firm = [x for x in tys if x != "bc"]

@@ -55,6 +55,20 @@ def test_loop_and_negative_multiplicity_rejected(arrow):
         quiver_from_arrows(2, [arrow])
 
 
+@pytest.mark.parametrize("fwd, back, net", [
+    (3, 1, {(1, 2): 2}), (2, 2, {}), (1, 4, {(2, 1): 3})])
+def test_opposite_arrows_net_on_the_larger_side(fwd, back, net):
+    Q = quiver_from_arrows(2, [(1, 2, fwd), (2, 1, back)])
+    assert Q.arrows == {(V(a), V(b)): k for (a, b), k in net.items()}
+
+
+def test_frozen_pair_dropped_and_loop_rejected():
+    Q = quiver_from_arrows(3, [(1, 2, 1), (2, 3, 1)], frozen=(2, 3))
+    assert Q.arrows == {(V(1), V(2)): 1}
+    with pytest.raises(OutOfRange, match="loop"):
+        quiver_from_arrows(2, [(1, 1, 1), (1, 2, 1)])
+
+
 def test_b_matrix_three_cycle():
     Q = quiver_from_arrows(3, [(1, 2, 1), (2, 3, 1), (3, 1, 1)])
     assert mutable_block(Q) == ((0, 1, -1), (-1, 0, 1), (1, -1, 0))
@@ -150,6 +164,12 @@ def test_mutate_weights_rejects_non_vertex():
     u = hive_vertex(9, 1, 1)
     with pytest.raises(OutOfRange, match="is not a vertex"):
         mutate_weights_seq(Q, sigma, [u])
+
+
+def test_mutate_weights_rejects_frozen_vertex():
+    Q = quiver_from_arrows(2, [(1, 2, 1)], frozen=(2,))
+    with pytest.raises(OutOfRange, match="cannot mutate at frozen vertex"):
+        mutate_weights_seq(Q, {V(1): (1,), V(2): (0,)}, [V(2)])
 
 
 def test_frozen_weights_never_altered():

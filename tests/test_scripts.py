@@ -150,7 +150,7 @@ def test_dfs_ladder_verify_exits_2_on_a_mismatch(monkeypatch, capsys):
 def test_a_failed_check_exits_2(monkeypatch, capsys):
     # the validate command and the grid script both report it
     monkeypatch.setattr("hivekron.validate.run_validation",
-                        lambda l, m, level="quick", seed=0: [
+                        lambda l, m, level="quick": [
                             {"name": "fake", "ok": False, "detail": "1 vs 2"}])
     assert cli_main(["validate", "--l", "2", "--m", "2"]) == 2
     assert json.loads(capsys.readouterr().out)["ok"] is False

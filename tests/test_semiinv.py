@@ -34,7 +34,7 @@ def standard_representation(l, m):
     """Every map the identity, padded with zeros."""
     def eye(rows, cols):
         return [[1 if r == c else 0 for c in range(cols)] for r in range(rows)]
-    return Representation(l, m, {k: eye(k + 1, k) for k in range(1, l)},
+    return Representation({k: eye(k + 1, k) for k in range(1, l)},
                           {k: eye(k, k + 1) for k in range(1, l)},
                           {t: eye(l, l) for t in range(1, m + 1)})
 
@@ -134,7 +134,7 @@ def scaled_central(M, t, factor):
     """M with its t-th central map multiplied by factor."""
     central = dict(M.central)
     central[t] = [[factor * x for x in row] for row in M.central[t]]
-    return Representation(M.l, M.m, M.asc, M.desc, central)
+    return Representation(M.asc, M.desc, central)
 
 
 def lambda_degree_probe(i, j, n, dual, l, m, k, rng, attempts=20):
@@ -182,10 +182,10 @@ def test_flag_scaling_degrees():
                 base = eval_semi_invariant(p, M)
                 if base == 0:
                     continue
-                Ma = Representation(l, m, dict(M.asc), M.desc, M.central)
+                Ma = Representation(dict(M.asc), M.desc, M.central)
                 Ma.asc[k] = [[2 * x for x in row] for row in M.asc[k]]
                 assert eval_semi_invariant(p, Ma) == base * 2 ** exp_asc
-                Md = Representation(l, m, M.asc, dict(M.desc), M.central)
+                Md = Representation(M.asc, dict(M.desc), M.central)
                 Md.desc[k] = [[2 * x for x in row] for row in M.desc[k]]
                 assert eval_semi_invariant(p, Md) == base * 2 ** exp_desc
                 break
