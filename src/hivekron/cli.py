@@ -15,6 +15,7 @@ import gc
 import json
 import os
 import re
+import stat
 import sys
 
 # BLAS runs on one thread unless OPENBLAS_NUM_THREADS is already set.
@@ -88,7 +89,8 @@ def _write_out(path: str, text: str):
     """Write text to path as open(path, "w") would: through a symlink to
     its target, and in place into a FIFO or a device.  A regular file or a
     new path is replaced atomically by a temporary file beside it, created
-    0666 less the umask, the mode a plain write gives."""
+    0666 less the umask, as a plain write creates a file; a regular file's
+    permission bits pass to it, but its owner, group and ACLs are lost."""
     path = os.path.realpath(path)
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w") as fh:
@@ -101,6 +103,8 @@ def _write_out(path: str, text: str):
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        if os.path.isfile(path):
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -9,10 +9,9 @@ the Murnaghan-Nakayama rule; the two must agree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
+from typing import NamedTuple
 
 from .errors import (OutOfRange, SizeTooLargeForOracle, as_ints,
                      as_worker_count)
@@ -116,8 +115,7 @@ def _triple(mu, nu, lam) -> tuple:
     return mu, nu, lam
 
 
-@dataclass(frozen=True)
-class KroneckerResult:
+class KroneckerResult(NamedTuple):
     value: int
     l: int
     m: int
@@ -260,8 +258,10 @@ def mn_character(lam: tuple, rho: tuple) -> int:
     return total
 
 
-def class_size_inverse(rho: tuple) -> Fraction:
-    """1/z_rho where z_rho = prod_i i^{m_i} m_i!."""
+def class_size_inverse(rho: tuple):
+    """1/z_rho as a Fraction, where z_rho = prod_i i^{m_i} m_i!."""
+    from fractions import Fraction
+
     z = 1
     for part in set(rho):
         mult = rho.count(part)
@@ -278,7 +278,7 @@ def kronecker_oracle(mu, nu, lam) -> int:
     if n > ORACLE_BOUND:
         raise SizeTooLargeForOracle(
             f"n={n} exceeds the oracle bound {ORACLE_BOUND}")
-    total = Fraction(0)
+    total = 0
     for rho in partitions_of(n):
         total += (class_size_inverse(rho) * mn_character(lam, rho)
                   * mn_character(mu, rho) * mn_character(nu, rho))

@@ -15,8 +15,6 @@ certified exactly before use.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
@@ -117,6 +115,8 @@ def _two_phase(c, A, b, exact, maxit):
     T[m, :n] = -T[:m, :n].sum(axis=0)
     T[m, -1] = -T[:m, -1].sum()
     if exact:
+        from fractions import Fraction
+
         # Python ints in an object array would divide to floats
         T = np.frompyfunc(Fraction, 1, 1)(T)
     basis = list(range(n, n + m))
@@ -142,6 +142,8 @@ def solve_lp(c, A_eq, b_eq):
     Returns (status, x), with x None unless the status is OPTIMAL; with
     c = 0, x is the feasible point that phase 1 ends on.
     """
+    from fractions import Fraction
+
     status, T, basis = _two_phase(c, A_eq, b_eq, True, None)
     if status != OPTIMAL:
         return status, None

@@ -24,8 +24,6 @@ open coordinates branch at once; only a box at its fixpoint is counted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
 from operator import mul
@@ -38,13 +36,29 @@ from .pathmods import boundary_path, diagonal_module, submodule_dims
 from .quiver import VertexId
 
 
-@dataclass(frozen=True)
 class Cone:
-    l: int
-    m: int
-    vertices: tuple                 # canonical vertex order
-    facets: tuple                   # tuple of integer normal tuples
-    grading: tuple                  # row per vertex, length 2l+m
+    """The g-vector cone of (l, m): facet normals and grading rows over
+    the vertices in canonical order.  Cones with equal fields are equal
+    and hash alike."""
+
+    def __init__(self, l: int, m: int, vertices: tuple, facets: tuple,
+                 grading: tuple):
+        self.l = l
+        self.m = m
+        self.vertices = vertices    # canonical vertex order
+        self.facets = facets        # tuple of integer normal tuples
+        self.grading = grading      # row per vertex, length 2l+m
+
+    def _key(self) -> tuple:
+        return self.l, self.m, self.vertices, self.facets, self.grading
+
+    def __eq__(self, other):
+        if other.__class__ is not Cone:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def ambient_dim(self) -> int:
@@ -477,6 +491,7 @@ class _FibreGeometry:
         is a certificate and whose infeasibility alone means the coordinate
         is unbounded over some fibre (None).
         """
+        from fractions import Fraction
         F, d = len(self.R), self.d
         A_eq = [[-self.R[f][j] for f in range(F)] for j in range(d)]
         bs = [[sign * (k == j) for k in range(d)]

@@ -7,7 +7,6 @@ every operation is automatically "up to arrows between frozen vertices".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import Inconsistent, OutOfRange
@@ -43,21 +42,32 @@ Arrow = tuple[VertexId, VertexId]
 Weight = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class IceQuiver:
-    vertices: tuple[VertexId, ...]
-    frozen: frozenset[VertexId]
-    arrows: dict[Arrow, int] = field(hash=False)
+    """Two quivers are equal when their fields are; the hash leaves out
+    the arrows, a dict."""
 
-    def __post_init__(self):
-        vs = set(self.vertices)
-        for (s, t), m in self.arrows.items():
+    def __init__(self, vertices: tuple[VertexId, ...],
+                 frozen: frozenset[VertexId], arrows: dict[Arrow, int]):
+        self.vertices = vertices
+        self.frozen = frozen
+        self.arrows = arrows
+        vs = set(vertices)
+        for (s, t), m in arrows.items():
             if m <= 0:
                 raise OutOfRange(f"nonpositive multiplicity on {s}->{t}")
             if s == t:
                 raise OutOfRange(f"loop at {s}")
             if s not in vs or t not in vs:
                 raise OutOfRange(f"arrow endpoint not a vertex: {s}->{t}")
+
+    def __eq__(self, other):
+        if other.__class__ is not IceQuiver:
+            return NotImplemented
+        return (self.vertices, self.frozen, self.arrows) == \
+            (other.vertices, other.frozen, other.arrows)
+
+    def __hash__(self):
+        return hash((self.vertices, self.frozen))
 
     @property
     def mutable(self) -> tuple[VertexId, ...]:

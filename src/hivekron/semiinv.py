@@ -10,8 +10,8 @@ here are inverse-free, so every entry is a single such path or zero.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .diamonds import normalize_label
 from .errors import DegenerateSample, Inconsistent
@@ -24,8 +24,7 @@ Matrix = list  # list of rows, each a list of ints
 # presentations and evaluation
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     """Block presentation P(sources) -> P(targets) with single-path entries.
 
     sources/targets are signed vertex labels of the flagged Kronecker

@@ -204,6 +204,24 @@ def test_out_file_has_the_mode_of_a_plain_write(capsys, tmp_path):
         assert stat.S_IMODE(path.stat().st_mode) == mode, oct(umask)
 
 
+def test_out_keeps_an_existing_files_mode(capsys, tmp_path):
+    # a replaced file keeps its bits; a new path still follows the umask
+    kept, new = tmp_path / "kept.json", tmp_path / "new.json"
+    kept.write_text("stale")
+    kept.chmod(0o600)
+    before = os.umask(0o022)
+    try:
+        codes = [run(capsys, "cone", "--l", "2", "--m", "2",
+                     "--out", str(p))[0] for p in (kept, new)]
+    finally:
+        os.umask(before)
+    assert codes == [0, 0]
+    expected = cone_to_json(build_cone(2, 2))
+    assert kept.read_text() == new.read_text() == expected
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o600
+    assert stat.S_IMODE(new.stat().st_mode) == 0o644
+
+
 def test_out_through_a_symlink_writes_its_target(capsys, tmp_path):
     target = tmp_path / "target.json"
     target.write_text("stale")
@@ -232,8 +250,7 @@ def test_out_into_a_fifo_writes_in_place(capsys, tmp_path):
 
 
 def test_cone_out_onto_a_directory(capsys, tmp_path):
-    # the atomic write fails on replacing a directory, and removes its
-    # temp file from the directory's parent
+    # opening a directory for writing fails before any temp file is made
     target = tmp_path / "target"
     target.mkdir()
     assert_one_error_line(*run(capsys, "cone", "--l", "2", "--m", "2",
@@ -412,24 +429,38 @@ from hivekron.cli import main
 def refuse(self, cone):
     raise AssertionError("fibre geometry built")
 
-P._FibreGeometry.__init__ = refuse
+if sys.argv[1] != "coeff":
+    P._FibreGeometry.__init__ = refuse
 try:
     code = main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(imported, "numpy" in sys.modules, code, file=sys.stderr)
+# numpy, and dataclasses and fractions with what they import
+heavy = ("numpy", "dataclasses", "inspect", "fractions", "decimal")
+print(imported, code, *(m for m in heavy if m in sys.modules),
+      file=sys.stderr)
 """
 
 
 def test_cold_commands_skip_numpy_and_geometry(tmp_path):
     # importing hivekron.cli pins OPENBLAS_NUM_THREADS, which works only
-    # while no import has loaded numpy
+    # while no import has loaded numpy; a command that builds no fibre
+    # geometry loads no heavy module at all
     for argv in (["--version"], ["cone", "--l", "3", "--m", "3"],
                  ["cone", "--l", "3", "--m", "3",
-                  "--out", str(tmp_path / "cone.json")]):
+                  "--out", str(tmp_path / "cone.json")],
+                 ["build-quiver", "--l", "3", "--m", "3"]):
         proc = probe(COLD_PROBE, argv)
-        assert proc.stderr.strip().splitlines()[-1] == "False False 0", \
+        assert proc.stderr.strip().splitlines()[-1] == "False 0", \
             proc.stderr
+    # a coefficient loads numpy, which loads inspect, and its certificates
+    # load fractions; dataclasses stays out
+    proc = probe(COLD_PROBE, ["coeff", "--mu", "2,1", "--nu", "2,1",
+                              "--lam", "2,1"])
+    imported, code, *loaded = proc.stderr.strip().splitlines()[-1].split()
+    assert (imported, code) == ("False", "0") and "numpy" in loaded, \
+        proc.stderr
+    assert "dataclasses" not in loaded, proc.stderr
 
 
 THREAD_PROBE = """
