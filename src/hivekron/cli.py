@@ -11,6 +11,7 @@ process.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import json
 import os
@@ -90,7 +91,10 @@ def _write_out(path: str, text: str):
     its target, and in place into a FIFO or a device.  A regular file or a
     new path is replaced atomically by a temporary file beside it, created
     0666 less the umask, as a plain write creates a file; a regular file's
-    permission bits pass to it, but its owner, group and ACLs are lost."""
+    permission bits pass to it, but its owner, group and ACLs are lost.
+    An empty path raises FileNotFoundError, as open("", "w") does."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     path = os.path.realpath(path)
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w") as fh:
@@ -113,10 +117,10 @@ def _write_out(path: str, text: str):
 
 def _emit(text: str, out):
     """Write text to the file out, or print it without one."""
-    if out:
-        _write_out(out, text)
-    else:
+    if out is None:
         print(text)
+    else:
+        _write_out(out, text)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Exact integer linear algebra: column echelon form, back-substitution,
 determinant.
 
-Every elimination of the package runs here, on lists of Python-int rows,
-so no rational arithmetic and no rounding enter any result.
+Every elimination of the package runs here, on lists of Python ints, so
+no rational arithmetic and no rounding enter any result.
 """
 
 from __future__ import annotations
@@ -13,47 +13,34 @@ from operator import mul
 def hnf(rows):
     """Column reduction rows . U = M of an integer matrix, U unimodular.
 
-    Returns (M, U, pivots, rank).  M is in column echelon form: pivots[row]
-    is the column of that row's positive pivot, or None, pivot columns are
-    0..rank-1 in row order, and columns rank.. of M are zero, so columns
-    rank.. of U are a basis of the integer kernel of rows.  The column
-    operations act on M stacked over U, which starts as the identity.
+    Returns (M, U, pivots, rank), M and U as lists of rows.  M is in column
+    echelon form: pivots[row] is the column of that row's positive pivot,
+    or None, pivot columns are 0..rank-1 in row order, and columns rank..
+    of M are zero, so columns rank.. of U are a basis of the integer kernel
+    of rows.  The column operations act on one list per column, M's
+    column over U's, with U starting as the identity.
     """
-    R = len(rows)
-    C = len(rows[0]) if rows else 0
-    MU = [list(r) for r in rows] + [[int(i == j) for j in range(C)]
-                                    for i in range(C)]
-
-    def colop_swap(a, b):
-        for r in MU:
-            r[a], r[b] = r[b], r[a]
-
-    def colop_addmul(dst, src, f):
-        for r in MU:
-            r[dst] += f * r[src]
-
-    def colop_negate(a):
-        for r in MU:
-            r[a] = -r[a]
-
-    M = MU[:R]
+    R, C = len(rows), len(rows[0]) if rows else 0
+    cols = [[row[c] for row in rows] + [int(i == c) for i in range(C)]
+            for c in range(C)]
     rank = 0
     pivots = [None] * R
     for row in range(R):
-        piv = next((c for c in range(rank, C) if M[row][c] != 0), None)
+        piv = next((c for c in range(rank, C) if cols[c][row] != 0), None)
         if piv is None:
             continue
-        colop_swap(rank, piv)
+        cols[rank], cols[piv] = cols[piv], cols[rank]
         for c in range(rank + 1, C):
-            while M[row][c] != 0:
-                q = M[row][rank] // M[row][c]
-                colop_addmul(rank, c, -q)
-                colop_swap(rank, c)
-        if M[row][rank] < 0:
-            colop_negate(rank)
+            while cols[c][row] != 0:
+                q = cols[rank][row] // cols[c][row]
+                cols[rank], cols[c] = cols[c], [
+                    x - q * y for x, y in zip(cols[rank], cols[c])]
+        if cols[rank][row] < 0:
+            cols[rank] = [-x for x in cols[rank]]
         pivots[row] = rank
         rank += 1
-    return M, MU[R:], pivots, rank
+    MU = [[col[i] for col in cols] for i in range(R + C)]
+    return MU[:R], MU[R:], pivots, rank
 
 
 def back_solve(M, pivots, target):

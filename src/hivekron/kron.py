@@ -1,7 +1,7 @@
 """Kronecker coefficients: the lattice-count pipeline and a character oracle.
 
 The pipeline translates a partition triple into a weight target, counts
-lattice points in at most m! fibre polytopes, and takes the signed sum.
+lattice points in at most len(lam)! fibre polytopes, and takes the signed sum.
 The oracle computes the same number from symmetric-group characters via
 the Murnaghan-Nakayama rule; the two must agree.
 """
@@ -77,23 +77,28 @@ def lambda_shifts(lam, m: int):
 
 
 def _shifts(lam, m: int):
-    """lambda_shifts for a normalized partition of at most m parts."""
-    base = [x - i for i, x in enumerate(lam + (0,) * (m - len(lam)), 1)]
+    """lambda_shifts for a normalized partition of at most m parts.
+
+    Past lam's k parts a shift needs omega(i) >= i, so omega fixes every
+    i > k: only the k! orders of lam's own parts are scanned."""
+    k = len(lam)
+    base = [x - i for i, x in enumerate(lam, 1)]
+    fixed, zeros = tuple(range(k + 1, m + 1)), (0,) * (m - k)
     out = []
-    for omega, sign in _signed_permutations(m):
+    for omega, sign in _signed_permutations(k):
         shifted = tuple(map(add, base, omega))
         if min(shifted, default=0) >= 0:
-            out.append((omega, shifted, sign))
+            out.append((omega + fixed, shifted + zeros, sign))
     return out
 
 
 @lru_cache(maxsize=None)
-def _signed_permutations(m: int) -> tuple:
-    """(omega, sign of omega) for every permutation of 1..m, in
-    itertools.permutations order."""
+def _signed_permutations(k: int) -> tuple:
+    """(omega, sign of omega) for every permutation of 1..k, in
+    itertools.permutations order; _shifts asks only for k = len(lam)."""
     return tuple((omega, (-1) ** sum(a > b for a, b
                                      in itertools.combinations(omega, 2)))
-                 for omega in itertools.permutations(range(1, m + 1)))
+                 for omega in itertools.permutations(range(1, k + 1)))
 
 
 def _conjugate(p: tuple) -> tuple:

@@ -360,24 +360,19 @@ def _size_reduce(rows):
     """
     n = len(rows)
     b = [list(r) for r in rows]
-    if n <= 1:
-        return b
-
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
 
     def gram_step(u, k, x, y):
         # exact: Cohen's recursion divides by the previous Gram determinant
         return (dets[k] * u - x * y) // (dets[k - 1] if k else 1)
 
     for _ in range(3):
-        b.sort(key=lambda v: dot(v, v))
+        b.sort(key=lambda v: sum(map(mul, v, v)))
         dets, lam = [], []
         changed = False
         for i in range(n):
             li = []
             for j in range(i):
-                u = dot(b[i], b[j])
+                u = sum(map(mul, b[i], b[j]))
                 for k in range(j):
                     u = gram_step(u, k, li[k], lam[j][k])
                 li.append(u)
@@ -391,7 +386,7 @@ def _size_reduce(rows):
                     for k in range(j):
                         li[k] -= r * lam[j][k]
                     changed = True
-            u = dot(b[i], b[i])
+            u = sum(map(mul, b[i], b[i]))
             for k in range(i):
                 u = gram_step(u, k, li[k], li[k])
             dets.append(u)

@@ -161,8 +161,10 @@ def test_criterion_7_symmetry_positivity_stability(capsys, small_builds):
         counted = base.orientation
         up_l = kronecker(*counted, l=base.l + 1, m=base.m).value
         up_m = kronecker(*counted, l=base.l, m=base.m + 1).value
-        if not (base.value == up_l == up_m):
-            stability_bad.append((mu, nu, lam, base.value, up_l, up_m))
+        # far past m + 1 as well, which costs len(lam)! shifts, not m!
+        far = [kronecker(*counted, l=base.l, m=m).value for m in (6, 8)]
+        if not (base.value == up_l == up_m) or far != [base.value] * 2:
+            stability_bad.append((mu, nu, lam, base.value, up_l, up_m, far))
     ok = not neg and not asym and not stability_bad
     with capsys.disabled():
         _report(7, ok, f"neg={len(neg)} asym={len(asym)} "

@@ -259,6 +259,15 @@ def test_cone_out_onto_a_directory(capsys, tmp_path):
     assert list(target.iterdir()) == []
 
 
+def test_empty_out_is_an_error(capsys, tmp_path, monkeypatch):
+    # as open("", "w"): no document on stdout and no file anywhere
+    monkeypatch.chdir(tmp_path)
+    for cmd in ("cone", "build-quiver"):
+        assert_one_error_line(*run(capsys, cmd, "--l", "2", "--m", "2",
+                                   "--out", ""))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_count_command(capsys, small_builds):
     code, out, _ = run(capsys, "count", "--l", "2", "--m", "2",
                        "--theta", "0,0,0,0,0,0")

@@ -110,6 +110,45 @@ def test_lambda_shifts_examples():
         lambda_shifts((1, 1, 1), 2)
 
 
+def test_lambda_shifts_match_a_filter_over_all_of_s_m():
+    # order and signs included; the sign is read off the cycles of omega
+    def sign(omega):
+        seen, cycles = set(), 0
+        for start in omega:
+            if start not in seen:
+                cycles += 1
+                i = start
+                while i not in seen:
+                    seen.add(i)
+                    i = omega[i - 1]
+        return (-1) ** (len(omega) - cycles)
+
+    for m in range(1, 7):
+        for n in range(9):
+            for lam in partitions_of(n, max_len=m):
+                padded = lam + (0,) * (m - len(lam))
+                expected = []
+                for omega in itertools.permutations(range(1, m + 1)):
+                    shifted = tuple(x - i + w for i, (x, w)
+                                    in enumerate(zip(padded, omega), 1))
+                    if min(shifted) >= 0:
+                        expected.append((omega, shifted, sign(omega)))
+                assert lambda_shifts(lam, m) == expected, (lam, m)
+
+
+def test_a_pinned_m_scans_only_lambdas_own_orders(monkeypatch):
+    # at m = 12 a scan over S_m would take 12! entries
+    real = kron._signed_permutations
+
+    def spy(k):
+        if k > 3:
+            raise AssertionError(f"asked for the permutations of {k}")
+        return real(k)
+
+    monkeypatch.setattr(kron, "_signed_permutations", spy)
+    assert kronecker((2,), (2,), (2,), l=2, m=12).value == 1
+
+
 def test_mn_character_trivial_and_sign():
     for rho in partitions_of(5):
         assert mn_character((5,), tuple(rho)) == 1
