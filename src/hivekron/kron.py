@@ -48,18 +48,9 @@ def partitions_of(n: int, max_len: int = None):
     return list(gen(n, n, 0))
 
 
-def sigma_of(mu, nu, l: int) -> tuple:
-    """Weight coordinates (sigma(-1..-l), sigma(1..l)) of a pair (mu, nu)."""
-    mu, nu = partition(mu), partition(nu)
-    if sum(mu) != sum(nu):
-        raise OutOfRange(f"|mu|={sum(mu)} differs from |nu|={sum(nu)}")
-    if len(mu) > l or len(nu) > l:
-        raise OutOfRange(f"partition length exceeds l={l}")
-    return _sigma(mu, nu, l)
-
-
 def _sigma(mu, nu, l: int) -> tuple:
-    """sigma_of for normalized partitions of one size and at most l parts.
+    """Weight coordinates (sigma(-1..-l), sigma(1..l)) of a pair (mu, nu)
+    of normalized partitions of one size and at most l parts.
 
     sigma(-k) is minus the number of columns of mu of length k, which is
     mu_k - mu_{k+1}, and sigma(k) is nu_k - nu_{k+1}: O(l), whatever n."""
@@ -68,16 +59,10 @@ def _sigma(mu, nu, l: int) -> tuple:
     return tuple(map(sub, mu[1:], mu)) + tuple(map(sub, nu, nu[1:]))
 
 
-def lambda_shifts(lam, m: int):
-    """(omega, lam^omega, sign) for the permutations keeping lam^omega >= 0."""
-    lam = partition(lam)
-    if len(lam) > m:
-        raise OutOfRange(f"lambda has more than m={m} parts")
-    return _shifts(lam, m)
-
-
 def _shifts(lam, m: int):
-    """lambda_shifts for a normalized partition of at most m parts.
+    """(omega, lam^omega, sign) for the permutations omega of 1..m that keep
+    lam^omega_i = lam_i - i + omega(i) >= 0, for a normalized partition lam
+    of at most m parts, in itertools.permutations order.
 
     Past lam's k parts a shift needs omega(i) >= i, so omega fixes every
     i > k: only the k! orders of lam's own parts are scanned."""

@@ -17,15 +17,19 @@ complete symmetric functions in any order of alpha.
 
 Dvir's bound: the largest lam_1 of a lam with g(mu, nu, lam) != 0 is
 |mu & nu| = sum of min(mu_i, nu_i) (Dvir, On the Kronecker product of S_n
-characters, J. Algebra 1993).
+characters, J. Algebra 1993).  Per fibre: the fibre at sigma(mu, nu) +
+alpha counts <s_mu * s_nu, h_alpha> = sum_lam g(mu, nu, lam) K_{lam,alpha},
+and K_{lam,alpha} != 0 needs lam_1 >= max alpha, so every fibre with an
+alpha part above |mu & nu| is empty.
 """
 
 import itertools
+import random
 
 import pytest
 
-from hivekron.kron import (_conjugate, kronecker, lambda_shifts,
-                           partitions_of, sigma_of)
+from hivekron.kron import (_conjugate, _default_cone, _plan, _shifts, _sigma,
+                           _triple, kronecker, partitions_of)
 from hivekron.polyhedra import build_cone, count_fibres
 
 
@@ -33,9 +37,9 @@ def two_row_top(geo, N):
     """The largest |entry| of the w that g((N, N), (N, N), (N, N)) solves
     for on (2,2), over its distinct sorted shifts of (N, N)."""
     from hivekron.intlin import back_solve
-    sigma = sigma_of((N, N), (N, N), 2)
+    sigma = _sigma((N, N), (N, N), 2)
     thetas = {sigma + tuple(sorted(alpha))
-              for _, alpha, _ in lambda_shifts((N, N), 2)}
+              for _, alpha, _ in _shifts((N, N), 2)}
     return max(max(map(abs, back_solve(geo.M, geo.pivots, theta)))
                for theta in thetas)
 
@@ -130,7 +134,7 @@ PERMUTED_FIBRES = (((40, 20), (33, 27), (10, 20, 30)),
 
 @pytest.mark.parametrize("mu, nu, alpha", PERMUTED_FIBRES)
 def test_fibre_counts_are_invariant_under_permuting_alpha(mu, nu, alpha):
-    sigma = sigma_of(mu, nu, 2)
+    sigma = _sigma(mu, nu, 2)
     counts = count_fibres(build_cone(2, 3),
                           [sigma + p for p in itertools.permutations(alpha)])
     assert len(set(counts)) == 1 and counts[0] > 1, counts
@@ -150,3 +154,42 @@ def test_dvir_bound_past_the_oracle(mu, nu):
     past = {lam: g for lam, g in values.items() if lam[0] > top}
     assert past and not any(past.values()), past
     assert any(g for lam, g in values.items() if lam[0] == top), values
+
+
+def dvir_empty_fibres(triples):
+    """{(l, m): fibres} that the triples plan on their default cones whose
+    sorted alpha has a largest part above |a & b|."""
+    by_cone = {}
+    for triple in triples:
+        l, m, triple = _default_cone(_triple(*triple))
+        (a, b, _), sigma, _, alphas = _plan(build_cone(l, m), triple)
+        top = sum(map(min, a, b))
+        by_cone.setdefault((l, m), set()).update(
+            sigma + alpha for alpha in alphas if alpha[-1] > top)
+    return by_cone
+
+
+def seeded_triples(k, sizes, seed):
+    """k triples of partitions of at most 3 parts, each of a size drawn
+    from sizes."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(k):
+        shapes = partitions_of(rng.choice(sizes), 3)
+        out.append(tuple(rng.choice(shapes) for _ in range(3)))
+    return out
+
+
+# every three-row triple of n <= 12, and 300 past the oracle: each fibre
+# past Dvir's bound counts 0 in one count_fibres call per cone
+@pytest.mark.parametrize("triples, fibres", [
+    ([t for n in range(1, 13) for t in
+      itertools.combinations_with_replacement(partitions_of(n, 3), 3)],
+     {(2, 2): 126, (3, 2): 920, (3, 3): 396}),
+    (seeded_triples(300, range(27, 41), 1), {(3, 2): 95, (3, 3): 192})],
+    ids=["n<=12", "n=27-40"])
+def test_dvir_bound_empties_every_fibre_past_it(triples, fibres):
+    by_cone = dvir_empty_fibres(triples)
+    assert {cone: len(f) for cone, f in by_cone.items()} == fibres
+    for cone, thetas in by_cone.items():
+        assert not any(count_fibres(build_cone(*cone), sorted(thetas))), cone

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hivekron.kron import lambda_shifts, partitions_of, sigma_of
+from hivekron.kron import _shifts, _sigma, partitions_of
 from hivekron.lp import INFEASIBLE, OPTIMAL, UNBOUNDED
 from hivekron.polyhedra import (Cone, build_cone, count_fibres,
                                 count_lattice_points)
@@ -101,7 +101,7 @@ def test_lp_extent_statuses(small_builds):
 
 def test_lp_extent_fixed_prefix(small_builds):
     c = build_cone(2, 2)
-    theta = sigma_of((1,), (1,), 2) + (1, 0)
+    theta = _sigma((1,), (1,), 2) + (1, 0)
     v0 = c.vertices[0]
     base = lp_extent(c, theta, v0)
     clamped = lp_extent(c, theta, v0, fixed={v0: base.lo})
@@ -249,11 +249,11 @@ def test_facet_essentiality_22(small_builds):
 def real_fibres(l, m, k, seed):
     """k distinct (l,m) fibres sigma + lambda shift of real triples, n <= 6."""
     shapes = [p for n in range(1, 7) for p in partitions_of(n)]
-    thetas = sorted({sigma_of(mu, nu, l) + shifted
+    thetas = sorted({_sigma(mu, nu, l) + shifted
                      for mu in shapes if len(mu) <= l
                      for nu in shapes if sum(nu) == sum(mu) and len(nu) <= l
                      for lam in shapes if sum(lam) == sum(mu) and len(lam) <= m
-                     for _, shifted, _ in lambda_shifts(lam, m)})
+                     for _, shifted, _ in _shifts(lam, m)})
     return random.Random(seed).sample(thetas, min(k, len(thetas)))
 
 
@@ -265,7 +265,7 @@ def test_python_fallback_matches_numpy(small_builds, monkeypatch):
     rng = random.Random(99)
     fibres = [(c23, tuple(rng.randint(-2, 2) for _ in range(7)))
               for _ in range(10)]
-    fibres.append((c23, sigma_of((2, 1), (2, 1), 2) + (2, 1, 0)))
+    fibres.append((c23, _sigma((2, 1), (2, 1), 2) + (2, 1, 0)))
     fibres += [(c33, th) for th in real_fibres(3, 3, 30, 33)]
     dtypes = set()
     real = P._tighten_block
@@ -329,9 +329,9 @@ def test_node_counts_pinned(small_builds, monkeypatch):
     for i in _pin_caps(P, monkeypatch):
         for (mu, nu, lam), value, nodes, _, _ in NODE_PINS:
             rows.clear()
-            sigma = sigma_of(mu, nu, 3)
+            sigma = _sigma(mu, nu, 3)
             assert sum(sign * count_lattice_points(c, sigma + shifted)
-                       for _, shifted, sign in lambda_shifts(lam, 3)) == value
+                       for _, shifted, sign in _shifts(lam, 3)) == value
             assert sum(rows) == nodes[i], i
         assert max(rows) > 1
 
@@ -497,12 +497,12 @@ def test_geometry_follows_the_cone_object():
     assert twin == point and twin is not point
     # on (2,2) the fibre at sigma(mu, nu) + alpha counts <s_mu * s_nu,
     # h_alpha>: 1 at alpha = (3, 0) and 2 at (2, 1) for mu = nu = (2, 1)
-    on_c22 = sigma_of((2, 1), (2, 1), 2)
+    on_c22 = _sigma((2, 1), (2, 1), 2)
     cases = [(c22, on_c22 + (3, 0), 1), (point, (2, 3, 0, 0, 0, 0), 1),
              (line, (2, 3, 0, 0, 0, 0), 0), (twin, (5, 0, 0, 0, 0, 0), 1),
              (c22, on_c22 + (2, 1), 2), (line, (5, 0, 0, 0, 0, 0), 6),
              (point, (-1, 3, 0, 0, 0, 0), 0),
-             (c22, sigma_of((2, 1), (3,), 2) + (3, 0), 0)]
+             (c22, _sigma((2, 1), (3,), 2) + (3, 0), 0)]
     for _ in range(2):
         for cone, theta, count in cases:
             assert count_lattice_points(cone, theta) == count, (cone, theta)
@@ -520,8 +520,7 @@ def test_non_integer_theta_rejected(small_builds):
 def test_count_matches_known_kronecker(small_builds):
     # single surviving shift: the count itself is the coefficient
     c = build_cone(2, 2)
-    theta = sigma_of((1,), (1,), 2) + tuple(
-        lambda_shifts((1,), 2)[0][1])
+    theta = _sigma((1,), (1,), 2) + _shifts((1,), 2)[0][1]
     assert count_lattice_points(c, theta) == 1
 
 
@@ -534,7 +533,7 @@ def test_zero_part_and_short_pairs_give_the_smaller_cones_fibre(small_builds):
     for n in range(1, 7):
         shapes = partitions_of(n, 3)
         for mu, nu in itertools.product(shapes, repeat=2):
-            sigma = sigma_of(mu, nu, 3)
+            sigma = _sigma(mu, nu, 3)
             for a in range(n + 1):
                 ab = (a, n - a)
                 count = count_lattice_points(c33, sigma + (0,) + ab)
@@ -542,7 +541,7 @@ def test_zero_part_and_short_pairs_give_the_smaller_cones_fibre(small_builds):
                 checked += 1
                 if max(len(mu), len(nu)) <= 2:
                     assert count_lattice_points(
-                        c22, sigma_of(mu, nu, 2) + ab) == count
+                        c22, _sigma(mu, nu, 2) + ab) == count
                     checked += 1
     assert checked == 864
 
@@ -608,8 +607,8 @@ def test_certificates_fall_back_to_exact_lp(monkeypatch, fresh_geometry,
     rng = random.Random(23)
     thetas = [tuple(rng.randint(-2, 2) for _ in range(7))
               for _ in range(10)]
-    thetas.append(sigma_of((2, 1), (2, 1), 2) + (2, 1, 0))
-    thetas.append(sigma_of((3, 1), (2, 2), 2) + (2, 2, 0))
+    thetas.append(_sigma((2, 1), (2, 1), 2) + (2, 1, 0))
+    thetas.append(_sigma((3, 1), (2, 2), 2) + (2, 2, 0))
     expected = [count_lattice_points(c, th) for th in thetas]
     calls = counting_solve_lp(monkeypatch)
     if guess == "none":
@@ -711,7 +710,7 @@ def test_fibre_map_product_leaves_float64_at_its_guard():
     geo = c.geometry
 
     def theta(N):
-        return sigma_of((N,), (N,), 2) + (0, N)
+        return _sigma((N,), (N,), 2) + (0, N)
     w1 = max(map(abs, back_solve(geo.M, geo.pivots, theta(1))))
     (_, bound32), (_, bound64) = P._EXACT_TYPES
     edge32 = (bound32 // 2 - 1) // (w1 * geo.growth)
@@ -897,7 +896,7 @@ def test_a_wide_node_keeps_the_rest_of_its_interval(monkeypatch):
     # widths of about 2N/3, N/2 and N after root tightening
     c = build_cone(3, 3)
     monkeypatch.setattr(P, "_BLOCK_BYTES", 8 * 8 * c.geometry.plan.nnz)
-    theta = sigma_of((50,), (50,), 3) + (50, 0, 0)
+    theta = _sigma((50,), (50,), 3) + (50, 0, 0)
     assert count_lattice_points(c, theta) == 1
     monkeypatch.setattr(P, "_EXACT_TYPES", ())
     assert count_lattice_points(c, theta) == 1
